@@ -19,13 +19,7 @@ import os
 
 from caoi.carbon import ConstraintSet, EnergyModel
 from caoi.cidata import builtin_profile_si2024
-from caoi.optimizer import (
-    solve_qos_constrained,
-    sweep_cf_budget,
-    sweep_lambda,
-    sweep_months,
-)
-from caoi.queueing import Discipline
+from caoi.optimizer import sweep_cf_budget, sweep_lambda, sweep_months, sweep_surface
 
 
 def write_rows(path, header, rows):
@@ -74,16 +68,11 @@ def main(argv=None):
 
     # 3. Age vs SNR floor under a budget small enough that the minimum sits
     #    inside the grid for every month.
-    rows = []
-    for month, ci in enumerate(builtin.values, start=1):
-        for db in range(-10, 31):
-            constraint = ConstraintSet(budget_k=6e-5, horizon_tn=args.horizon,
-                                       snr_min=10.0 ** (db / 10.0))
-            for disc in (Discipline.FCFS_MM1, Discipline.LCFS_PREEMPTIVE):
-                res = solve_qos_constrained(constraint, ci, energy, disc,
-                                            mode="paper")
-                rows.append((month, float(db), disc.value, res.aoi,
-                             res.binding_constraint.value))
+    grid = [(float(db), ConstraintSet(budget_k=6e-5, horizon_tn=args.horizon,
+                                      snr_min=10.0 ** (db / 10.0)))
+            for db in range(-10, 31)]
+    rows = [(r.month, r.x, r.model, r.aoi, r.binding)
+            for r in sweep_surface("qos", grid, builtin, energy, mode="paper")]
     write_rows(os.path.join(args.out_dir, "snr_sweep.csv"),
                ["month", "snr_db", "model", "aoi_s", "binding"], rows)
 

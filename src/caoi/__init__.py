@@ -57,19 +57,17 @@ from .optimizer import (
     sweep_cf_budget,
     sweep_lambda,
     sweep_months,
+    sweep_surface,
 )
 from .queueing import (
     ConstrainedAoi,
     Discipline,
     QueueSpec,
     SaturationEpsilon,
-    avg_aoi,
     avg_aoi_mm1,
     avg_aoi_mm1_star,
     constrained_aoi_mm1,
-    constrained_aoi_mm1_star,
     optimal_utilization_mm1,
-    optimal_utilization_mm1_star,
 )
 
 __version__ = "0.1.0"
@@ -99,13 +97,11 @@ __all__ = [
     "SimulationTrace",
     "SweepRow",
     "ValidationError",
-    "avg_aoi",
     "avg_aoi_mm1",
     "avg_aoi_mm1_star",
     "avg_cf",
     "builtin_profile_si2024",
     "constrained_aoi_mm1",
-    "constrained_aoi_mm1_star",
     "cumulative_cf",
     "empirical_packet_count_check",
     "joules_to_kwh",
@@ -115,7 +111,6 @@ __all__ = [
     "lambda_qos_max",
     "min_rate_for_snr",
     "optimal_utilization_mm1",
-    "optimal_utilization_mm1_star",
     "parse_ci_csv",
     "parse_ci_records",
     "replicate",
@@ -128,4 +123,5 @@ __all__ = [
     "sweep_cf_budget",
     "sweep_lambda",
     "sweep_months",
+    "sweep_surface",
 ]

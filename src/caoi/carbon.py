@@ -12,7 +12,7 @@ Conventions used throughout:
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import DomainError, MissingConstraint, ValidationError
 
@@ -35,7 +35,8 @@ class CiProfile:
     its start until the next start (right-open).  The first start must be
     0 and starts must be strictly increasing.  Lookups past the horizon
     clamp to the final step, which lets simulations drain their queues a
-    little beyond the modeled window.
+    little beyond the modeled window.  starts, values and the
+    duration-weighted mean are computed once, at construction.
     """
 
     samples: tuple
@@ -59,6 +60,14 @@ class CiProfile:
             if not (math.isfinite(value) and value > 0):
                 raise ValidationError(f"carbon intensity must be positive, got {value}")
             prev = start
+        starts = tuple(t for t, _ in samples)
+        values = tuple(v for _, v in samples)
+        total = 0.0
+        for start, end, value in zip(starts, starts[1:] + (self.horizon,), values):
+            total += value * (end - start)
+        object.__setattr__(self, "_starts", starts)
+        object.__setattr__(self, "_values", values)
+        object.__setattr__(self, "_mean", total / self.horizon)
 
     @classmethod
     def constant(cls, ci: float, horizon: float) -> "CiProfile":
@@ -66,45 +75,22 @@ class CiProfile:
 
     @property
     def starts(self) -> tuple:
-        return tuple(t for t, _ in self.samples)
+        return self._starts
 
     @property
     def values(self) -> tuple:
-        return tuple(v for _, v in self.samples)
+        return self._values
 
     def value_at(self, tau: float) -> float:
         if tau < 0:
             raise DomainError(f"time must be non-negative, got {tau}")
-        idx = bisect_right(self.starts, tau) - 1
-        return self.samples[idx][1]
+        idx = bisect_right(self._starts, tau) - 1
+        return self._values[idx]
 
     @property
     def long_term_average(self) -> float:
         """Duration-weighted mean intensity over the whole horizon."""
-        total = 0.0
-        for start, end, value in self.segments():
-            total += value * (end - start)
-        return total / self.horizon
-
-    def segments(self) -> Iterator[tuple]:
-        starts = self.starts
-        for i, (start, value) in enumerate(self.samples):
-            end = starts[i + 1] if i + 1 < len(starts) else self.horizon
-            yield start, end, value
-
-    def integrate(self, a: float, b: float) -> float:
-        """Integral of xi over [a, b] in g*s/kWh, clamping past the horizon."""
-        if a < 0 or b < a:
-            raise DomainError(f"bad integration window [{a}, {b}]")
-        total = 0.0
-        for start, end, value in self.segments():
-            lo = max(a, start)
-            hi = min(b, end)
-            if hi > lo:
-                total += value * (hi - lo)
-        if b > self.horizon:
-            total += self.value_at(self.horizon) * (b - max(a, self.horizon))
-        return total
+        return self._mean
 
 
 @dataclass(frozen=True)
@@ -239,6 +225,10 @@ def cumulative_cf(profile: CiProfile, power, upto: float) -> float:
     power is either a constant in watts or a sequence of (start_s, watts)
     steps with the same right-open convention as the profile.  The
     integral is evaluated exactly on the merged breakpoint grid.
+
+    upto past the horizon is rejected: the profile is not modelled there.
+    The simulator alone extends the final step past the horizon, on
+    purpose, so that work drained after the horizon is still charged.
     """
     if not (0 < upto <= profile.horizon):
         raise DomainError(f"upto must lie in (0, {profile.horizon}], got {upto}")

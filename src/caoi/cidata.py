@@ -110,7 +110,15 @@ def parse_ci_csv(source, period_seconds: float = MONTH_SECONDS,
 
 
 def serialize_ci_csv(profile: CiProfile) -> str:
-    """Render a profile back to CSV with 1-based period indices."""
+    """Render a profile back to CSV with 1-based period indices.
+
+    Month indices stop at 12, so a longer profile cannot be written in a
+    form parse_ci_csv reads back.
+    """
+    if len(profile.samples) > 12:
+        raise ValidationError(
+            f"only profiles of 1..12 periods can be written, got {len(profile.samples)}"
+        )
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(HEADER)

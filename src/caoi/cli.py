@@ -31,6 +31,7 @@ from .optimizer import (
     BOTH_DISCIPLINES,
     sweep_cf_budget,
     sweep_lambda,
+    sweep_surface,
     solve_cf_constrained,
     solve_power_constrained,
     solve_qos_constrained,
@@ -154,6 +155,12 @@ def _disciplines(model: str):
     }[model]
 
 
+def _redirect(path, out_dir):
+    if path is None or out_dir is None:
+        return path
+    return str(Path(out_dir) / Path(path).name)
+
+
 def write_manifest(command: str, params: dict, outputs: list) -> None:
     body = {
         "tool": "caoi",
@@ -203,7 +210,8 @@ def resolve_analyze(args) -> dict:
     }
 
 
-def run_analyze(params: dict, out_path: str) -> None:
+def run_analyze(params: dict, out_dir=None) -> None:
+    out_path = _redirect(params["out"], out_dir)
     profile = load_ci(params["ci"])
     energy = EnergyModel()
     eps = SaturationEpsilon(params["eps"])
@@ -253,7 +261,8 @@ def resolve_optimize(args) -> dict:
     }
 
 
-def run_optimize(params: dict, out_path) -> int:
+def run_optimize(params: dict, out_dir=None) -> int:
+    out_path = _redirect(params["out"], out_dir)
     profile = load_ci(params["ci"])
     energy = EnergyModel()
     eps = SaturationEpsilon(params["eps"])
@@ -341,7 +350,9 @@ def resolve_simulate(args) -> dict:
     }
 
 
-def run_simulate(params: dict, out_path, slots_path, events_path) -> None:
+def run_simulate(params: dict, out_dir=None) -> None:
+    out_path, slots_path, events_path = (
+        _redirect(params[key], out_dir) for key in ("out", "slots_out", "events_out"))
     discipline = _disciplines(params["model"])[0]
     spec = QueueSpec(discipline, params["lam"], params["mu"])
     config = SimConfig(
@@ -465,105 +476,51 @@ def resolve_sweep(args) -> dict:
     }
 
 
-def run_sweep(params: dict, out_path: str) -> None:
+def run_sweep(params: dict, out_dir=None) -> None:
+    out_path = _redirect(params["out"], out_dir)
     profile = load_ci(params["ci"], full_year=True)
-    if len(profile.samples) != 12:
-        raise ValidationError("sweep surfaces need a 12-month profile")
-    energy = EnergyModel()
-    eps = SaturationEpsilon(params["eps"])
-    disciplines = _disciplines(params["model"])
-    mode = params["mode"]
-    rows = []
+    tn, a = params["tn"], params["a"]
     if params["surface"] == "k":
-        for month, ci in enumerate(profile.values, start=1):
-            for k in params["k_grid"]:
-                constraint = ConstraintSet(budget_k=k, horizon_tn=params["tn"],
-                                           power_cap=params["p_max"],
-                                           success_prob_a=params["a"])
-                for disc in disciplines:
-                    try:
-                        res = solve_power_constrained(constraint, ci, energy, disc,
-                                                      mode, "fixed", params["mu"], eps)
-                    except Infeasible:
-                        rows.append((month, k, disc.value, math.inf, "infeasible"))
-                        continue
-                    rows.append((month, k, disc.value, res.aoi,
-                                 res.binding_constraint.value))
+        problem = "power"
+        grid = [(k, ConstraintSet(budget_k=k, horizon_tn=tn, power_cap=params["p_max"],
+                                  success_prob_a=a))
+                for k in params["k_grid"]]
     else:
-        for month, ci in enumerate(profile.values, start=1):
-            for db in params["snr_grid_db"]:
-                constraint = ConstraintSet(budget_k=params["budget_k"],
-                                           horizon_tn=params["tn"],
-                                           snr_min=snr_db_to_linear(db),
-                                           success_prob_a=params["a"])
-                for disc in disciplines:
-                    try:
-                        res = solve_qos_constrained(constraint, ci, energy, disc,
-                                                    mode, eps)
-                    except Infeasible:
-                        rows.append((month, db, disc.value, math.inf, "infeasible"))
-                        continue
-                    rows.append((month, db, disc.value, res.aoi,
-                                 res.binding_constraint.value))
-    if rows and all(r[4] == "infeasible" for r in rows):
+        problem = "qos"
+        grid = [(db, ConstraintSet(budget_k=params["budget_k"], horizon_tn=tn,
+                                   snr_min=snr_db_to_linear(db), success_prob_a=a))
+                for db in params["snr_grid_db"]]
+    rows = sweep_surface(problem, grid, profile, EnergyModel(),
+                         _disciplines(params["model"]), params["mode"], params["mu"],
+                         SaturationEpsilon(params["eps"]))
+    if rows and all(r.binding == "infeasible" for r in rows):
         raise Infeasible("every grid cell is infeasible")
-    out_rows = [(str(m), fmt_float(x), model, fmt_float(aoi), binding)
-                for m, x, model, aoi, binding in rows]
+    out_rows = [(str(r.month), fmt_float(r.x), r.model, fmt_float(r.aoi), r.binding)
+                for r in rows]
     write_csv(out_path, SWEEP_HEADER, out_rows)
     write_manifest("sweep", params, [out_path])
 
 
 # ---------------------------------------------------------------- replay
 
-_RUNNERS = {}
-
-
-def _redirect(path, out_dir):
-    if path is None:
-        return None
-    if out_dir is None:
-        return path
-    return str(Path(out_dir) / Path(path).name)
+# subcommand -> (parsed arguments to manifest params, run from params); run
+# returns the exit code, or None for success.
+_COMMANDS = {
+    "analyze": (resolve_analyze, run_analyze),
+    "optimize": (resolve_optimize, run_optimize),
+    "simulate": (resolve_simulate, run_simulate),
+    "sweep": (resolve_sweep, run_sweep),
+}
 
 
 def run_replay(manifest_path: str, out_dir) -> int:
     body = json.loads(Path(manifest_path).read_text())
     command = body.get("command")
-    params = body.get("params", {})
-    if command not in _RUNNERS:
+    if command not in _COMMANDS:
         raise ValidationError(f"manifest names unknown command {command!r}")
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
-    return _RUNNERS[command](params, out_dir)
-
-
-def _replay_analyze(params, out_dir):
-    run_analyze(params, _redirect(params["out"], out_dir))
-    return 0
-
-
-def _replay_optimize(params, out_dir):
-    return run_optimize(params, _redirect(params["out"], out_dir))
-
-
-def _replay_simulate(params, out_dir):
-    run_simulate(params, _redirect(params["out"], out_dir),
-                 _redirect(params["slots_out"], out_dir),
-                 _redirect(params["events_out"], out_dir))
-    return 0
-
-
-def _replay_sweep(params, out_dir):
-    run_sweep(params, _redirect(params["out"], out_dir))
-    return 0
-
-
-_RUNNERS.update({
-    "analyze": _replay_analyze,
-    "optimize": _replay_optimize,
-    "simulate": _replay_simulate,
-    "sweep": _replay_sweep,
-})
+    return _COMMANDS[command][1](body.get("params", {}), out_dir) or 0
 
 
 # ---------------------------------------------------------------- parser
@@ -653,28 +610,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "analyze":
-            params = resolve_analyze(args)
-            run_analyze(params, params["out"])
-            return 0
-        if args.command == "optimize":
-            params = resolve_optimize(args)
-            return run_optimize(params, params["out"])
-        if args.command == "simulate":
-            params = resolve_simulate(args)
-            run_simulate(params, params["out"], params["slots_out"],
-                         params["events_out"])
-            return 0
-        if args.command == "sweep":
-            params = resolve_sweep(args)
-            run_sweep(params, params["out"])
-            return 0
         if args.command == "replay":
             return run_replay(args.manifest, args.out_dir)
-        parser.error(f"unknown command {args.command!r}")
+        resolve, execute = _COMMANDS[args.command]
+        return execute(resolve(args)) or 0
     except Infeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
@@ -684,7 +625,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
-    return 2
 
 
 if __name__ == "__main__":

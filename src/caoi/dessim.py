@@ -19,7 +19,7 @@ generated at u is delivered.  Statistics cover [warmup, horizon] only.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -366,13 +366,7 @@ def replicate(config: SimConfig, profile: CiProfile, energy: EnergyModel,
         raise DomainError(f"need at least 2 replications, got {n_reps}")
     traces = []
     for r in range(n_reps):
-        cfg = SimConfig(
-            spec=config.spec, horizon=config.horizon, seed=config.seed + r,
-            warmup=config.warmup, slot_length=config.slot_length,
-            cf_mode=config.cf_mode, buffer=config.buffer, drain=config.drain,
-            keep_events=config.keep_events,
-        )
-        traces.append(run(cfg, profile, energy))
+        traces.append(run(replace(config, seed=config.seed + r), profile, energy))
     aois = [t.time_avg_aoi for t in traces]
     mean = sum(aois) / n_reps
     var = sum((x - mean) ** 2 for x in aois) / (n_reps - 1)

@@ -6,6 +6,10 @@ sender would pick freely, and evaluate the discipline's average age at
 the smaller of the two.  Ties count as slack, so the binding flag is
 true only when the constraint strictly lowers the rate.
 
+mode "paper" evaluates the preemptive age with the near-saturation
+approximation 2/lambda and "exact" with the full closed form; the FCFS
+age is the same in both.
+
 Service-rate selection is controlled by mu_rule:
 
 * "fixed" (default): the caller-supplied service rate stays put; the
@@ -95,6 +99,8 @@ def _evaluate_aoi(discipline: Discipline, lam: float, mu: float, mode: str) -> f
 def _pick_rate(discipline: Discipline, mu: float, bound: float, mode: str,
                eps: SaturationEpsilon, mu_rule: str):
     """Returns (lambda_star, mu_star, aoi, binding)."""
+    if mode not in ("paper", "exact"):
+        raise DomainError(f"mode must be 'paper' or 'exact', got {mode!r}")
     if math.isnan(bound) or bound <= 0:
         raise Infeasible(f"rate bound is not positive: {bound}")
     if mu_rule == "track_opt_rho":
@@ -107,7 +113,7 @@ def _pick_rate(discipline: Discipline, mu: float, bound: float, mode: str,
             mu_star = lam / (1.0 - eps.epsilon)
         return lam, mu_star, _evaluate_aoi(discipline, lam, mu_star, mode), True
     if discipline is Discipline.FCFS_MM1:
-        res = constrained_aoi_mm1(mu, bound, mode)
+        res = constrained_aoi_mm1(mu, bound)
         return res.lambda_used, mu, res.aoi, res.binding
     lam_free = (1.0 - eps.epsilon) * mu
     binding = bound < lam_free
@@ -226,6 +232,46 @@ def sweep_lambda(mu: float, lambda_grid, disciplines=BOTH_DISCIPLINES,
     return rows
 
 
+def _sweep(cells, disciplines, solve) -> list:
+    """The one cell x discipline row loop behind every solved sweep.
+
+    cells holds (month, x, ci, constraint) tuples and solve(constraint, ci,
+    discipline) returns an OptimizationResult.  An Infeasible solve becomes
+    an explicit infeasible row with aoi = inf.
+    """
+    rows = []
+    for month, x, ci, constraint in cells:
+        for disc in disciplines:
+            try:
+                res = solve(constraint, ci, disc)
+            except Infeasible:
+                rows.append(SweepRow(x, disc.value, math.inf, None, None,
+                                     "infeasible", month))
+                continue
+            rows.append(SweepRow(x, disc.value, res.aoi, res.cf, res.lambda_bound,
+                                 res.binding_constraint.value, month))
+    return rows
+
+
+def _month_solver(problem: str, energy: EnergyModel, mode: str, mu: float | None,
+                  eps: SaturationEpsilon):
+    """solve(constraint, month_ci, discipline) for a per-month problem."""
+    if problem == "power":
+        return lambda c, ci, disc: solve_power_constrained(c, ci, energy, disc, mode,
+                                                           "fixed", mu, eps)
+    if problem == "qos":
+        return lambda c, ci, disc: solve_qos_constrained(c, ci, energy, disc, mode, eps)
+    raise DomainError(f"problem must be 'power' or 'qos', got {problem!r}")
+
+
+def _months(profile: CiProfile) -> list:
+    if len(profile.samples) != 12:
+        raise DomainError(
+            f"month sweeps need a 12-step profile, got {len(profile.samples)} steps"
+        )
+    return list(enumerate(profile.values, start=1))
+
+
 def sweep_cf_budget(mu: float, k_grid, profile: CiProfile, energy: EnergyModel,
                     tn: float, disciplines=BOTH_DISCIPLINES, mode: str = "exact",
                     success_prob_a: float = 1.0, per_month: bool = False,
@@ -237,30 +283,16 @@ def sweep_cf_budget(mu: float, k_grid, profile: CiProfile, energy: EnergyModel,
     per_month=True each (month, budget) cell is solved against that
     month's intensity, yielding the month-by-budget surface.
     """
-    values = _check_grid(k_grid)
-    months: list
+    grid = [(k, ConstraintSet(budget_k=k, horizon_tn=tn, success_prob_a=success_prob_a))
+            for k in _check_grid(k_grid)]
     if per_month:
         months = [(i + 1, CiProfile.constant(v, profile.horizon))
                   for i, v in enumerate(profile.values)]
     else:
         months = [(None, profile)]
-    rows = []
-    for month, prof in months:
-        for k in values:
-            constraint = ConstraintSet(budget_k=k, horizon_tn=tn,
-                                       success_prob_a=success_prob_a)
-            for disc in disciplines:
-                try:
-                    res = solve_cf_constrained(mu, constraint, prof, energy,
-                                               disc, mode, eps)
-                except Infeasible:
-                    rows.append(SweepRow(k, disc.value, math.inf, None, None,
-                                         "infeasible", month))
-                    continue
-                rows.append(SweepRow(k, disc.value, res.aoi, res.cf,
-                                     res.lambda_bound,
-                                     res.binding_constraint.value, month))
-    return rows
+    cells = [(month, k, prof, c) for month, prof in months for k, c in grid]
+    return _sweep(cells, disciplines, lambda c, prof, disc: solve_cf_constrained(
+        mu, c, prof, energy, disc, mode, eps))
 
 
 def sweep_months(constraint: ConstraintSet, profile: CiProfile, energy: EnergyModel,
@@ -268,27 +300,24 @@ def sweep_months(constraint: ConstraintSet, profile: CiProfile, energy: EnergyMo
                  problem: str = "power", mu: float | None = None,
                  eps: SaturationEpsilon = DEFAULT_EPS) -> list:
     """Solve one constrained problem per calendar month of a 12-step profile."""
-    if len(profile.samples) != 12:
-        raise DomainError(
-            f"month sweeps need a 12-step profile, got {len(profile.samples)} steps"
-        )
-    if problem not in ("power", "qos"):
-        raise DomainError(f"problem must be 'power' or 'qos', got {problem!r}")
-    rows = []
-    for month, ci in enumerate(profile.values, start=1):
-        for disc in disciplines:
-            try:
-                if problem == "power":
-                    res = solve_power_constrained(constraint, ci, energy, disc,
-                                                  mode, "fixed", mu, eps)
-                else:
-                    res = solve_qos_constrained(constraint, ci, energy, disc,
-                                                mode, eps)
-            except Infeasible:
-                rows.append(SweepRow(float(month), disc.value, math.inf, None,
-                                     None, "infeasible", month))
-                continue
-            rows.append(SweepRow(float(month), disc.value, res.aoi, res.cf,
-                                 res.lambda_bound, res.binding_constraint.value,
-                                 month))
-    return rows
+    months = _months(profile)
+    solve = _month_solver(problem, energy, mode, mu, eps)
+    cells = [(month, float(month), ci, constraint) for month, ci in months]
+    return _sweep(cells, disciplines, solve)
+
+
+def sweep_surface(problem: str, grid, profile: CiProfile, energy: EnergyModel,
+                  disciplines=BOTH_DISCIPLINES, mode: str = "exact",
+                  mu: float | None = None,
+                  eps: SaturationEpsilon = DEFAULT_EPS) -> list:
+    """Solve a power or qos problem on every (month, grid point) cell.
+
+    grid holds (x, ConstraintSet) pairs: x is only the row label (a budget
+    in grams, an SNR floor in dB), the constraint is what gets solved.
+    Rows run month by month, then along the grid, then over disciplines.
+    """
+    months = _months(profile)
+    solve = _month_solver(problem, energy, mode, mu, eps)
+    grid = list(grid)
+    cells = [(month, x, ci, c) for month, ci in months for x, c in grid]
+    return _sweep(cells, disciplines, solve)

@@ -14,11 +14,6 @@ from functools import lru_cache
 
 from .errors import DomainError
 
-# Literal modes accepted by the constrained evaluators.  "paper" uses the
-# near-saturation approximation 2/lambda for the preemptive discipline,
-# "exact" evaluates the full closed form.
-MODES = ("paper", "exact")
-
 
 class Discipline(Enum):
     FCFS_MM1 = "mm1"
@@ -83,6 +78,9 @@ def avg_aoi_mm1(spec: QueueSpec) -> float:
     rho = spec.rho
     if rho >= 1.0:
         raise DomainError(f"FCFS average age diverges for rho={rho:.6g} >= 1")
+    if rho == 0.0:
+        # lam is so far below mu that rho underflows; the age term 1/rho is unbounded.
+        return math.inf
     return (1.0 / spec.mu) * (1.0 + 1.0 / rho + rho * rho / (1.0 - rho))
 
 
@@ -92,13 +90,6 @@ def avg_aoi_mm1_star(spec: QueueSpec) -> float:
     Finite for any positive rates, including rho >= 1.
     """
     return 1.0 / spec.mu + 1.0 / spec.lam
-
-
-def avg_aoi(spec: QueueSpec) -> float:
-    """Dispatch to the closed form matching spec.discipline."""
-    if spec.discipline is Discipline.FCFS_MM1:
-        return avg_aoi_mm1(spec)
-    return avg_aoi_mm1_star(spec)
 
 
 def _age_quartic(rho: float) -> float:
@@ -144,25 +135,14 @@ def optimal_utilization_mm1() -> float:
     return _solve_opt_rho_mm1()
 
 
-def optimal_utilization_mm1_star(eps: SaturationEpsilon = DEFAULT_EPS) -> float:
-    """Near-saturation optimum of the preemptive discipline, rho = 1 - eps."""
-    return 1.0 - eps.epsilon
-
-
-def _check_mode(mode: str) -> None:
-    if mode not in MODES:
-        raise DomainError(f"mode must be one of {MODES}, got {mode!r}")
-
-
-def constrained_aoi_mm1(mu: float, lambda_bound: float, mode: str = "exact") -> ConstrainedAoi:
+def constrained_aoi_mm1(mu: float, lambda_bound: float) -> ConstrainedAoi:
     """Minimal FCFS average age subject to lambda <= lambda_bound at fixed mu.
 
     When the cap exceeds the free optimum rho'*mu the cap is slack and the
     unconstrained optimum is returned (ties count as slack).  Otherwise the
-    cap binds and the closed form is evaluated at the cap.  Both modes
-    coincide for this discipline; the argument is accepted for symmetry.
+    cap binds and the closed form is evaluated at the cap.  The preemptive
+    discipline's counterpart is optimizer._pick_rate.
     """
-    _check_mode(mode)
     if not (math.isfinite(mu) and mu > 0):
         raise DomainError(f"service rate must be positive and finite, got {mu}")
     if not (lambda_bound > 0):
@@ -179,29 +159,3 @@ def constrained_aoi_mm1(mu: float, lambda_bound: float, mode: str = "exact") -> 
     spec = QueueSpec(Discipline.FCFS_MM1, lambda_bound, mu)
     return ConstrainedAoi(avg_aoi_mm1(spec), lambda_bound, True)
 
-
-def constrained_aoi_mm1_star(
-    lambda_free: float,
-    lambda_bound: float,
-    eps: SaturationEpsilon = DEFAULT_EPS,
-    mode: str = "exact",
-) -> ConstrainedAoi:
-    """Minimal preemptive-LCFS average age with arrival rate capped.
-
-    lambda_free is the rate the sender would pick without the cap; the
-    evaluation point is min(lambda_free, lambda_bound).  In "paper" mode
-    the age is the near-saturation approximation 2/lambda.  In "exact"
-    mode it is 1/mu + 1/lambda with the service rate re-saturated to
-    mu = lambda/(1 - eps), so the two modes differ by eps/lambda.
-    """
-    _check_mode(mode)
-    if not (math.isfinite(lambda_free) and lambda_free > 0):
-        raise DomainError(f"free rate must be positive and finite, got {lambda_free}")
-    if not (lambda_bound > 0):
-        raise DomainError(f"lambda bound must be positive, got {lambda_bound}")
-    binding = lambda_bound < lambda_free
-    lam = lambda_bound if binding else lambda_free
-    if mode == "paper":
-        return ConstrainedAoi(2.0 / lam, lam, binding)
-    mu = lam / (1.0 - eps.epsilon)
-    return ConstrainedAoi(1.0 / mu + 1.0 / lam, lam, binding)

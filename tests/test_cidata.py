@@ -1,9 +1,13 @@
 import io
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from caoi.carbon import CiProfile, cumulative_cf
 from caoi.cidata import (
     MONTH_SECONDS,
+    CiRecord,
     builtin_profile_si2024,
     parse_ci_csv,
     parse_ci_records,
@@ -83,6 +87,20 @@ class TestProfileConstruction:
         assert prof.values == (220.0, 180.0, 140.0)
 
 
+class TestSerialize:
+    @given(st.lists(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+                    min_size=1, max_size=12))
+    def test_csv_round_trip(self, values):
+        records = [CiRecord(str(i), i, v) for i, v in enumerate(values, start=1)]
+        prof = records_to_profile(records)
+        assert parse_ci_csv(serialize_ci_csv(prof)) == prof
+
+    def test_more_than_twelve_periods_rejected(self):
+        prof = CiProfile(tuple((float(i), 100.0) for i in range(13)), 13.0)
+        with pytest.raises(ValidationError):
+            serialize_ci_csv(prof)
+
+
 class TestBuiltinProfile:
     def test_values(self, builtin):
         assert builtin.values == BUILTIN_VALUES
@@ -115,10 +133,9 @@ class TestResample:
 
     def test_preserves_integral_on_aligned_grid(self, builtin):
         fine = resample(builtin, 86400.0)
-        assert fine.integrate(0.0, builtin.horizon) == \
-            pytest.approx(builtin.integrate(0.0, builtin.horizon), rel=1e-12)
-        assert fine.integrate(0.0, MONTH_SECONDS * 3) == \
-            pytest.approx(builtin.integrate(0.0, MONTH_SECONDS * 3), rel=1e-12)
+        for upto in (builtin.horizon, MONTH_SECONDS * 3):
+            assert cumulative_cf(fine, 1.0, upto) == \
+                pytest.approx(cumulative_cf(builtin, 1.0, upto), rel=1e-12)
 
     def test_coarse_grid_takes_start_values(self, builtin):
         # Coarsening samples the value at each new slot start; it is a

@@ -1,9 +1,10 @@
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from caoi.carbon import CiProfile, EnergyModel
+from caoi.carbon import CarbonLedger, CiProfile, EnergyModel
 from caoi.dessim import (
     CfMode,
     SimConfig,
@@ -22,6 +23,17 @@ ENERGY = EnergyModel()
 def cfg(discipline, lam, mu, horizon, seed, **kw):
     return SimConfig(spec=QueueSpec(discipline, lam, mu), horizon=horizon,
                      seed=seed, **kw)
+
+
+def assert_same_trace(a, b):
+    for f in fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert np.array_equal(x, y), f.name
+        elif isinstance(x, CarbonLedger):
+            assert (x.times, x.grams) == (y.times, y.grams)
+        else:
+            assert x == y, f.name
 
 
 def replay_streams(lam, mu, horizon, seed):
@@ -333,6 +345,14 @@ class TestReplicate:
         summary = replicate(c, FLAT, ENERGY, 3)
         solo = run(cfg(Discipline.FCFS_MM1, 0.5, 1.0, 20000.0, 41), FLAT, ENERGY)
         assert summary.traces[1].time_avg_aoi == solo.time_avg_aoi
+
+    def test_every_config_field_reaches_each_replication(self):
+        c = cfg(Discipline.FCFS_MM1, 0.9, 1.0, 2000.0, 50, warmup=100.0,
+                slot_length=4.0, cf_mode=CfMode.SERVICE_TIME_CHARGED, buffer=3,
+                drain=True, keep_events=True)
+        summary = replicate(c, FLAT, ENERGY, 3)
+        for r, trace in enumerate(summary.traces):
+            assert_same_trace(trace, run(replace(c, seed=50 + r), FLAT, ENERGY))
 
     def test_needs_two_reps(self):
         c = cfg(Discipline.FCFS_MM1, 0.5, 1.0, 1000.0, 40)

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -5,9 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from caoi import cli
 from caoi.carbon import CiProfile, ConstraintSet, EnergyModel
 from caoi.errors import DomainError, Infeasible
 from caoi.optimizer import (
+    BOTH_DISCIPLINES,
     BindingConstraint,
     solve_cf_constrained,
     solve_power_constrained,
@@ -20,6 +23,11 @@ from caoi.queueing import Discipline, optimal_utilization_mm1
 
 ENERGY = EnergyModel()
 OPT_RHO = 0.5310100564595692
+
+
+def read_csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
 
 
 def budget_for_bound(bound, xi=198.0, tn=3600.0, a=1.0):
@@ -302,3 +310,99 @@ class TestInfeasibility:
         with pytest.raises(Infeasible):
             _pick_rate(Discipline.FCFS_MM1, 1.0, math.inf, "exact",
                        DEFAULT_EPS, "track_opt_rho")
+
+
+def per_cell(cells, solve):
+    """The month x grid x discipline loop with one direct solve per cell.
+
+    Kept as the reference for the shared sweep loop: cells holds
+    (month, x, ci, constraint); an Infeasible solve is an aoi = inf row.
+    """
+    rows = []
+    for month, x, ci, constraint in cells:
+        for disc in BOTH_DISCIPLINES:
+            try:
+                res = solve(constraint, ci, disc)
+            except Infeasible:
+                rows.append((month, x, disc.value, math.inf, None, None, "infeasible"))
+                continue
+            rows.append((month, x, disc.value, res.aoi, res.cf, res.lambda_bound,
+                         res.binding_constraint.value))
+    return rows
+
+
+def fmt(*values):
+    return tuple(v if isinstance(v, str) else cli.fmt_float(v) for v in values)
+
+
+def fmt_sweep_rows(rows):
+    return [fmt(r.month, r.x, r.model, r.aoi, r.cf, r.lambda_bound, r.binding)
+            for r in rows]
+
+
+class TestOneSweepLoop:
+    """Every solved sweep equals a per-cell solve loop, row for row.
+
+    A 5e-324 g budget underflows the rate cap to 0 once the slot is long,
+    so each case mixes infeasible cells with feasible ones.
+    """
+
+    def cli_surface(self, tmp_path, *args):
+        out = tmp_path / "surface.csv"
+        assert cli.main(["sweep", *args, "--ci", "builtin", "--out", str(out)]) == 0
+        rows = read_csv(out)
+        assert rows[0] == list(cli.SWEEP_HEADER)
+        return [tuple(r) for r in rows[1:]]
+
+    def test_cli_k_surface(self, tmp_path, builtin):
+        rows = self.cli_surface(tmp_path, "--surface", "k", "--k-grid", "5e-324:1e-3:4",
+                                "--tn", "1e12")
+        cells = [(m, k, ci, ConstraintSet(budget_k=k, horizon_tn=1e12, power_cap=1.0))
+                 for m, ci in enumerate(builtin.values, start=1)
+                 for k in cli.parse_grid("5e-324:1e-3:4")]
+        expected = per_cell(cells, lambda c, ci, disc: solve_power_constrained(
+            c, ci, ENERGY, disc, mode="paper"))
+        assert rows == [fmt(str(m), x, model, aoi, b) for m, x, model, aoi, _, _, b in expected]
+        assert {r[4] for r in rows} == {"infeasible", "power"}
+
+    def test_cli_snr_surface(self, tmp_path, builtin):
+        rows = self.cli_surface(tmp_path, "--surface", "snr", "--snr-grid-db=-10:30:9",
+                                "--budget-k", "5e-324", "--tn", "1e9", "--mode", "exact")
+        cells = [(m, db, ci, ConstraintSet(budget_k=5e-324, horizon_tn=1e9,
+                                           snr_min=10.0 ** (db / 10.0)))
+                 for m, ci in enumerate(builtin.values, start=1)
+                 for db in cli.parse_grid("-10:30:9")]
+        expected = per_cell(cells, lambda c, ci, disc: solve_qos_constrained(
+            c, ci, ENERGY, disc, mode="exact"))
+        assert rows == [fmt(str(m), x, model, aoi, b) for m, x, model, aoi, _, _, b in expected]
+        assert {r[4] for r in rows} >= {"infeasible", "qos"}
+
+    @pytest.mark.parametrize("problem,constraint", [
+        ("power", ConstraintSet(budget_k=5e-4, horizon_tn=3600.0, power_cap=1.0)),
+        ("power", ConstraintSet(budget_k=5e-324, horizon_tn=2.78e8, power_cap=1.0)),
+        ("qos", ConstraintSet(budget_k=6e-5, horizon_tn=3600.0, snr_min=10.0)),
+        ("qos", ConstraintSet(budget_k=5e-324, horizon_tn=1e12, snr_min=10.0)),
+    ])
+    def test_sweep_months(self, builtin, problem, constraint):
+        rows = sweep_months(constraint, builtin, ENERGY, mode="paper", problem=problem)
+        if problem == "power":
+            def solve(c, ci, disc):
+                return solve_power_constrained(c, ci, ENERGY, disc, mode="paper")
+        else:
+            def solve(c, ci, disc):
+                return solve_qos_constrained(c, ci, ENERGY, disc, mode="paper")
+        cells = [(m, float(m), ci, constraint)
+                 for m, ci in enumerate(builtin.values, start=1)]
+        assert fmt_sweep_rows(rows) == [fmt(*r) for r in per_cell(cells, solve)]
+
+    def test_sweep_cf_budget_per_month(self, builtin):
+        k_grid = [5e-324, 1e-4, 5e-4]
+        rows = sweep_cf_budget(40.0, k_grid, builtin, ENERGY, 1e12, mode="paper",
+                               per_month=True)
+        cells = [(m, k, CiProfile.constant(ci, builtin.horizon),
+                  ConstraintSet(budget_k=k, horizon_tn=1e12))
+                 for m, ci in enumerate(builtin.values, start=1) for k in k_grid]
+        expected = per_cell(cells, lambda c, prof, disc: solve_cf_constrained(
+            40.0, c, prof, ENERGY, disc, mode="paper"))
+        assert fmt_sweep_rows(rows) == [fmt(*r) for r in expected]
+        assert {r.binding for r in rows} == {"infeasible", "cf_budget"}

@@ -4,25 +4,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from caoi.carbon import J_PER_KWH, ConstraintSet, EnergyModel
 from caoi.errors import DomainError
+from caoi.optimizer import BindingConstraint, _pick_rate, solve_power_constrained
 from caoi.queueing import (
     DEFAULT_EPS,
     Discipline,
     QueueSpec,
     SaturationEpsilon,
-    avg_aoi,
     avg_aoi_mm1,
     avg_aoi_mm1_star,
     constrained_aoi_mm1,
-    constrained_aoi_mm1_star,
     optimal_utilization_mm1,
-    optimal_utilization_mm1_star,
 )
 
 # Root of rho^4 - 2 rho^3 + rho^2 - 2 rho + 1 in (0, 1), solved offline with
 # bisection to 1e-15; the age at that utilization follows by substitution.
 OPT_RHO = 0.5310100564595692
 AOI_AT_OPT = 3.484435331765857
+LCFS = Discipline.LCFS_PREEMPTIVE
 
 
 def fcfs(lam, mu=1.0):
@@ -70,12 +70,12 @@ class TestClosedForms:
         with pytest.raises(DomainError):
             avg_aoi_mm1(fcfs(1.3))
 
+    def test_mm1_underflowing_rho_is_unbounded(self):
+        # A subnormal rate far below mu makes rho underflow to 0.
+        assert avg_aoi_mm1(fcfs(5e-324, 8333.0)) == math.inf
+
     def test_mm1_star_finite_past_saturation(self):
         assert avg_aoi_mm1_star(lcfs(3.0)) == pytest.approx(1 + 1 / 3, rel=1e-15)
-
-    def test_dispatch_matches_specific_forms(self):
-        assert avg_aoi(fcfs(0.4)) == avg_aoi_mm1(fcfs(0.4))
-        assert avg_aoi(lcfs(0.4)) == avg_aoi_mm1_star(lcfs(0.4))
 
     @given(rho=st.floats(0.01, 0.98), mu=st.floats(1e-3, 1e3),
            c=st.floats(1e-3, 1e3))
@@ -126,10 +126,6 @@ class TestOptimalUtilization:
         elif lo >= opt:
             assert avg_aoi_mm1(fcfs(lo)) < avg_aoi_mm1(fcfs(hi))
 
-    def test_lcfs_optimum_approaches_saturation(self):
-        assert optimal_utilization_mm1_star() == 1 - DEFAULT_EPS.epsilon
-        assert optimal_utilization_mm1_star(SaturationEpsilon(0.05)) == 0.95
-
 
 class TestConstrainedFcfs:
     def test_slack_branch(self):
@@ -174,43 +170,59 @@ class TestConstrainedFcfs:
         assert a_lo > a_hi
 
     def test_paper_and_exact_agree_for_fcfs(self):
-        # The FCFS branch has no saturation knob, so the modes coincide.
+        # Paper mode only approximates the preemptive age; FCFS has no
+        # saturation knob, so the optimizer's two modes coincide for it.
         for bound in (0.1, 0.4, 5.0):
-            assert constrained_aoi_mm1(1.0, bound, mode="paper") == \
-                constrained_aoi_mm1(1.0, bound, mode="exact")
+            assert _pick_rate(Discipline.FCFS_MM1, 1.0, bound, "paper", DEFAULT_EPS, "fixed") \
+                == _pick_rate(Discipline.FCFS_MM1, 1.0, bound, "exact", DEFAULT_EPS, "fixed")
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(DomainError):
-            constrained_aoi_mm1(1.0, 0.5, mode="fast")
+        # The optimizer, which owns the paper/exact choice, validates it.
+        for disc in (Discipline.FCFS_MM1, Discipline.LCFS_PREEMPTIVE):
+            with pytest.raises(DomainError):
+                _pick_rate(disc, 1.0, 0.5, "fast", DEFAULT_EPS, "fixed")
 
 
 class TestConstrainedLcfs:
+    """Preemptive LCFS under a rate cap, which optimizer._pick_rate solves.
+
+    Without the cap the sender runs at (1 - eps) * mu; the cap binds only
+    when it is strictly lower.
+    """
+
     def test_binding_paper_mode(self):
-        res = constrained_aoi_mm1_star(10.0, 5.0, mode="paper")
-        assert res.binding
-        assert res.lambda_used == 5.0
-        assert res.aoi == pytest.approx(2 / 5.0, rel=1e-15)
+        lam, mu, aoi, binding = _pick_rate(LCFS, 10.0, 5.0, "paper", DEFAULT_EPS, "fixed")
+        assert binding
+        assert (lam, mu) == (5.0, 10.0)
+        assert aoi == pytest.approx(2 / 5.0, rel=1e-15)
 
     def test_binding_exact_mode_resaturates(self):
-        eps = SaturationEpsilon(1e-3)
-        res = constrained_aoi_mm1_star(10.0, 5.0, eps=eps, mode="exact")
-        assert res.binding
-        # mu re-tightens to lambda/(1-eps): aoi = (1-eps)/5 + 1/5
+        # Under track_opt_rho mu re-tightens to lambda/(1-eps) at the
+        # power-cap bound of 5/s: aoi = (1-eps)/5 + 1/5.
+        energy = EnergyModel()
+        ci, tn = 200.0, 3600.0
+        budget = 5.0 * ci * (1.0 * energy.t_p / J_PER_KWH) * tn
+        c = ConstraintSet(budget_k=budget, horizon_tn=tn, power_cap=1.0)
+        res = solve_power_constrained(c, ci, energy, LCFS, mode="exact",
+                                      mu_rule="track_opt_rho",
+                                      eps=SaturationEpsilon(1e-3))
+        assert res.binding_constraint is BindingConstraint.POWER
+        assert res.lambda_star == res.lambda_bound == pytest.approx(5.0, rel=1e-12)
         assert res.aoi == pytest.approx((1 - 1e-3) / 5.0 + 1 / 5.0, rel=1e-12)
 
     def test_slack_branch(self):
-        res = constrained_aoi_mm1_star(2.0, 100.0, mode="paper")
-        assert not res.binding
-        assert res.lambda_used == 2.0
-        assert res.aoi == pytest.approx(1.0, rel=1e-12)
+        lam, mu, aoi, binding = _pick_rate(LCFS, 2.0, 100.0, "paper", DEFAULT_EPS, "fixed")
+        assert not binding
+        assert (lam, mu) == ((1 - DEFAULT_EPS.epsilon) * 2.0, 2.0)
+        assert aoi == pytest.approx(2 / lam, rel=1e-12)
 
     def test_tie_is_slack(self):
-        res = constrained_aoi_mm1_star(3.0, 3.0, mode="paper")
-        assert not res.binding
+        free = (1 - DEFAULT_EPS.epsilon) * 3.0
+        assert not _pick_rate(LCFS, 3.0, free, "paper", DEFAULT_EPS, "fixed")[3]
 
-    @given(free=st.floats(0.01, 1e3), frac=st.floats(0.01, 0.99))
-    def test_paper_mode_inverse_in_bound(self, free, frac):
-        bound = frac * free
-        res = constrained_aoi_mm1_star(free, bound, mode="paper")
-        assert res.binding
-        assert res.aoi * bound == pytest.approx(2.0, rel=1e-12)
+    @given(mu=st.floats(0.01, 1e3), frac=st.floats(0.01, 0.99))
+    def test_paper_mode_inverse_in_bound(self, mu, frac):
+        bound = frac * (1 - DEFAULT_EPS.epsilon) * mu
+        lam, _, aoi, binding = _pick_rate(LCFS, mu, bound, "paper", DEFAULT_EPS, "fixed")
+        assert binding
+        assert aoi * bound == pytest.approx(2.0, rel=1e-12)
