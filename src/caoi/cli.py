@@ -438,11 +438,9 @@ def run_simulate(params: dict, out_dir=None) -> None:
         write_csv(slots_path, SLOTS_HEADER, rows)
         outputs.append(slots_path)
     if events_path is not None:
-        rows = [
-            (fmt_float(t), fmt_float(u), fmt_float(t - u))
-            for t, u in zip(first.delivery_times.tolist(),
-                            first.delivery_gen_times.tolist())
-        ]
+        # Rows are formatted as they are written, one delivery at a time.
+        rows = ((fmt_float(t), fmt_float(u), fmt_float(t - u))
+                for t, u in zip(first.delivery_times, first.delivery_gen_times))
         write_csv(events_path, EVENTS_HEADER, rows)
         outputs.append(events_path)
     if outputs:

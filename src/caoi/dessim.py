@@ -4,9 +4,22 @@ The event dynamics are computed from exact per-packet recursions instead
 of a heap-based loop: for FCFS the departure times follow the Lindley
 recursion d_i = max(a_i, d_{i-1}) + s_i, and for preemptive LCFS a packet
 completes exactly when its service draw finishes before the next arrival.
-This is the same sample path a conventional event loop would produce and
-keeps million-arrival validation runs cheap.  A sequential kernel covers
-the finite-buffer case, whose admission decisions are state-dependent.
+A finite buffer admits an arrival only while fewer than `buffer` earlier
+packets are still in the system, and an admitted packet then follows the
+same recursion.  This is the same sample path a conventional event loop
+would produce.
+
+`run` streams the arrivals in fixed chunks of 2**16: it draws one chunk
+of arrivals and their service times, runs the discipline's kernel on it,
+and adds the chunk's share of the age integral, the slot counts and the
+slot emissions before it draws the next.  Each kernel carries its state
+across chunks (the FCFS service sum and Lindley max, the LCFS arrival
+whose successor is not drawn yet, the departures still in a finite
+buffer), so memory does not grow with the number of arrivals, except
+that `keep_events` keeps every arrival and delivery.  The chunk size is
+part of the seeded sample-path contract: arrival, service, delivery and
+slot outputs do not depend on it, but the age integral is summed chunk
+by chunk, so another size changes the last digits of the mean age.
 
 Randomness: the seed feeds a SeedSequence whose first spawned child
 drives interarrival draws and whose second drives service draws.  The
@@ -19,14 +32,21 @@ generated at u is delivered.  Statistics cover [warmup, horizon] only.
 """
 
 import math
+from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
 from .carbon import CarbonLedger, CiProfile, EnergyModel, J_PER_KWH
 from .errors import ConfigError, DomainError
 from .queueing import Discipline, QueueSpec
+
+_CHUNK = 1 << 16                # arrivals per chunk; see the module docstring
+_MAX_SLOTS = 10 ** 7            # slot-grid length cap
+_MAX_EVENT_ARRIVALS = 10 ** 7   # keep_events cap on expected arrivals, lam * horizon
 
 
 class CfMode(Enum):
@@ -55,6 +75,10 @@ class SimConfig:
     finish admitted work after arrivals stop at the horizon; statistics
     still cover [warmup, horizon] but counts and the ledger include the
     drained work.
+
+    Memory grows with the run only through the slot grid and keep_events,
+    so both are capped before anything is allocated: at most 10**7 slots,
+    and with keep_events at most 10**7 expected arrivals (lam * horizon).
     """
 
     spec: QueueSpec
@@ -78,8 +102,18 @@ class SimConfig:
             raise ConfigError(
                 f"slot length {slot} does not tile horizon {self.horizon}"
             )
+        if round(n) > _MAX_SLOTS:
+            raise ConfigError(
+                f"{n:.6g} slots exceed the cap of {_MAX_SLOTS}; use a longer slot"
+            )
         if self.buffer is not None and self.buffer < 1:
             raise ConfigError(f"buffer capacity must be >= 1, got {self.buffer}")
+        expected = self.spec.lam * self.horizon
+        if self.keep_events and expected > _MAX_EVENT_ARRIVALS:
+            raise ConfigError(
+                f"keeping events of {expected:.6g} expected arrivals exceeds the cap "
+                f"of {_MAX_EVENT_ARRIVALS}; shorten the horizon"
+            )
 
     @property
     def effective_warmup(self) -> float:
@@ -121,41 +155,189 @@ class ReplicationSummary:
     traces: list
 
 
-def _draw_arrivals(rng: np.random.Generator, lam: float, horizon: float) -> np.ndarray:
-    chunks = []
+def _arrival_chunks(rng: np.random.Generator, lam: float, horizon: float):
+    """Yield the arrival times below the horizon, _CHUNK draws at a time.
+
+    Each chunk's running sum starts from the last time of the chunk
+    before, so the times equal one running sum over all the gaps.
+    """
     t = 0.0
-    est = max(int(lam * horizon * 1.05) + 16, 64)
     while True:
-        gaps = rng.exponential(1.0 / lam, size=est)
-        times = np.cumsum(gaps) + t
-        chunks.append(times)
-        t = float(times[-1])
-        if t > horizon:
-            break
-        est = max(est // 4, 64)
-    a = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
-    return a[a < horizon]
+        a = rng.exponential(1.0 / lam, size=_CHUNK)
+        a[0] += t
+        np.cumsum(a, out=a)
+        if a[-1] < horizon:
+            yield a
+            t = float(a[-1])
+            continue
+        end = int(np.searchsorted(a, horizon))
+        if end:
+            yield a[:end]
+        return
 
 
-def _age_average(d: np.ndarray, u: np.ndarray, warmup: float, horizon: float):
-    """Time-average age over [warmup, horizon] given delivery times/origins."""
-    i0 = int(np.searchsorted(d, warmup, side="right"))
-    anchor0 = float(u[i0 - 1]) if i0 > 0 else 0.0
-    i1 = int(np.searchsorted(d, horizon, side="right"))
-    dd = d[i0:i1]
-    uu = u[i0:i1]
-    times = np.empty(len(dd) + 2)
-    times[0] = warmup
-    times[1:-1] = dd
-    times[-1] = horizon
-    anchors = np.empty(len(dd) + 1)
-    anchors[0] = anchor0
-    anchors[1:] = uu
-    t0 = times[:-1]
-    t1 = times[1:]
-    integral = float(np.sum((t1 - t0) * (0.5 * (t0 + t1) - anchors)))
-    final_age = horizon - float(anchors[-1])
-    return integral / (horizon - warmup), final_age
+class _Out(NamedTuple):
+    """One kernel step: deliveries, busy intervals and charged arrivals."""
+
+    d: np.ndarray               # delivery times, ascending
+    u: np.ndarray               # generation times of those deliveries
+    busy_start: np.ndarray
+    busy_end: np.ndarray
+    admitted: np.ndarray        # arrival times charged in arrival mode
+    preemptions: int = 0
+    drops: int = 0
+
+
+def _fcfs(chunks, rng_service, mu, horizon, drain):
+    """Unbounded FCFS: d_i = S_i + max_{j<=i} (a_j - S_{j-1}), where S is
+    the running service sum.  S and the running max carry across chunks."""
+    total, peak = 0.0, -math.inf
+    for a in chunks:
+        s = rng_service.exponential(1.0 / mu, size=len(a))
+        run_sum = s.copy()
+        run_sum[0] += total
+        np.cumsum(run_sum, out=run_sum)
+        offsets = a - (run_sum - s)
+        offsets[0] = max(offsets[0], peak)
+        np.maximum.accumulate(offsets, out=offsets)
+        total, peak = float(run_sum[-1]), float(offsets[-1])
+        d = run_sum + offsets
+        start = d - s
+        if drain or d[-1] <= horizon:
+            yield _Out(d, a, start, d, a)
+            continue
+        keep = d <= horizon
+        busy = start < horizon
+        yield _Out(d[keep], a[keep], start[busy], np.minimum(d[busy], horizon), a)
+
+
+def _lcfs(chunks, rng_service, mu, horizon, drain):
+    """Preemptive LCFS: a packet completes iff a + s beats the next arrival.
+    The last arrival of each chunk waits for the next chunk's first."""
+
+    def settle(a, s, next_a):
+        c = a + s
+        completed = c < next_a      # else preempted at the next arrival
+        keep = completed if drain else completed & (c <= horizon)
+        busy_end = np.minimum(c, next_a)
+        if not drain:
+            busy_end = np.minimum(busy_end, horizon)
+        return _Out(c[keep], a[keep], a, busy_end, a,
+                    preemptions=len(a) - int(completed.sum()))
+
+    held_a = held_s = np.empty(0)
+    for a in chunks:
+        s = rng_service.exponential(1.0 / mu, size=len(a))
+        a = np.concatenate((held_a, a))
+        s = np.concatenate((held_s, s))
+        held_a, held_s = a[-1:].copy(), s[-1:].copy()
+        yield settle(a[:-1], s[:-1], a[1:])
+    yield settle(held_a, held_s, np.full(len(held_a), math.inf))
+
+
+def _fcfs_finite(chunks, rng_service, mu, capacity, horizon, drain):
+    """FCFS with room for `capacity` packets, the one in service included.
+
+    An arrival finds in the system the admitted packets that depart after
+    it (a departure at the same instant leaves first).  If there are fewer
+    than capacity, it is admitted, starts at max(a, d_prev) and departs
+    at start + s.  The departures still in the system carry across chunks,
+    and service draws are taken in _CHUNK blocks as admissions use them.
+    """
+    system = deque()            # departures of the packets in the system
+    last = -math.inf            # departure of the last admitted packet
+    pool, k = [], 0
+    for a in chunks:
+        admitted, starts, deps = [], [], []
+        drops = 0
+        for t in a.tolist():
+            while system and system[0] <= t:
+                system.popleft()
+            if len(system) >= capacity:
+                drops += 1
+                continue
+            if k == len(pool):
+                pool, k = rng_service.exponential(1.0 / mu, size=_CHUNK).tolist(), 0
+            start = last if last > t else t
+            last = start + pool[k]
+            k += 1
+            system.append(last)
+            admitted.append(t)
+            starts.append(start)
+            deps.append(last)
+        admitted = np.array(admitted, dtype=float)
+        starts = np.array(starts, dtype=float)
+        d = np.array(deps, dtype=float)
+        if drain:
+            yield _Out(d, admitted, starts, d, admitted, drops=drops)
+            continue
+        # Past the horizon only the packet then in service still burns
+        # energy, up to the horizon; the ones queued behind it never start.
+        keep = d <= horizon
+        busy = starts <= horizon
+        yield _Out(d[keep], admitted[keep], starts[busy],
+                   np.minimum(d[busy], horizon), admitted, drops=drops)
+
+
+class _AgeIntegral:
+    """Running integral of the age over [warmup, horizon], fed deliveries
+    (times d, origins u) in ascending order, one chunk at a time."""
+
+    def __init__(self, warmup: float, horizon: float):
+        self.warmup = warmup
+        self.horizon = horizon
+        self.t = warmup         # last delivery in the window, or warmup
+        self.anchor = 0.0       # origin of the last delivery, or 0
+        self.area = 0.0
+
+    def add(self, d: np.ndarray, u: np.ndarray) -> None:
+        i0 = int(np.searchsorted(d, self.warmup, side="right"))
+        i1 = int(np.searchsorted(d, self.horizon, side="right"))
+        if i0 > 0:
+            self.anchor = float(u[i0 - 1])
+        if i1 <= i0:
+            return
+        t1 = d[i0:i1]
+        t0 = np.empty_like(t1)
+        t0[0] = self.t
+        t0[1:] = t1[:-1]
+        anchors = np.empty_like(t1)
+        anchors[0] = self.anchor
+        anchors[1:] = u[i0:i1 - 1]
+        self.area += float(np.sum((t1 - t0) * (0.5 * (t0 + t1) - anchors)))
+        self.t = float(t1[-1])
+        self.anchor = float(u[i1 - 1])
+
+    def result(self):
+        """(time-average age, age at the horizon)."""
+        t0, t1 = self.t, self.horizon
+        area = self.area + (t1 - t0) * (0.5 * (t0 + t1) - self.anchor)
+        return area / (t1 - self.warmup), t1 - self.anchor
+
+
+class _SlotSums:
+    """Per-slot sums over right-open slots.  The final in-horizon slot is
+    closed at the horizon, and drained events past it extend the grid."""
+
+    def __init__(self, slot: float, n_slots: int, horizon: float, dtype):
+        self.slot = slot
+        self.n_slots = n_slots
+        self.horizon = horizon
+        self.sums = np.zeros(n_slots, dtype)
+
+    def add(self, times: np.ndarray, weights) -> None:
+        if not len(times):
+            return
+        idx = np.floor(times / self.slot).astype(np.int64)
+        top = int(idx.max())
+        if top >= self.n_slots:
+            idx[(times <= self.horizon) & (idx >= self.n_slots)] = self.n_slots - 1
+            top = int(idx.max())
+        grow = top + 1 - len(self.sums)
+        if grow > 0:
+            self.sums = np.concatenate((self.sums, np.zeros(grow, self.sums.dtype)))
+        # add.at adds in event order, so no slot sum depends on the chunk size.
+        np.add.at(self.sums, idx, weights)
 
 
 class _ProfileArrays:
@@ -177,17 +359,6 @@ class _ProfileArrays:
         return self.prefix[idx] + self.values[idx] * (t - self.starts[idx])
 
 
-def _slot_bincount(times: np.ndarray, weights, slot: float, n_slots: int,
-                   horizon: float):
-    """Bin event times into right-open slots; the final in-horizon slot is
-    closed at the horizon, and drained events past it extend the grid."""
-    idx = np.floor(times / slot).astype(np.int64)
-    clamp = (times <= horizon) & (idx >= n_slots)
-    idx[clamp] = n_slots - 1
-    length = max(n_slots, int(idx.max()) + 1 if len(idx) else 0)
-    return np.bincount(idx, weights=weights, minlength=length)
-
-
 def run(config: SimConfig, profile: CiProfile, energy: EnergyModel) -> SimulationTrace:
     """Simulate one seeded sample path and summarize it."""
     spec = config.spec
@@ -205,162 +376,104 @@ def run(config: SimConfig, profile: CiProfile, energy: EnergyModel) -> Simulatio
     arr_ss, svc_ss = ss.spawn(2)
     rng_arrival = np.random.default_rng(arr_ss)
     rng_service = np.random.default_rng(svc_ss)
+    horizon = config.horizon
+    arrivals = 0
+    drawn = []                  # arrival chunks, kept for keep_events only
 
-    a = _draw_arrivals(rng_arrival, spec.lam, config.horizon)
+    def arrival_stream():
+        nonlocal arrivals
+        for a in _arrival_chunks(rng_arrival, spec.lam, horizon):
+            arrivals += len(a)
+            if config.keep_events:
+                drawn.append(a)
+            yield a
 
     if spec.discipline is Discipline.LCFS_PREEMPTIVE:
-        kern = _kernel_lcfs(a, rng_service, spec.mu, config.horizon, config.drain)
+        steps = _lcfs(arrival_stream(), rng_service, spec.mu, horizon, config.drain)
     elif config.buffer is None:
-        kern = _kernel_fcfs_infinite(a, rng_service, spec.mu, config.horizon, config.drain)
+        steps = _fcfs(arrival_stream(), rng_service, spec.mu, horizon, config.drain)
     else:
-        kern = _kernel_fcfs_finite(a, rng_service, spec.mu, config.buffer,
-                                   config.horizon, config.drain)
-    d, u, preemptions, drops, busy_start, busy_end, tx_a = kern
+        steps = _fcfs_finite(arrival_stream(), rng_service, spec.mu, config.buffer,
+                             horizon, config.drain)
 
-    warmup = config.effective_warmup
     slot = config.effective_slot
-    n_slots = int(round(config.horizon / slot))
-    time_avg, final_age = _age_average(d, u, warmup, config.horizon)
-
-    counts = _slot_bincount(d, None, slot, n_slots, config.horizon).astype(np.int64)
-
+    n_slots = int(round(horizon / slot))
+    age = _AgeIntegral(config.effective_warmup, horizon)
+    counts = _SlotSums(slot, n_slots, horizon, np.int64)
+    grams = _SlotSums(slot, n_slots, horizon, np.float64)
     pa = _ProfileArrays(profile)
     ep_kwh = energy.e_p_kwh()
-    if config.cf_mode is CfMode.ARRIVAL_CHARGED:
-        charge_t = tx_a
-        charge_g = pa.value_at(tx_a) * ep_kwh
-    elif config.cf_mode is CfMode.COMPLETION_CHARGED:
-        charge_t = d
-        charge_g = pa.value_at(d) * ep_kwh
-    else:
-        charge_t = busy_end
-        charge_g = (pa.integral_to(busy_end) - pa.integral_to(busy_start)) \
-            * (energy.p_t / J_PER_KWH)
-    slot_grams = _slot_bincount(charge_t, charge_g, slot, n_slots, config.horizon)
-    entry_times = (np.arange(len(slot_grams)) + 1) * slot
-    ledger = CarbonLedger(entry_times.tolist(), slot_grams.tolist())
+    completions = preemptions = drops = 0
+    delivered = []              # (d, u) per step, kept for keep_events only
+    for out in steps:
+        age.add(out.d, out.u)
+        counts.add(out.d, 1)
+        if config.cf_mode is CfMode.ARRIVAL_CHARGED:
+            grams.add(out.admitted, pa.value_at(out.admitted) * ep_kwh)
+        elif config.cf_mode is CfMode.COMPLETION_CHARGED:
+            grams.add(out.d, pa.value_at(out.d) * ep_kwh)
+        else:
+            burned = pa.integral_to(out.busy_end) - pa.integral_to(out.busy_start)
+            grams.add(out.busy_end, burned * (energy.p_t / J_PER_KWH))
+        completions += len(out.d)
+        preemptions += out.preemptions
+        drops += out.drops
+        if config.keep_events:
+            delivered.append((out.d, out.u))
 
-    arrivals = len(a)
-    completions = len(d)
-    empirical_a = completions / arrivals if arrivals else 1.0
+    time_avg, final_age = age.result()
+    entry_times = (np.arange(len(grams.sums)) + 1) * slot
+    ledger = CarbonLedger(entry_times.tolist(), grams.sums.tolist())
+    events = {}
+    if config.keep_events:
+        events = {
+            "arrival_times": np.concatenate([np.empty(0)] + drawn),
+            "delivery_times": np.concatenate([np.empty(0)] + [d for d, _ in delivered]),
+            "delivery_gen_times": np.concatenate([np.empty(0)] + [u for _, u in delivered]),
+        }
     return SimulationTrace(
         time_avg_aoi=time_avg,
         final_age=final_age,
-        n_tx_per_slot=counts,
+        n_tx_per_slot=counts.sums,
         slot_length=slot,
-        horizon=config.horizon,
-        empirical_a=empirical_a,
+        horizon=horizon,
+        empirical_a=completions / arrivals if arrivals else 1.0,
         ledger=ledger,
         arrivals=arrivals,
         completions=completions,
         preemptions=preemptions,
         drops=drops,
-        arrival_times=a if config.keep_events else None,
-        delivery_times=d if config.keep_events else None,
-        delivery_gen_times=u if config.keep_events else None,
+        **events,
     )
 
 
-def _kernel_fcfs_infinite(a, rng_service, mu, horizon, drain):
-    n = len(a)
-    s = rng_service.exponential(1.0 / mu, size=n)
-    if n == 0:
-        empty = np.empty(0)
-        return empty, empty, 0, 0, empty, empty, empty
-    total = np.cumsum(s)
-    # d_i = S_i + max_{j<=i} (a_j - S_{j-1})
-    offsets = a - (total - s)
-    d = total + np.maximum.accumulate(offsets)
-    start = d - s
-    if drain:
-        keep = np.ones(n, dtype=bool)
-    else:
-        keep = d <= horizon
-    busy_start = start[start < horizon] if not drain else start
-    busy_end = np.minimum(d[start < horizon], horizon) if not drain else d
-    return d[keep], a[keep], 0, 0, busy_start, busy_end, a
+# Two-sided 95% Student-t quantiles t(0.975, df) at the listed df.
+_T975 = (
+    (1, 12.7062047), (2, 4.30265273), (3, 3.18244631), (4, 2.77644511),
+    (5, 2.57058184), (6, 2.44691185), (7, 2.36462425), (8, 2.30600414),
+    (9, 2.26215716), (10, 2.22813885), (11, 2.20098516), (12, 2.17881283),
+    (13, 2.16036866), (14, 2.14478669), (15, 2.13144955), (16, 2.11990530),
+    (17, 2.10981558), (18, 2.10092204), (19, 2.09302405), (20, 2.08596345),
+    (25, 2.05953855), (30, 2.04227246), (40, 2.02107539), (60, 2.00029782),
+    (120, 1.97993041),
+)
+_T975_DF = [df for df, _ in _T975]
 
 
-def _kernel_lcfs(a, rng_service, mu, horizon, drain):
-    n = len(a)
-    s = rng_service.exponential(1.0 / mu, size=n)
-    if n == 0:
-        empty = np.empty(0)
-        return empty, empty, 0, 0, empty, empty, empty
-    next_a = np.append(a[1:], np.inf)
-    c = a + s
-    completed = c < next_a          # else preempted at the next arrival
-    preemptions = int(n - completed.sum())
-    if drain:
-        keep = completed
-    else:
-        keep = completed & (c <= horizon)
-    busy_end = np.minimum(c, next_a)
-    if not drain:
-        busy_end = np.minimum(busy_end, horizon)
-    return c[keep], a[keep], preemptions, 0, a.copy(), busy_end, a
+def _t975(df: int) -> float:
+    """t(0.975, df) from the table, read at the largest listed df <= df.
 
-
-def _kernel_fcfs_finite(a, rng_service, mu, capacity, horizon, drain):
-    n = len(a)
-    s_all = rng_service.exponential(1.0 / mu, size=n)
-    svc_idx = 0
-    queue = []                  # generation times of waiting packets
-    in_service = None           # (gen_time, service_start, completion)
-    deliveries_t = []
-    deliveries_u = []
-    busy_s = []
-    busy_e = []
-    admitted = []
-    drops = 0
-    i = 0
-    while True:
-        next_arrival = a[i] if i < n else math.inf
-        next_departure = in_service[2] if in_service else math.inf
-        t = min(next_arrival, next_departure)
-        if t == math.inf:
-            break
-        if not drain and t > horizon:
-            break
-        if next_departure <= next_arrival:
-            gen, start, dep = in_service
-            deliveries_t.append(dep)
-            deliveries_u.append(gen)
-            busy_s.append(start)
-            busy_e.append(dep)
-            if queue:
-                gen2 = queue.pop(0)
-                dur = s_all[svc_idx]
-                svc_idx += 1
-                in_service = (gen2, dep, dep + dur)
-            else:
-                in_service = None
-        else:
-            size = (1 if in_service else 0) + len(queue)
-            if size >= capacity:
-                drops += 1
-            elif in_service is None:
-                dur = s_all[svc_idx]
-                svc_idx += 1
-                in_service = (t, t, t + dur)
-                admitted.append(t)
-            else:
-                queue.append(t)
-                admitted.append(t)
-            i += 1
-    if not drain and in_service is not None and in_service[2] > horizon:
-        # partially served work up to the horizon still burns energy
-        busy_s.append(in_service[1])
-        busy_e.append(horizon)
-    return (np.asarray(deliveries_t), np.asarray(deliveries_u), 0, drops,
-            np.asarray(busy_s), np.asarray(busy_e), np.asarray(admitted))
+    The quantile falls as df grows, so a df between rows gets the larger,
+    conservative value.
+    """
+    return _T975[bisect_right(_T975_DF, df) - 1][1]
 
 
 def replicate(config: SimConfig, profile: CiProfile, energy: EnergyModel,
               n_reps: int) -> ReplicationSummary:
     """Run n_reps independent replications seeded seed, seed+1, ...
 
-    The 95% halfwidth uses the normal approximation 1.96 * s / sqrt(n).
+    The 95% halfwidth is the Student-t interval t(0.975, n-1) * s / sqrt(n).
     """
     if n_reps < 2:
         raise DomainError(f"need at least 2 replications, got {n_reps}")
@@ -370,7 +483,7 @@ def replicate(config: SimConfig, profile: CiProfile, energy: EnergyModel,
     aois = [t.time_avg_aoi for t in traces]
     mean = sum(aois) / n_reps
     var = sum((x - mean) ** 2 for x in aois) / (n_reps - 1)
-    half = 1.96 * math.sqrt(var / n_reps)
+    half = _t975(n_reps - 1) * math.sqrt(var / n_reps)
     mean_a = sum(t.empirical_a for t in traces) / n_reps
     mean_cf = sum(t.ledger.total for t in traces) / n_reps
     return ReplicationSummary(mean, half, mean_a, mean_cf, traces)

@@ -7,6 +7,8 @@ import sys
 
 import pytest
 
+from caoi import cli
+
 BUILTIN_CSV = """period,ci_g_per_kwh
 1,228
 2,218
@@ -201,6 +203,24 @@ class TestSimulate:
         assert body["drops"] > 0
         assert body["empirical_a"] < 1
         assert body["closed_form_aoi_s"] is None
+
+    def test_oversized_slot_grid_exits_2(self, tmp_path, capsys):
+        # 10^12 slots: rejected by the config check before any allocation.
+        code = cli.main(["simulate", "--model", "mm1", "--lambda", "0.5", "--mu", "1",
+                         "--horizon", "1e6", "--slot", "1e-6", "--seed", "1",
+                         "--ci-value", "198", "--out", str(tmp_path / "sim.json")])
+        assert code == 2
+        assert "slots exceed the cap" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_oversized_event_record_exits_2(self, tmp_path, capsys):
+        # 10^8 expected arrivals with every event kept.
+        code = cli.main(["simulate", "--model", "mm1", "--lambda", "100", "--mu", "1000",
+                         "--horizon", "1e6", "--seed", "1", "--ci-value", "198",
+                         "--events-out", str(tmp_path / "events.csv")])
+        assert code == 2
+        assert "expected arrivals exceeds the cap" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
 
 class TestSweep:

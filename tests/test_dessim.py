@@ -1,14 +1,18 @@
 import math
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from dessim_reference import reference_run
 
+from caoi import dessim
 from caoi.carbon import CarbonLedger, CiProfile, EnergyModel
 from caoi.dessim import (
     CfMode,
     SimConfig,
-    _draw_arrivals,
+    _arrival_chunks,
+    _t975,
     empirical_packet_count_check,
     replicate,
     run,
@@ -40,7 +44,7 @@ def replay_streams(lam, mu, horizon, seed):
     """Re-derive the exact arrival times and service stream of a run."""
     ss = np.random.SeedSequence(seed)
     arr_ss, svc_ss = ss.spawn(2)
-    a = _draw_arrivals(np.random.default_rng(arr_ss), lam, horizon)
+    a = np.concatenate(list(_arrival_chunks(np.random.default_rng(arr_ss), lam, horizon)))
     rng_service = np.random.default_rng(svc_ss)
     return a, rng_service
 
@@ -358,3 +362,121 @@ class TestReplicate:
         c = cfg(Discipline.FCFS_MM1, 0.5, 1.0, 1000.0, 40)
         with pytest.raises(DomainError):
             replicate(c, FLAT, ENERGY, 1)
+
+
+STEPS = CiProfile(((0.0, 100.0), (1000.0, 400.0), (2500.0, 250.0)), 1e5)
+KERNELS = {
+    "fcfs": (Discipline.FCFS_MM1, None, 0.9),
+    "lcfs": (Discipline.LCFS_PREEMPTIVE, None, 1.5),
+    "buffer1": (Discipline.FCFS_MM1, 1, 0.9),
+    "buffer2": (Discipline.FCFS_MM1, 2, 1.2),
+    "buffer5": (Discipline.FCFS_MM1, 5, 0.95),
+}
+
+
+def assert_matches_reference(config, profile=STEPS):
+    trace = run(config, profile, ENERGY)
+    ref = reference_run(config, profile, ENERGY)
+    for name in ("arrival_times", "delivery_times", "delivery_gen_times",
+                 "n_tx_per_slot"):
+        x, y = getattr(trace, name), getattr(ref, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+    for name in ("arrivals", "completions", "preemptions", "drops", "final_age",
+                 "empirical_a", "slot_length", "horizon"):
+        assert getattr(trace, name) == getattr(ref, name), name
+    assert trace.time_avg_aoi == pytest.approx(ref.time_avg_aoi, rel=1e-12, abs=0)
+    # Slot emissions are added in event order, so they are bit-identical.
+    assert trace.ledger.times == ref.ledger.times
+    assert trace.ledger.grams == ref.ledger.grams
+    return trace
+
+
+class TestChunkSeams:
+    """`run` against the whole-array reference, with chunks far smaller than
+    a run so that every kernel's carried state crosses many seams."""
+
+    @pytest.mark.parametrize("drain", [False, True])
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    @pytest.mark.parametrize("chunk", [1, 7, 64, 4096])
+    def test_matches_whole_array_reference(self, monkeypatch, chunk, kernel, drain):
+        monkeypatch.setattr(dessim, "_CHUNK", chunk)
+        discipline, buffer, lam = KERNELS[kernel]
+        horizon = 2000.0 / lam
+        for mode in CfMode:
+            # The warm-up ends inside a chunk for every chunk size but 4096.
+            c = cfg(discipline, lam, 1.0, horizon, 61, warmup=0.137 * horizon,
+                    slot_length=horizon / 100, cf_mode=mode, buffer=buffer,
+                    drain=drain, keep_events=True)
+            trace = assert_matches_reference(c)
+            assert trace.arrivals > 4 * chunk or chunk == 4096
+
+    @pytest.mark.parametrize("chunk", [1, 64])
+    def test_drained_work_extends_the_slot_grid(self, monkeypatch, chunk):
+        monkeypatch.setattr(dessim, "_CHUNK", chunk)
+        # Heavy load, so work is queued at the horizon in both runs.
+        for buffer, lam in ((None, 0.99), (3, 3.0)):
+            c = cfg(Discipline.FCFS_MM1, lam, 1.0, 500.0, 62, slot_length=0.05,
+                    cf_mode=CfMode.COMPLETION_CHARGED, buffer=buffer, drain=True,
+                    keep_events=True)
+            trace = assert_matches_reference(c)
+            assert len(trace.n_tx_per_slot) > 10000
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_no_arrivals(self, monkeypatch, chunk):
+        monkeypatch.setattr(dessim, "_CHUNK", chunk)
+        for discipline, buffer, _ in KERNELS.values():
+            for drain in (False, True):
+                c = cfg(discipline, 1e-9, 1.0, 100.0, 1, warmup=0.0, buffer=buffer,
+                        drain=drain, keep_events=True)
+                trace = assert_matches_reference(c)
+                assert trace.arrivals == 0
+
+    def test_default_chunk_on_a_multi_chunk_run(self):
+        for discipline, buffer, lam in KERNELS.values():
+            c = cfg(discipline, lam, 1.0, 2.5e5 / lam, 63, buffer=buffer,
+                    cf_mode=CfMode.SERVICE_TIME_CHARGED, keep_events=True)
+            assert_matches_reference(c, FLAT)
+
+    def test_memory_does_not_grow_with_arrivals(self):
+        peaks = []
+        tracemalloc.start()
+        try:
+            for n in (2e5, 2e6):
+                c = cfg(Discipline.FCFS_MM1, 0.5, 1.0, n / 0.5, 64)
+                tracemalloc.reset_peak()
+                run(c, FLAT, ENERGY)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert max(peaks) < 16e6
+        assert abs(peaks[1] - peaks[0]) < 1e6
+
+
+class TestFiniteBufferOracle:
+    @pytest.mark.parametrize("rho", [0.3, 1.0, 3.0])
+    def test_mm11_age(self, rho):
+        # M/M/1/1 average age, Costa, Codreanu & Ephremides (2016).
+        lam, mu = rho, 1.0
+        closed = 1 / lam + 2 / mu - 1 / (lam + mu)
+        c = cfg(Discipline.FCFS_MM1, lam, mu, 2e5 / lam, 3, buffer=1)
+        trace = run(c, FLAT, ENERGY)
+        assert trace.arrivals > 3 * dessim._CHUNK
+        assert trace.time_avg_aoi == pytest.approx(closed, rel=0.02)
+
+
+class TestStudentT:
+    def test_known_quantiles(self):
+        assert _t975(1) == pytest.approx(12.706, abs=5e-4)     # n = 2
+        assert _t975(19) == pytest.approx(2.093, abs=5e-4)     # n = 20
+
+    def test_between_rows_is_conservative(self):
+        assert _t975(35) == _t975(30)
+        assert _t975(10 ** 6) == _t975(120) > 1.96
+
+    def test_replicate_halfwidth(self):
+        c = cfg(Discipline.FCFS_MM1, 0.5, 1.0, 2000.0, 40)
+        summary = replicate(c, FLAT, ENERGY, 2)
+        x, y = (t.time_avg_aoi for t in summary.traces)
+        s = abs(x - y) / math.sqrt(2)
+        assert summary.ci95_halfwidth == pytest.approx(12.706 * s / math.sqrt(2),
+                                                       rel=1e-4)
