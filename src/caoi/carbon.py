@@ -244,6 +244,28 @@ def cumulative_cf(profile: CiProfile, power, upto: float) -> float:
     return total
 
 
+# The three formulas below are unchecked arithmetic on floats or float64
+# arrays alike.  Their operations run left to right in the same order on
+# both, so a sweep over arrays matches the checked scalar functions bit
+# for bit.
+
+def slot_grams(ci, e_kwh, a, lam, tn):
+    """Slot emissions xi * E_p * a * lam * t_N, in grams."""
+    return ci * e_kwh * a * lam * tn
+
+
+def kappa_cap(budget, tn, mean_ci, e_kwh, a: float):
+    """K / (t_N * mean(xi) * E_p * a); inf for a success probability of 0."""
+    if a == 0.0:
+        return math.inf
+    return budget / (tn * mean_ci * e_kwh * a)
+
+
+def energy_cap(budget, ci, e_kwh, tn):
+    """K / (xi * E * t_N): the rate cap at E kWh per transmitted packet."""
+    return budget / (ci * e_kwh * tn)
+
+
 def avg_cf(profile: CiProfile, energy: EnergyModel, lam: float,
            constraint: ConstraintSet) -> float:
     """Expected emissions of one reporting slot at arrival rate lam, in grams.
@@ -253,8 +275,8 @@ def avg_cf(profile: CiProfile, energy: EnergyModel, lam: float,
     """
     if not lam > 0:
         raise DomainError(f"arrival rate must be positive, got {lam}")
-    return (profile.long_term_average * energy.e_p_kwh()
-            * constraint.success_prob_a * lam * constraint.horizon_tn)
+    return slot_grams(profile.long_term_average, energy.e_p_kwh(),
+                      constraint.success_prob_a, lam, constraint.horizon_tn)
 
 
 def lambda_kappa(constraint: ConstraintSet, profile: CiProfile,
@@ -265,10 +287,9 @@ def lambda_kappa(constraint: ConstraintSet, profile: CiProfile,
     when below one because only transmitted packets emit.  A success
     probability of zero means no emissions at any rate, returned as inf.
     """
-    denom = constraint.horizon_tn * profile.long_term_average * energy.e_p_kwh()
-    if constraint.success_prob_a == 0.0:
-        return math.inf
-    return constraint.budget_k / (denom * constraint.success_prob_a)
+    return kappa_cap(constraint.budget_k, constraint.horizon_tn,
+                     profile.long_term_average, energy.e_p_kwh(),
+                     constraint.success_prob_a)
 
 
 def lambda_p_max(constraint: ConstraintSet, month_ci: float,
@@ -282,7 +303,7 @@ def lambda_p_max(constraint: ConstraintSet, month_ci: float,
     if not month_ci > 0:
         raise DomainError(f"month intensity must be positive, got {month_ci}")
     e_cap_kwh = joules_to_kwh(constraint.power_cap * energy.t_p)
-    return constraint.budget_k / (month_ci * e_cap_kwh * constraint.horizon_tn)
+    return energy_cap(constraint.budget_k, month_ci, e_cap_kwh, constraint.horizon_tn)
 
 
 def lambda_qos_max(constraint: ConstraintSet, month_ci: float,
@@ -302,7 +323,7 @@ def lambda_qos_max(constraint: ConstraintSet, month_ci: float,
         raise DomainError(f"transmission time must be positive, got {t_p}")
     p_min = constraint.snr_min * energy.noise_power / energy.channel_gain
     e_min_kwh = joules_to_kwh(p_min * t_p)
-    return constraint.budget_k / (month_ci * e_min_kwh * constraint.horizon_tn)
+    return energy_cap(constraint.budget_k, month_ci, e_min_kwh, constraint.horizon_tn)
 
 
 @dataclass(frozen=True)

@@ -474,12 +474,15 @@ def replicate(config: SimConfig, profile: CiProfile, energy: EnergyModel,
     """Run n_reps independent replications seeded seed, seed+1, ...
 
     The 95% halfwidth is the Student-t interval t(0.975, n-1) * s / sqrt(n).
+    keep_events applies to the first replication only: traces[1:] carry no
+    events, so their memory does not grow with the run.
     """
     if n_reps < 2:
         raise DomainError(f"need at least 2 replications, got {n_reps}")
     traces = []
     for r in range(n_reps):
-        traces.append(run(replace(config, seed=config.seed + r), profile, energy))
+        rep = replace(config, seed=config.seed + r, keep_events=config.keep_events and r == 0)
+        traces.append(run(rep, profile, energy))
     aois = [t.time_avg_aoi for t in traces]
     mean = sum(aois) / n_reps
     var = sum((x - mean) ** 2 for x in aois) / (n_reps - 1)

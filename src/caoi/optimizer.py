@@ -10,6 +10,16 @@ mode "paper" evaluates the preemptive age with the near-saturation
 approximation 2/lambda and "exact" with the full closed form; the FCFS
 age is the same in both.
 
+The solve_* functions work on one cell, on plain floats.  The sweeps
+(sweep_lambda, sweep_cf_budget, sweep_months, sweep_surface) evaluate
+all their cells at once on float64 arrays in _pick_rates, the array form
+of _pick_rate, and build their SweepRow tuples in bulk.  Both paths use
+the same unchecked formulas (queueing.mm1_age and mm1_star_age,
+carbon.kappa_cap, energy_cap and slot_grams), whose operations round the
+same on floats and arrays, so a sweep equals a loop of per-cell solves
+bit for bit, with an Infeasible solve as an aoi = inf row.  Checks that
+depend only on a grid point run once per point, on floats.
+
 Service-rate selection is controlled by mu_rule:
 
 * "fixed" (default): the caller-supplied service rate stays put; the
@@ -22,19 +32,26 @@ Service-rate selection is controlled by mu_rule:
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, cycle, repeat
+from typing import NamedTuple
+
+import numpy as np
 
 from .carbon import (
     CiProfile,
     ConstraintSet,
     EnergyModel,
     J_PER_KWH,
-    avg_cf,
+    energy_cap,
+    joules_to_kwh,
+    kappa_cap,
     lambda_kappa,
     lambda_p_max,
     lambda_qos_max,
     min_rate_for_snr,
+    slot_grams,
 )
-from .errors import DomainError, Infeasible
+from .errors import DomainError, Infeasible, MissingConstraint
 from .queueing import (
     DEFAULT_EPS,
     Discipline,
@@ -43,6 +60,8 @@ from .queueing import (
     avg_aoi_mm1,
     avg_aoi_mm1_star,
     constrained_aoi_mm1,
+    mm1_age,
+    mm1_star_age,
     optimal_utilization_mm1,
 )
 
@@ -70,8 +89,7 @@ class OptimizationResult:
     lambda_bound: float
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """One grid point of a sweep, in long format (one row per model)."""
 
     x: float
@@ -96,11 +114,22 @@ def _evaluate_aoi(discipline: Discipline, lam: float, mu: float, mode: str) -> f
     return avg_aoi_mm1_star(QueueSpec(discipline, lam, mu))
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in ("paper", "exact"):
+        raise DomainError(f"mode must be 'paper' or 'exact', got {mode!r}")
+
+
+def _check_power_cap(constraint: ConstraintSet, energy: EnergyModel) -> None:
+    if constraint.power_cap is not None and constraint.power_cap > energy.p_max:
+        raise DomainError(
+            f"power cap {constraint.power_cap} exceeds hardware p_max {energy.p_max}"
+        )
+
+
 def _pick_rate(discipline: Discipline, mu: float, bound: float, mode: str,
                eps: SaturationEpsilon, mu_rule: str):
     """Returns (lambda_star, mu_star, aoi, binding)."""
-    if mode not in ("paper", "exact"):
-        raise DomainError(f"mode must be 'paper' or 'exact', got {mode!r}")
+    _check_mode(mode)
     if math.isnan(bound) or bound <= 0:
         raise Infeasible(f"rate bound is not positive: {bound}")
     if mu_rule == "track_opt_rho":
@@ -121,10 +150,6 @@ def _pick_rate(discipline: Discipline, mu: float, bound: float, mode: str,
     return lam, mu, _evaluate_aoi(discipline, lam, mu, mode), binding
 
 
-def _achieved_cf(ci: float, e_kwh: float, a: float, lam: float, tn: float) -> float:
-    return ci * e_kwh * a * lam * tn
-
-
 def solve_cf_constrained(mu: float, constraint: ConstraintSet, profile: CiProfile,
                          energy: EnergyModel, discipline: Discipline,
                          mode: str = "exact",
@@ -136,8 +161,8 @@ def solve_cf_constrained(mu: float, constraint: ConstraintSet, profile: CiProfil
     """
     bound = lambda_kappa(constraint, profile, energy)
     lam, mu_star, aoi, binding = _pick_rate(discipline, mu, bound, mode, eps, "fixed")
-    cf = _achieved_cf(profile.long_term_average, energy.e_p_kwh(),
-                      constraint.success_prob_a, lam, constraint.horizon_tn)
+    cf = slot_grams(profile.long_term_average, energy.e_p_kwh(),
+                    constraint.success_prob_a, lam, constraint.horizon_tn)
     label = BindingConstraint.CF_BUDGET if binding else BindingConstraint.NONE
     return OptimizationResult(discipline, lam, mu_star, aoi, cf, label, mode, bound)
 
@@ -153,16 +178,13 @@ def solve_power_constrained(constraint: ConstraintSet, month_ci: float,
     accounted at the cap power, matching the rate bound.
     """
     _check_mu_rule(mu_rule)
-    if constraint.power_cap is not None and constraint.power_cap > energy.p_max:
-        raise DomainError(
-            f"power cap {constraint.power_cap} exceeds hardware p_max {energy.p_max}"
-        )
+    _check_power_cap(constraint, energy)
     bound = lambda_p_max(constraint, month_ci, energy)
     mu_eff = (1.0 / energy.t_p) if mu is None else mu
     lam, mu_star, aoi, binding = _pick_rate(discipline, mu_eff, bound, mode, eps, mu_rule)
     e_kwh = constraint.power_cap * energy.t_p / J_PER_KWH
-    cf = _achieved_cf(month_ci, e_kwh, constraint.success_prob_a, lam,
-                      constraint.horizon_tn)
+    cf = slot_grams(month_ci, e_kwh, constraint.success_prob_a, lam,
+                    constraint.horizon_tn)
     label = BindingConstraint.POWER if binding else BindingConstraint.NONE
     return OptimizationResult(discipline, lam, mu_star, aoi, cf, label, mode, bound)
 
@@ -186,8 +208,8 @@ def solve_qos_constrained(constraint: ConstraintSet, month_ci: float,
     mu_eff = 1.0 / link.t_p
     lam, mu_star, aoi, binding = _pick_rate(discipline, mu_eff, bound, mode, eps, "fixed")
     e_kwh = link.p_t_min * link.t_p / J_PER_KWH
-    cf = _achieved_cf(month_ci, e_kwh, constraint.success_prob_a, lam,
-                      constraint.horizon_tn)
+    cf = slot_grams(month_ci, e_kwh, constraint.success_prob_a, lam,
+                    constraint.horizon_tn)
     label = BindingConstraint.QOS if binding else BindingConstraint.NONE
     return OptimizationResult(discipline, lam, mu_star, aoi, cf, label, mode, bound)
 
@@ -204,6 +226,83 @@ def _check_grid(grid) -> list:
     return values
 
 
+def _fcfs_mask(disciplines):
+    return np.array([d is Discipline.FCFS_MM1 for d in disciplines], dtype=bool)
+
+
+def _pick_rates(disciplines, mode: str, cap, lam_free, mu, emission=None):
+    """_pick_rate under a fixed service rate, for many cells at once.
+
+    cap, lam_free and mu broadcast to cells x disciplines, the last axis
+    in the order of `disciplines`; lam_free is the rate taken where the
+    cap is slack, and emission holds the (ci, e_kwh, a, tn) factors of
+    slot_grams.  Returns float64 arrays of the age and the cf at lambda*
+    (None without emission) and the binding and infeasible masks.  A cap
+    that is not positive, or NaN, makes a cell infeasible, with age inf.
+    """
+    cap, lam_free, mu = (np.asarray(v, dtype=float) for v in (cap, lam_free, mu))
+    fcfs = _fcfs_mask(disciplines)
+    paper = mode == "paper"
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        feasible = cap > 0
+        binding = cap < lam_free
+        lam = np.where(binding, cap, lam_free)
+        # What the scalar path rejects: QueueSpec a service rate that is not
+        # positive and finite or an arrival rate that is not finite (FCFS,
+        # exact LCFS), avg_aoi_mm1 an FCFS rate at or above mu, and paper
+        # LCFS a zero rate.
+        ok = np.isfinite(mu) & (mu > 0) & np.isfinite(lam)
+        bad = np.where(fcfs, ~ok | (lam >= mu), ~(paper | ok) | (lam == 0))
+        if np.any(feasible & bad):
+            raise DomainError("service and arrival rates must be positive and finite, "
+                              "with an FCFS rate below the service rate")
+        infeasible = ~feasible
+        lcfs_age = 2.0 / lam if paper else mm1_star_age(lam, mu)
+        aoi = np.where(infeasible, np.inf, np.where(fcfs, mm1_age(lam, mu), lcfs_age))
+        lam, binding, infeasible = (np.broadcast_to(v, aoi.shape)
+                                    for v in (lam, binding, infeasible))
+        cf = None
+        if emission is not None:
+            ci, e_kwh, a, tn = emission
+            cf = slot_grams(ci, e_kwh, a, lam, tn)
+    return aoi, cf, binding, infeasible
+
+
+def _unless(infeasible, values) -> list:
+    """values in row order as Python floats, None where a cell is infeasible."""
+    column = np.broadcast_to(values, infeasible.shape).astype(object)
+    column[infeasible] = None
+    return column.ravel().tolist()
+
+
+def _labels(infeasible, binding, label: BindingConstraint) -> list:
+    """The binding column in row order: infeasible, label, or none.
+
+    Indexing an object array hands out the same three str objects, where
+    a numpy string array would make one str per row.
+    """
+    names = np.array(["none", label.value, "infeasible"], dtype=object)
+    return names[np.where(infeasible, 2, binding.astype(np.intp))].ravel().tolist()
+
+
+def _rows(months, xs, disciplines, aoi, cf, bound, binding) -> list:
+    """SweepRows in bulk, one per (month, x, discipline) cell, in that order.
+
+    aoi is a months x xs x disciplines array (the month axis may be left
+    out when there is one month); cf, bound and binding are lists in row
+    order, or endless iterators, since zip stops with the other columns.
+    Every field comes out a Python float, int, str or None.
+    """
+    d, per_month = len(disciplines), len(xs) * len(disciplines)
+    columns = zip(
+        chain.from_iterable(repeat(x, d) for _ in months for x in xs),
+        cycle([disc.value for disc in disciplines]),
+        aoi.ravel().tolist(), cf, bound, binding,
+        chain.from_iterable(repeat(m, per_month) for m in months))
+    # tuple.__new__ is what SweepRow._make calls, minus a Python frame per row.
+    return list(map(tuple.__new__, repeat(SweepRow), columns))
+
+
 def sweep_lambda(mu: float, lambda_grid, disciplines=BOTH_DISCIPLINES,
                  mode: str = "exact", profile: CiProfile | None = None,
                  energy: EnergyModel | None = None,
@@ -216,52 +315,71 @@ def sweep_lambda(mu: float, lambda_grid, disciplines=BOTH_DISCIPLINES,
     when they are not given.
     """
     values = _check_grid(lambda_grid)
-    rows = []
-    for lam in values:
-        if lam <= 0:
-            raise DomainError(f"arrival rates must be positive, got {lam}")
-        for disc in disciplines:
-            cf = None
-            if profile is not None and energy is not None and constraint is not None:
-                cf = avg_cf(profile, energy, lam, constraint)
-            if disc is Discipline.FCFS_MM1 and lam >= mu:
-                rows.append(SweepRow(lam, disc.value, math.inf, cf, None, "infeasible"))
-                continue
-            aoi = _evaluate_aoi(disc, lam, mu, mode)
-            rows.append(SweepRow(lam, disc.value, aoi, cf, None, "none"))
-    return rows
+    disciplines = tuple(disciplines)
+    emission = None
+    if profile is not None and energy is not None and constraint is not None:
+        emission = (profile.long_term_average, energy.e_p_kwh(),
+                    constraint.success_prob_a, constraint.horizon_tn)
+    lam = np.array(values)[:, None]
+    # avg_cf rejects a NaN rate, which passes the grid check.
+    if np.any(lam <= 0) or (emission is not None and np.isnan(lam).any()):
+        raise DomainError("arrival rates must be positive")
+    # FCFS has no age at or above the service rate: a NaN cap makes those
+    # cells infeasible rows and leaves their rate, and cf, at the grid point.
+    with np.errstate(invalid="ignore"):
+        cap = np.where(_fcfs_mask(disciplines) & (lam >= mu), math.nan, math.inf)
+    aoi, cf, binding, infeasible = _pick_rates(disciplines, mode, cap, lam, mu, emission)
+    cf = repeat(None) if cf is None else cf.ravel().tolist()
+    return _rows([None], values, disciplines, aoi, cf, repeat(None),
+                 _labels(infeasible, binding, BindingConstraint.NONE))
 
 
-def _sweep(cells, disciplines, solve) -> list:
-    """The one cell x discipline row loop behind every solved sweep.
+def _sweep(months, xs, disciplines, mode, eps, cap, mu, emission, label) -> list:
+    """The rows of a solved sweep over months x grid points.
 
-    cells holds (month, x, ci, constraint) tuples and solve(constraint, ci,
-    discipline) returns an OptimizationResult.  An Infeasible solve becomes
-    an explicit infeasible row with aoi = inf.
+    months and xs label the two axes.  cap, mu and the slot_grams factors
+    in emission broadcast to months x grid points.  Where the cap is slack
+    the rate is rho' * mu (FCFS) or (1 - eps) * mu (LCFS).
     """
-    rows = []
-    for month, x, ci, constraint in cells:
-        for disc in disciplines:
-            try:
-                res = solve(constraint, ci, disc)
-            except Infeasible:
-                rows.append(SweepRow(x, disc.value, math.inf, None, None,
-                                     "infeasible", month))
-                continue
-            rows.append(SweepRow(x, disc.value, res.aoi, res.cf, res.lambda_bound,
-                                 res.binding_constraint.value, month))
-    return rows
+    def per_discipline(v):
+        return np.asarray(v, dtype=float)[..., None]
+
+    mu = per_discipline(mu)
+    cap = per_discipline(np.broadcast_to(cap, (len(months), len(xs))))
+    rho = np.array([optimal_utilization_mm1() if d is Discipline.FCFS_MM1
+                    else 1.0 - eps.epsilon for d in disciplines])
+    aoi, cf, binding, infeasible = _pick_rates(
+        disciplines, mode, cap, rho * mu, mu, tuple(map(per_discipline, emission)))
+    return _rows(months, xs, disciplines, aoi, _unless(infeasible, cf),
+                 _unless(infeasible, cap), _labels(infeasible, binding, label))
 
 
-def _month_solver(problem: str, energy: EnergyModel, mode: str, mu: float | None,
-                  eps: SaturationEpsilon):
-    """solve(constraint, month_ci, discipline) for a per-month problem."""
+_MONTH_PROBLEMS = {"power": BindingConstraint.POWER, "qos": BindingConstraint.QOS}
+
+
+def _month_point(problem: str, constraint: ConstraintSet, energy: EnergyModel,
+                 mu: float | None, mode: str):
+    """(kWh per transmitted packet, service rate) at one grid point.
+
+    Raises what solve_power_constrained or solve_qos_constrained raises
+    for the point, in the same order.
+    """
     if problem == "power":
-        return lambda c, ci, disc: solve_power_constrained(c, ci, energy, disc, mode,
-                                                           "fixed", mu, eps)
-    if problem == "qos":
-        return lambda c, ci, disc: solve_qos_constrained(c, ci, energy, disc, mode, eps)
-    raise DomainError(f"problem must be 'power' or 'qos', got {problem!r}")
+        _check_power_cap(constraint, energy)
+        if constraint.power_cap is None:
+            raise MissingConstraint("lambda_p_max needs constraint.power_cap")
+        e_kwh = joules_to_kwh(constraint.power_cap * energy.t_p)
+        mu = (1.0 / energy.t_p) if mu is None else mu
+    else:
+        if constraint.snr_min is None:
+            raise DomainError("solve_qos_constrained needs constraint.snr_min")
+        link = min_rate_for_snr(energy, constraint.snr_min)
+        if not link.t_p > 0:
+            raise DomainError(f"transmission time must be positive, got {link.t_p}")
+        e_kwh = joules_to_kwh(link.p_t_min * link.t_p)
+        mu = 1.0 / link.t_p
+    _check_mode(mode)
+    return e_kwh, mu
 
 
 def _months(profile: CiProfile) -> list:
@@ -283,27 +401,34 @@ def sweep_cf_budget(mu: float, k_grid, profile: CiProfile, energy: EnergyModel,
     per_month=True each (month, budget) cell is solved against that
     month's intensity, yielding the month-by-budget surface.
     """
-    grid = [(k, ConstraintSet(budget_k=k, horizon_tn=tn, success_prob_a=success_prob_a))
-            for k in _check_grid(k_grid)]
+    ks = _check_grid(k_grid)
+    for k in ks:    # raises for a budget the solver could not be given
+        ConstraintSet(budget_k=k, horizon_tn=tn, success_prob_a=success_prob_a)
     if per_month:
-        months = [(i + 1, CiProfile.constant(v, profile.horizon))
-                  for i, v in enumerate(profile.values)]
+        months = list(range(1, len(profile.values) + 1))
+        means = [CiProfile.constant(v, profile.horizon).long_term_average
+                 for v in profile.values]
     else:
-        months = [(None, profile)]
-    cells = [(month, k, prof, c) for month, prof in months for k, c in grid]
-    return _sweep(cells, disciplines, lambda c, prof, disc: solve_cf_constrained(
-        mu, c, prof, energy, disc, mode, eps))
+        months, means = [None], [profile.long_term_average]
+    _check_mode(mode)
+    ci = np.array(means)[:, None]
+    e_kwh = energy.e_p_kwh()
+    cap = kappa_cap(np.array(ks), tn, ci, e_kwh, success_prob_a)
+    return _sweep(months, ks, tuple(disciplines), mode, eps, cap, mu,
+                  (ci, e_kwh, success_prob_a, tn), BindingConstraint.CF_BUDGET)
 
 
 def sweep_months(constraint: ConstraintSet, profile: CiProfile, energy: EnergyModel,
                  disciplines=BOTH_DISCIPLINES, mode: str = "exact",
                  problem: str = "power", mu: float | None = None,
                  eps: SaturationEpsilon = DEFAULT_EPS) -> list:
-    """Solve one constrained problem per calendar month of a 12-step profile."""
-    months = _months(profile)
-    solve = _month_solver(problem, energy, mode, mu, eps)
-    cells = [(month, float(month), ci, constraint) for month, ci in months]
-    return _sweep(cells, disciplines, solve)
+    """Solve one constrained problem per calendar month of a 12-step profile.
+
+    The one-point surface of sweep_surface, with each row's x its month.
+    """
+    rows = sweep_surface(problem, [(None, constraint)], profile, energy, disciplines,
+                         mode, mu, eps)
+    return [r._replace(x=float(r.month)) for r in rows]
 
 
 def sweep_surface(problem: str, grid, profile: CiProfile, energy: EnergyModel,
@@ -317,7 +442,16 @@ def sweep_surface(problem: str, grid, profile: CiProfile, energy: EnergyModel,
     Rows run month by month, then along the grid, then over disciplines.
     """
     months = _months(profile)
-    solve = _month_solver(problem, energy, mode, mu, eps)
+    if problem not in _MONTH_PROBLEMS:
+        raise DomainError(f"problem must be 'power' or 'qos', got {problem!r}")
     grid = list(grid)
-    cells = [(month, x, ci, c) for month, ci in months for x, c in grid]
-    return _sweep(cells, disciplines, solve)
+    constraints = [c for _, c in grid]
+    points = [_month_point(problem, c, energy, mu, mode) for c in constraints]
+    e_kwh = np.array([e for e, _ in points])
+    budget, a, tn = (np.array([getattr(c, name) for c in constraints])
+                     for name in ("budget_k", "success_prob_a", "horizon_tn"))
+    ci = np.array([v for _, v in months])[:, None]
+    return _sweep([m for m, _ in months], [x for x, _ in grid], tuple(disciplines),
+                  mode, eps, energy_cap(budget, ci, e_kwh, tn),
+                  np.array([m for _, m in points]), (ci, e_kwh, a, tn),
+                  _MONTH_PROBLEMS[problem])

@@ -73,15 +73,32 @@ class ConstrainedAoi:
     binding: bool
 
 
+def mm1_age(lam, mu):
+    """(1/mu)(1 + 1/rho + rho^2/(1-rho)), the FCFS M/M/1 age, unchecked.
+
+    The one statement of the formula, for floats and float64 arrays alike:
+    each operation rounds the same on both.  An array rho that underflows
+    to 0 gives inf (with numpy's divide warning); a float one divides by
+    zero, which avg_aoi_mm1 heads off.
+    """
+    rho = lam / mu
+    return (1.0 / mu) * (1.0 + 1.0 / rho + rho * rho / (1.0 - rho))
+
+
+def mm1_star_age(lam, mu):
+    """1/mu + 1/lambda, the preemptive LCFS age, unchecked; floats or arrays."""
+    return 1.0 / mu + 1.0 / lam
+
+
 def avg_aoi_mm1(spec: QueueSpec) -> float:
     """Average age of the FCFS M/M/1 queue, (1/mu)(1 + 1/rho + rho^2/(1-rho))."""
-    rho = spec.rho
+    rho = spec.lam / spec.mu
     if rho >= 1.0:
         raise DomainError(f"FCFS average age diverges for rho={rho:.6g} >= 1")
     if rho == 0.0:
         # lam is so far below mu that rho underflows; the age term 1/rho is unbounded.
         return math.inf
-    return (1.0 / spec.mu) * (1.0 + 1.0 / rho + rho * rho / (1.0 - rho))
+    return mm1_age(spec.lam, spec.mu)
 
 
 def avg_aoi_mm1_star(spec: QueueSpec) -> float:
@@ -89,7 +106,7 @@ def avg_aoi_mm1_star(spec: QueueSpec) -> float:
 
     Finite for any positive rates, including rho >= 1.
     """
-    return 1.0 / spec.mu + 1.0 / spec.lam
+    return mm1_star_age(spec.lam, spec.mu)
 
 
 def _age_quartic(rho: float) -> float:

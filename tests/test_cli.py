@@ -191,6 +191,18 @@ class TestSimulate:
         body = json.loads(out.read_text())
         assert len(erows) - 1 == int(body["completions"])
 
+    def test_replicated_events_are_the_first_replication(self, tmp_path):
+        # Only the first replication keeps its events, and it is the run
+        # that --reps 1 makes with the same seed.
+        for reps in ("1", "3"):
+            assert cli.main(["simulate", "--model", "mm1", "--lambda", "0.5", "--mu", "1",
+                             "--horizon", "2000", "--seed", "9", "--reps", reps,
+                             "--ci-value", "198",
+                             "--events-out", str(tmp_path / f"events{reps}.csv")]) == 0
+        one = (tmp_path / "events1.csv").read_bytes()
+        assert one.count(b"\n") > 900
+        assert (tmp_path / "events3.csv").read_bytes() == one
+
     def test_unstable_fcfs_exits_2(self):
         res = caoi("simulate", "--model", "mm1", "--lambda", "2", "--mu", "1",
                    "--horizon", "1000", "--seed", "1")

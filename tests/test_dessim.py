@@ -356,7 +356,36 @@ class TestReplicate:
                 drain=True, keep_events=True)
         summary = replicate(c, FLAT, ENERGY, 3)
         for r, trace in enumerate(summary.traces):
-            assert_same_trace(trace, run(replace(c, seed=50 + r), FLAT, ENERGY))
+            # keep_events reaches the first replication only.
+            expected = replace(c, seed=50 + r, keep_events=r == 0)
+            assert_same_trace(trace, run(expected, FLAT, ENERGY))
+
+    def test_events_kept_for_the_first_replication_only(self):
+        c = cfg(Discipline.FCFS_MM1, 0.5, 1.0, 4000.0, 70, keep_events=True)
+        summary = replicate(c, FLAT, ENERGY, 3)
+        assert_same_trace(summary.traces[0], run(c, FLAT, ENERGY))
+        for trace in summary.traces[1:]:
+            assert trace.arrival_times is None
+            assert trace.delivery_times is None
+            assert trace.delivery_gen_times is None
+
+    def test_extra_replications_hold_no_events(self):
+        # With 2e5 arrivals per replication, five replications peak less
+        # than half of one run's event arrays above two replications.
+        c = cfg(Discipline.FCFS_MM1, 0.5, 1.0, 4e5, 71, keep_events=True)
+        peaks = []
+        tracemalloc.start()
+        try:
+            for n_reps in (2, 5):
+                tracemalloc.reset_peak()
+                first = replicate(c, FLAT, ENERGY, n_reps).traces[0]
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                events = sum(a.nbytes for a in (first.arrival_times, first.delivery_times,
+                                                first.delivery_gen_times))
+                del first
+        finally:
+            tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 0.5 * events
 
     def test_needs_two_reps(self):
         c = cfg(Discipline.FCFS_MM1, 0.5, 1.0, 1000.0, 40)

@@ -3,23 +3,33 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from caoi import cli
-from caoi.carbon import CiProfile, ConstraintSet, EnergyModel
+from caoi.carbon import CiProfile, ConstraintSet, EnergyModel, avg_cf
+from caoi.cidata import builtin_profile_si2024
 from caoi.errors import DomainError, Infeasible
 from caoi.optimizer import (
     BOTH_DISCIPLINES,
     BindingConstraint,
+    SweepRow,
     solve_cf_constrained,
     solve_power_constrained,
     solve_qos_constrained,
     sweep_cf_budget,
     sweep_lambda,
     sweep_months,
+    sweep_surface,
 )
-from caoi.queueing import Discipline, optimal_utilization_mm1
+from caoi.queueing import (
+    Discipline,
+    QueueSpec,
+    SaturationEpsilon,
+    avg_aoi_mm1,
+    avg_aoi_mm1_star,
+    optimal_utilization_mm1,
+)
 
 ENERGY = EnergyModel()
 OPT_RHO = 0.5310100564595692
@@ -312,7 +322,7 @@ class TestInfeasibility:
                        DEFAULT_EPS, "track_opt_rho")
 
 
-def per_cell(cells, solve):
+def per_cell(cells, solve, disciplines=BOTH_DISCIPLINES):
     """The month x grid x discipline loop with one direct solve per cell.
 
     Kept as the reference for the shared sweep loop: cells holds
@@ -320,7 +330,7 @@ def per_cell(cells, solve):
     """
     rows = []
     for month, x, ci, constraint in cells:
-        for disc in BOTH_DISCIPLINES:
+        for disc in disciplines:
             try:
                 res = solve(constraint, ci, disc)
             except Infeasible:
@@ -406,3 +416,155 @@ class TestOneSweepLoop:
             40.0, c, prof, ENERGY, disc, mode="paper"))
         assert fmt_sweep_rows(rows) == [fmt(*r) for r in expected]
         assert {r.binding for r in rows} == {"infeasible", "cf_budget"}
+
+
+BUILTIN = builtin_profile_si2024()
+FCFS, LCFS = BOTH_DISCIPLINES
+
+
+def per_point(mu, grid, disciplines, mode, profile=None, constraint=None):
+    """The per-point loop sweep_lambda ran before its array engine, as its oracle."""
+    rows = []
+    for lam in grid:
+        for disc in disciplines:
+            cf = None if profile is None else avg_cf(profile, ENERGY, lam, constraint)
+            if disc is FCFS and lam >= mu:
+                rows.append((None, lam, disc.value, math.inf, cf, None, "infeasible"))
+                continue
+            if disc is FCFS:
+                aoi = avg_aoi_mm1(QueueSpec(disc, lam, mu))
+            elif mode == "paper":
+                aoi = 2.0 / lam
+            else:
+                aoi = avg_aoi_mm1_star(QueueSpec(disc, lam, mu))
+            rows.append((None, lam, disc.value, aoi, cf, None, "none"))
+    return rows
+
+
+def assert_rows_equal(rows, expected):
+    """Field by field: equal values of the same Python type."""
+    assert len(rows) == len(expected)
+    for row, ref in zip(rows, expected):
+        assert type(row) is SweepRow
+        got = (row.month, row.x, row.model, row.aoi, row.cf, row.lambda_bound, row.binding)
+        for v, w in zip(got, ref):
+            assert type(v) is type(w) and v == w, (got, ref)
+
+
+def increasing(values, max_size=8):
+    return st.lists(values, min_size=1, max_size=max_size, unique=True).map(sorted)
+
+
+# 5e-324 g over a long slot underflows the rate cap to 0: an infeasible cell.
+BUDGETS = st.one_of(st.just(5e-324), st.floats(1e-7, 1e-2))
+SLOTS = st.sampled_from([3600.0, 2.78e8, 1e12])
+SUCCESS = st.sampled_from([0.0, 0.5, 1.0])      # a = 0 makes lambda_kappa inf
+MODES = st.sampled_from(["exact", "paper"])
+ORDERS = st.sampled_from([BOTH_DISCIPLINES, (FCFS,), (LCFS,), (LCFS, FCFS)])
+EPS = st.sampled_from([SaturationEpsilon(), SaturationEpsilon(0.05)])
+
+
+@st.composite
+def profiles(draw):
+    """The built-in year, or twelve random monthly steps over a random horizon.
+
+    A month's mean intensity (v * h) / h need not round back to v.
+    """
+    if draw(st.booleans()):
+        return BUILTIN
+    values = draw(st.lists(st.floats(10.0, 1000.0), min_size=12, max_size=12))
+    horizon = draw(st.floats(1e6, 1e9))
+    return CiProfile(tuple((i * horizon / 12, v) for i, v in enumerate(values)), horizon)
+
+
+class TestArrayEngine:
+    """The array sweeps equal per-cell scalar loops in every field and type.
+
+    The grids reach FCFS rates at and above mu, rate caps that underflow
+    to 0, infinite caps (a = 0), both modes and both month problems.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(mu=st.floats(0.05, 2.0), grid=increasing(st.floats(1e-3, 3.0), 40),
+           disciplines=ORDERS, mode=MODES, with_cf=st.booleans(), a=SUCCESS,
+           tn=SLOTS)
+    def test_sweep_lambda(self, mu, grid, disciplines, mode, with_cf, a, tn):
+        c = ConstraintSet(budget_k=math.inf, horizon_tn=tn, success_prob_a=a)
+        profile = BUILTIN if with_cf else None
+        rows = sweep_lambda(mu, grid, disciplines, mode, profile,
+                            ENERGY if with_cf else None, c if with_cf else None)
+        assert_rows_equal(rows, per_point(mu, grid, disciplines, mode, profile, c))
+
+    @settings(max_examples=60, deadline=None)
+    @given(mu=st.floats(0.5, 50.0), k_grid=increasing(BUDGETS), tn=SLOTS, a=SUCCESS,
+           per_month=st.booleans(), disciplines=ORDERS, mode=MODES, eps=EPS,
+           profile=profiles())
+    @example(mu=40.0, k_grid=[5e-324, 1e-4], tn=1e12, a=1.0, per_month=True,
+             disciplines=BOTH_DISCIPLINES, mode="paper", eps=SaturationEpsilon(),
+             profile=BUILTIN)
+    @example(mu=1.0, k_grid=[1e-4], tn=3600.0, a=0.0, per_month=False,
+             disciplines=BOTH_DISCIPLINES, mode="exact", eps=SaturationEpsilon(),
+             profile=BUILTIN)
+    def test_sweep_cf_budget(self, mu, k_grid, tn, a, per_month, disciplines, mode, eps,
+                             profile):
+        rows = sweep_cf_budget(mu, k_grid, profile, ENERGY, tn, disciplines, mode, a,
+                               per_month, eps)
+        if per_month:
+            months = [(m, CiProfile.constant(v, profile.horizon))
+                      for m, v in enumerate(profile.values, start=1)]
+        else:
+            months = [(None, profile)]
+        cells = [(m, k, prof, ConstraintSet(budget_k=k, horizon_tn=tn, success_prob_a=a))
+                 for m, prof in months for k in k_grid]
+        expected = per_cell(cells, lambda c, prof, disc: solve_cf_constrained(
+            mu, c, prof, ENERGY, disc, mode, eps), disciplines)
+        assert_rows_equal(rows, expected)
+
+    @staticmethod
+    def constraints(problem):
+        extra = ({"power_cap": st.floats(0.05, 1.0)} if problem == "power"
+                 else {"snr_min": st.floats(0.01, 1e4)})
+        return st.builds(ConstraintSet, budget_k=BUDGETS, horizon_tn=SLOTS,
+                         success_prob_a=SUCCESS, **extra)
+
+    @staticmethod
+    def month_solver(problem, mode, mu, eps):
+        if problem == "power":
+            return lambda c, ci, disc: solve_power_constrained(c, ci, ENERGY, disc, mode,
+                                                               "fixed", mu, eps)
+        return lambda c, ci, disc: solve_qos_constrained(c, ci, ENERGY, disc, mode, eps)
+
+    @pytest.mark.parametrize("problem", ["power", "qos"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), disciplines=ORDERS, mode=MODES, eps=EPS,
+           mu=st.one_of(st.none(), st.floats(0.5, 1e5)), profile=profiles())
+    def test_sweep_surface_and_months(self, problem, data, disciplines, mode, eps, mu,
+                                      profile):
+        constraints = data.draw(st.lists(self.constraints(problem), min_size=1, max_size=6))
+        grid = list(enumerate(constraints))
+        solve = self.month_solver(problem, mode, mu, eps)
+        rows = sweep_surface(problem, grid, profile, ENERGY, disciplines, mode, mu, eps)
+        cells = [(m, x, ci, c) for m, ci in enumerate(profile.values, start=1)
+                 for x, c in grid]
+        assert_rows_equal(rows, per_cell(cells, solve, disciplines))
+        rows = sweep_months(constraints[0], profile, ENERGY, disciplines, mode, problem,
+                            mu, eps)
+        cells = [(m, float(m), ci, constraints[0])
+                 for m, ci in enumerate(profile.values, start=1)]
+        assert_rows_equal(rows, per_cell(cells, solve, disciplines))
+
+    def test_tie_is_slack(self):
+        # A service rate whose slack LCFS rate (1 - eps) mu equals the
+        # month-1 cap exactly: the cap does not bind, as in _pick_rate.
+        c = ConstraintSet(budget_k=5e-4, horizon_tn=3600.0, power_cap=1.0)
+        cap = solve_power_constrained(c, BUILTIN.values[0], ENERGY, LCFS).lambda_bound
+        eps = SaturationEpsilon()
+        candidates = [cap / (1.0 - eps.epsilon)]
+        for _ in range(8):
+            candidates.append(math.nextafter(candidates[-1], math.inf))
+        mu = next(m for m in candidates if (1.0 - eps.epsilon) * m == cap)
+        rows = sweep_months(c, BUILTIN, ENERGY, (LCFS,), "exact", "power", mu, eps)
+        assert rows[0].binding == "none" and rows[0].lambda_bound == cap
+        solve = self.month_solver("power", "exact", mu, eps)
+        cells = [(m, float(m), ci, c) for m, ci in enumerate(BUILTIN.values, start=1)]
+        assert_rows_equal(rows, per_cell(cells, solve, (LCFS,)))
