@@ -3,16 +3,18 @@
 Conventions used throughout:
 
 * carbon intensity xi is stored in gCO2eq per kWh and modeled as a
-  right-open step function of time,
+  right-open step function of time, whose one lookup and integral are
+  CiProfile's, on float64 arrays built once at construction,
 * energy is tracked in joules internally and converted to kWh exactly
   once, at the 1 kWh = 3.6e6 J boundary, when it meets an intensity,
 * emissions are grams of CO2 equivalent.
 """
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .errors import DomainError, MissingConstraint, ValidationError
 
@@ -34,9 +36,11 @@ class CiProfile:
     samples holds (start_s, ci_g_per_kwh) pairs; each value applies from
     its start until the next start (right-open).  The first start must be
     0 and starts must be strictly increasing.  Lookups past the horizon
-    clamp to the final step, which lets simulations drain their queues a
-    little beyond the modeled window.  starts, values and the
-    duration-weighted mean are computed once, at construction.
+    take the final step, which lets simulations drain their queues a
+    little beyond the modeled window.  Construction builds float64 arrays
+    of the starts and values and the prefix integral of xi at each start,
+    summed left to right with np.cumsum; its last entry over the horizon
+    is the duration-weighted mean.  starts and values are tuples.
     """
 
     samples: tuple
@@ -60,14 +64,13 @@ class CiProfile:
             if not (math.isfinite(value) and value > 0):
                 raise ValidationError(f"carbon intensity must be positive, got {value}")
             prev = start
-        starts = tuple(t for t, _ in samples)
-        values = tuple(v for _, v in samples)
-        total = 0.0
-        for start, end, value in zip(starts, starts[1:] + (self.horizon,), values):
-            total += value * (end - start)
-        object.__setattr__(self, "_starts", starts)
-        object.__setattr__(self, "_values", values)
-        object.__setattr__(self, "_mean", total / self.horizon)
+        starts, values = zip(*samples)
+        t, xi = np.array(starts), np.array(values)
+        prefix = np.zeros(len(samples) + 1)
+        with np.errstate(over="ignore"):    # a huge intensity gives an inf integral
+            np.cumsum(xi * (np.array(starts[1:] + (self.horizon,)) - t), out=prefix[1:])
+        vars(self).update(_starts=starts, _values=values, _t=t, _xi=xi, _prefix=prefix,
+                          _mean=float(prefix[-1]) / self.horizon)
 
     @classmethod
     def constant(cls, ci: float, horizon: float) -> "CiProfile":
@@ -81,11 +84,19 @@ class CiProfile:
     def values(self) -> tuple:
         return self._values
 
+    def values_at(self, t):
+        """xi in force at each time t >= 0, as float64."""
+        return self._xi[np.searchsorted(self._t, t, side="right") - 1]
+
+    def integral_to(self, t):
+        """The integral of xi over [0, t] for each t >= 0, in g*s/kWh."""
+        i = np.searchsorted(self._t, t, side="right") - 1
+        return self._prefix[i] + self._xi[i] * (t - self._t[i])
+
     def value_at(self, tau: float) -> float:
         if tau < 0:
             raise DomainError(f"time must be non-negative, got {tau}")
-        idx = bisect_right(self._starts, tau) - 1
-        return self._values[idx]
+        return float(self.values_at(tau))
 
     @property
     def long_term_average(self) -> float:
@@ -163,42 +174,41 @@ class ConstraintSet:
 
 
 class CarbonLedger:
-    """Ordered emission entries with a running cumulative total."""
+    """Emission entries in time order: times and grams as read-only float64
+    copies, and the running total as their left-to-right np.cumsum."""
 
     def __init__(self, times: Sequence[float], grams: Sequence[float]):
-        times = tuple(float(t) for t in times)
-        grams = tuple(float(g) for g in grams)
+        times = np.array(times, dtype=np.float64)
+        grams = np.array(grams, dtype=np.float64)
         if len(times) != len(grams):
             raise ValidationError("times and grams must have equal length")
-        prev = 0.0
-        for t, g in zip(times, grams):
-            if t <= 0 or t < prev:
-                raise ValidationError(f"entry times must be positive and ordered, got {t}")
-            if g < 0:
-                raise ValidationError(f"emissions must be non-negative, got {g}")
-            prev = t
+        bad_time = times <= 0
+        bad_time[1:] |= times[1:] < times[:-1]
+        bad = bad_time | (grams < 0)
+        if bad.any():
+            i = int(bad.argmax())
+            if bad_time[i]:
+                raise ValidationError(
+                    f"entry times must be positive and ordered, got {float(times[i])}")
+            raise ValidationError(f"emissions must be non-negative, got {float(grams[i])}")
+        times.flags.writeable = grams.flags.writeable = False
+        self._running = np.cumsum(grams)
         self.times = times
         self.grams = grams
-        running = []
-        acc = 0.0
-        for g in grams:
-            acc += g
-            running.append(acc)
-        self._running = tuple(running)
 
     def __len__(self) -> int:
         return len(self.times)
 
     @property
     def total(self) -> float:
-        return self._running[-1] if self._running else 0.0
+        return float(self._running[-1]) if len(self._running) else 0.0
 
     def cumulative(self, tau: float) -> float:
         """Emissions recorded at or before tau; zero at tau = 0."""
         if tau < 0:
             raise DomainError(f"time must be non-negative, got {tau}")
-        idx = bisect_right(self.times, tau)
-        return self._running[idx - 1] if idx else 0.0
+        idx = int(np.searchsorted(self.times, tau, side="right"))
+        return float(self._running[idx - 1]) if idx else 0.0
 
 
 def _power_steps(power) -> tuple:
@@ -224,7 +234,8 @@ def cumulative_cf(profile: CiProfile, power, upto: float) -> float:
 
     power is either a constant in watts or a sequence of (start_s, watts)
     steps with the same right-open convention as the profile.  The
-    integral is evaluated exactly on the merged breakpoint grid.
+    integral is evaluated exactly on the merged breakpoint grid, and the
+    segments are summed left to right.
 
     upto past the horizon is rejected: the profile is not modelled there.
     The simulator alone extends the final step past the horizon, on
@@ -232,16 +243,14 @@ def cumulative_cf(profile: CiProfile, power, upto: float) -> float:
     """
     if not (0 < upto <= profile.horizon):
         raise DomainError(f"upto must lie in (0, {profile.horizon}], got {upto}")
-    steps = _power_steps(power)
-    power_starts = tuple(t for t, _ in steps)
-    breakpoints = sorted({0.0, upto, *(t for t in profile.starts if t < upto),
-                          *(t for t in power_starts if t < upto)})
-    total = 0.0
-    for lo, hi in zip(breakpoints[:-1], breakpoints[1:]):
-        xi = profile.value_at(lo)
-        watts = steps[bisect_right(power_starts, lo) - 1][1]
-        total += xi * joules_to_kwh(watts * (hi - lo))
-    return total
+    steps = np.array(_power_steps(power))
+    # Sorted, not np.unique, whose hash table leaves the heap fragmented.
+    starts = np.sort(np.concatenate((profile._t, steps[:, 0])))
+    lo = starts[(starts < upto) & np.append(True, starts[1:] > starts[:-1])]
+    watts = steps[np.searchsorted(steps[:, 0], lo, side="right") - 1, 1]
+    with np.errstate(over="ignore"):
+        grams = profile.values_at(lo) * (watts * np.diff(lo, append=upto) / J_PER_KWH)
+        return float(np.cumsum(grams)[-1])
 
 
 # The three formulas below are unchecked arithmetic on floats or float64
@@ -340,5 +349,7 @@ def min_rate_for_snr(energy: EnergyModel, snr_min: float) -> LinkBudget:
     if not snr_min > 0:
         raise DomainError(f"snr floor must be positive, got {snr_min}")
     rate_min = energy.bandwidth * math.log2(1.0 + snr_min)
+    if not rate_min > 0:
+        raise DomainError(f"snr floor {snr_min} is too small: B*log2(1 + snr) rounds to 0")
     p_t_min = snr_min * energy.noise_power / energy.channel_gain
     return LinkBudget(rate_min, p_t_min, energy.mtu / rate_min)

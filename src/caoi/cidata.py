@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
+
 from .carbon import CiProfile
 from .errors import DomainError, ParseError, ValidationError
 
@@ -148,9 +150,9 @@ def resample(profile: CiProfile, slot_length: float) -> CiProfile:
         raise DomainError(
             f"slot length {slot_length} does not tile horizon {profile.horizon}"
         )
-    steps = tuple((i * slot_length, profile.value_at(i * slot_length))
-                  for i in range(n))
-    return CiProfile(steps, profile.horizon)
+    starts = np.arange(n) * slot_length
+    return CiProfile(tuple(zip(starts.tolist(), profile.values_at(starts).tolist())),
+                     profile.horizon)
 
 
 def _read_text(source) -> str:

@@ -429,7 +429,7 @@ def run_simulate(params: dict, out_dir=None) -> None:
     if slots_path is not None:
         slot = first.slot_length
         counts = first.n_tx_per_slot.tolist()
-        grams = list(first.ledger.grams)
+        grams = first.ledger.grams.tolist()
         rows = []
         for i in range(max(len(counts), len(grams))):
             n_tx = int(counts[i]) if i < len(counts) else 0

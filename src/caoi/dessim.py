@@ -20,6 +20,8 @@ that `keep_events` keeps every arrival and delivery.  The chunk size is
 part of the seeded sample-path contract: arrival, service, delivery and
 slot outputs do not depend on it, but the age integral is summed chunk
 by chunk, so another size changes the last digits of the mean age.
+Emissions use the profile's own arrays (CiProfile.values_at, integral_to),
+and the slot grams go into the CarbonLedger as float64 arrays.
 
 Randomness: the seed feeds a SeedSequence whose first spawned child
 drives interarrival draws and whose second drives service draws.  The
@@ -340,25 +342,6 @@ class _SlotSums:
         np.add.at(self.sums, idx, weights)
 
 
-class _ProfileArrays:
-    """Vectorized step lookup and prefix integral for a CiProfile."""
-
-    def __init__(self, profile: CiProfile):
-        self.starts = np.asarray(profile.starts)
-        self.values = np.asarray(profile.values)
-        ends = np.append(self.starts[1:], profile.horizon)
-        self.prefix = np.concatenate(([0.0], np.cumsum(self.values * (ends - self.starts))))
-
-    def value_at(self, t: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self.starts, t, side="right") - 1
-        return self.values[idx]
-
-    def integral_to(self, t: np.ndarray) -> np.ndarray:
-        # Clamps past the horizon by extending the final step.
-        idx = np.searchsorted(self.starts, t, side="right") - 1
-        return self.prefix[idx] + self.values[idx] * (t - self.starts[idx])
-
-
 def run(config: SimConfig, profile: CiProfile, energy: EnergyModel) -> SimulationTrace:
     """Simulate one seeded sample path and summarize it."""
     spec = config.spec
@@ -401,7 +384,6 @@ def run(config: SimConfig, profile: CiProfile, energy: EnergyModel) -> Simulatio
     age = _AgeIntegral(config.effective_warmup, horizon)
     counts = _SlotSums(slot, n_slots, horizon, np.int64)
     grams = _SlotSums(slot, n_slots, horizon, np.float64)
-    pa = _ProfileArrays(profile)
     ep_kwh = energy.e_p_kwh()
     completions = preemptions = drops = 0
     delivered = []              # (d, u) per step, kept for keep_events only
@@ -409,11 +391,11 @@ def run(config: SimConfig, profile: CiProfile, energy: EnergyModel) -> Simulatio
         age.add(out.d, out.u)
         counts.add(out.d, 1)
         if config.cf_mode is CfMode.ARRIVAL_CHARGED:
-            grams.add(out.admitted, pa.value_at(out.admitted) * ep_kwh)
+            grams.add(out.admitted, profile.values_at(out.admitted) * ep_kwh)
         elif config.cf_mode is CfMode.COMPLETION_CHARGED:
-            grams.add(out.d, pa.value_at(out.d) * ep_kwh)
+            grams.add(out.d, profile.values_at(out.d) * ep_kwh)
         else:
-            burned = pa.integral_to(out.busy_end) - pa.integral_to(out.busy_start)
+            burned = profile.integral_to(out.busy_end) - profile.integral_to(out.busy_start)
             grams.add(out.busy_end, burned * (energy.p_t / J_PER_KWH))
         completions += len(out.d)
         preemptions += out.preemptions
@@ -422,8 +404,7 @@ def run(config: SimConfig, profile: CiProfile, energy: EnergyModel) -> Simulatio
             delivered.append((out.d, out.u))
 
     time_avg, final_age = age.result()
-    entry_times = (np.arange(len(grams.sums)) + 1) * slot
-    ledger = CarbonLedger(entry_times.tolist(), grams.sums.tolist())
+    ledger = CarbonLedger((np.arange(len(grams.sums)) + 1) * slot, grams.sums)
     events = {}
     if config.keep_events:
         events = {

@@ -130,6 +130,8 @@ def _pick_rate(discipline: Discipline, mu: float, bound: float, mode: str,
                eps: SaturationEpsilon, mu_rule: str):
     """Returns (lambda_star, mu_star, aoi, binding)."""
     _check_mode(mode)
+    if mu_rule == "fixed" and not mu > 0:
+        raise DomainError(f"service rate must be positive, got {mu}")
     if math.isnan(bound) or bound <= 0:
         raise Infeasible(f"rate bound is not positive: {bound}")
     if mu_rule == "track_opt_rho":
@@ -239,19 +241,21 @@ def _pick_rates(disciplines, mode: str, cap, lam_free, mu, emission=None):
     slot_grams.  Returns float64 arrays of the age and the cf at lambda*
     (None without emission) and the binding and infeasible masks.  A cap
     that is not positive, or NaN, makes a cell infeasible, with age inf.
+    A service rate that is not positive raises, as in _pick_rate.
     """
     cap, lam_free, mu = (np.asarray(v, dtype=float) for v in (cap, lam_free, mu))
+    if not np.all(mu > 0):
+        raise DomainError("service rates must be positive")
     fcfs = _fcfs_mask(disciplines)
     paper = mode == "paper"
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         feasible = cap > 0
         binding = cap < lam_free
         lam = np.where(binding, cap, lam_free)
-        # What the scalar path rejects: QueueSpec a service rate that is not
-        # positive and finite or an arrival rate that is not finite (FCFS,
-        # exact LCFS), avg_aoi_mm1 an FCFS rate at or above mu, and paper
-        # LCFS a zero rate.
-        ok = np.isfinite(mu) & (mu > 0) & np.isfinite(lam)
+        # What the scalar path rejects past its mu check: QueueSpec a service
+        # or arrival rate that is not finite (FCFS, exact LCFS), avg_aoi_mm1
+        # an FCFS rate at or above mu, and paper LCFS a zero rate.
+        ok = np.isfinite(mu) & np.isfinite(lam)
         bad = np.where(fcfs, ~ok | (lam >= mu), ~(paper | ok) | (lam == 0))
         if np.any(feasible & bad):
             raise DomainError("service and arrival rates must be positive and finite, "
@@ -405,9 +409,10 @@ def sweep_cf_budget(mu: float, k_grid, profile: CiProfile, energy: EnergyModel,
     for k in ks:    # raises for a budget the solver could not be given
         ConstraintSet(budget_k=k, horizon_tn=tn, success_prob_a=success_prob_a)
     if per_month:
-        months = list(range(1, len(profile.values) + 1))
-        means = [CiProfile.constant(v, profile.horizon).long_term_average
-                 for v in profile.values]
+        # The mean of each month's CiProfile.constant(v, h), (v * h) / h, not v.
+        months, h = list(range(1, len(profile.values) + 1)), profile.horizon
+        with np.errstate(over="ignore"):
+            means = np.array(profile.values) * h / h
     else:
         months, means = [None], [profile.long_term_average]
     _check_mode(mode)

@@ -6,6 +6,8 @@ kernel over the full arrays (the finite buffer as an event loop), and
 integrates the age and bins the slots in one pass.  Tests compare `run`
 against `reference_run`: sample paths, counts and the final age must be
 equal, the mean age and the ledger equal up to summation order.
+`_ProfileArrays` is a separate copy of the profile's step lookup and
+prefix integral, so the reference shares no profile code with `run`.
 """
 
 import math
@@ -13,7 +15,7 @@ import math
 import numpy as np
 
 from caoi.carbon import CarbonLedger, CiProfile, EnergyModel, J_PER_KWH
-from caoi.dessim import CfMode, SimConfig, SimulationTrace, _ProfileArrays
+from caoi.dessim import CfMode, SimConfig, SimulationTrace
 from caoi.errors import ConfigError
 from caoi.queueing import Discipline
 
@@ -64,6 +66,25 @@ def _slot_bincount(times: np.ndarray, weights, slot: float, n_slots: int,
     idx[clamp] = n_slots - 1
     length = max(n_slots, int(idx.max()) + 1 if len(idx) else 0)
     return np.bincount(idx, weights=weights, minlength=length)
+
+
+class _ProfileArrays:
+    """Vectorized step lookup and prefix integral for a CiProfile."""
+
+    def __init__(self, profile: CiProfile):
+        self.starts = np.asarray(profile.starts)
+        self.values = np.asarray(profile.values)
+        ends = np.append(self.starts[1:], profile.horizon)
+        self.prefix = np.concatenate(([0.0], np.cumsum(self.values * (ends - self.starts))))
+
+    def value_at(self, t: np.ndarray) -> np.ndarray:
+        idx = np.searchsorted(self.starts, t, side="right") - 1
+        return self.values[idx]
+
+    def integral_to(self, t: np.ndarray) -> np.ndarray:
+        # Clamps past the horizon by extending the final step.
+        idx = np.searchsorted(self.starts, t, side="right") - 1
+        return self.prefix[idx] + self.values[idx] * (t - self.starts[idx])
 
 
 def reference_run(config: SimConfig, profile: CiProfile,

@@ -1,6 +1,9 @@
 import math
+from bisect import bisect_right
 
+import numpy as np
 import pytest
+from dessim_reference import _ProfileArrays
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -241,6 +244,12 @@ class TestLinkBudget:
         assert min_rate_for_snr(energy, snr * 2).rate_min > \
             min_rate_for_snr(energy, snr).rate_min
 
+    def test_floor_that_rounds_away_is_rejected(self, energy):
+        # 1 + 1e-17 rounds to 1, so the Shannon rate would be 0.
+        with pytest.raises(DomainError, match="too small"):
+            min_rate_for_snr(energy, 1e-17)
+        assert min_rate_for_snr(energy, 1e-15).rate_min > 0
+
 
 class TestAvgCf:
     def test_oracle_value(self, energy):
@@ -282,3 +291,123 @@ class TestCarbonLedger:
         query = sorted([0.0, 0.5, 1.0, len(grams) / 2, float(len(grams)) + 1])
         samples = [led.cumulative(t) for t in query]
         assert samples == sorted(samples)
+
+    @given(st.lists(st.floats(0.0, 1e6), max_size=50))
+    def test_running_total_is_the_float_sum(self, grams):
+        led = CarbonLedger([float(i + 1) for i in range(len(grams))], grams)
+        acc, running = 0.0, []
+        for g in grams:
+            acc += g
+            running.append(acc)
+        assert type(led.total) is float
+        assert led.total == (running[-1] if running else 0.0)
+        assert [led.cumulative(i + 1.5) for i in range(len(grams))] == running
+        assert led.times.dtype == led.grams.dtype == np.float64
+
+    def test_entries_are_read_only_copies(self):
+        grams = np.array([0.1, 0.2])
+        led = CarbonLedger(np.array([1.0, 2.0]), grams)
+        grams[0] = 5.0
+        assert led.total == 0.1 + 0.2
+        with pytest.raises(ValueError):
+            led.grams[0] = 5.0
+
+    def test_first_bad_entry_is_reported(self):
+        with pytest.raises(ValidationError, match="non-negative, got -0.5"):
+            CarbonLedger([1.0, 2.0, 1.5], [0.1, -0.5, 0.1])
+        with pytest.raises(ValidationError, match="ordered, got 1.5"):
+            CarbonLedger([1.0, 2.0, 1.5], [0.1, 0.5, -0.1])
+        with pytest.raises(ValidationError, match="equal length"):
+            CarbonLedger([1.0, 2.0], [0.1])
+
+
+@st.composite
+def step_profiles(draw, max_steps=50):
+    """A profile of 1..max_steps steps, with starts anywhere in [0, horizon)."""
+    horizon = draw(st.floats(1e-3, 1e9))
+    inner = draw(st.lists(st.floats(0.0, horizon, exclude_min=True, exclude_max=True),
+                          max_size=max_steps - 1, unique=True))
+    starts = [0.0] + sorted(inner)
+    values = draw(st.lists(st.floats(1e-3, 1e6), min_size=len(starts),
+                           max_size=len(starts)))
+    return CiProfile(tuple(zip(starts, values)), horizon)
+
+
+@st.composite
+def profile_and_times(draw):
+    """A profile with query times on its starts, inside it and past the horizon."""
+    prof = draw(step_profiles())
+    h = prof.horizon
+    times = list(prof.starts) + [h, 2 * h, 1e6 * h]
+    times += draw(st.lists(st.floats(0.0, 3 * h), max_size=20))
+    return prof, np.array(times)
+
+
+def parent_mean(profile):
+    """The duration-weighted mean as a left-to-right float sum, step by step."""
+    total = 0.0
+    ends = profile.starts[1:] + (profile.horizon,)
+    for start, end, value in zip(profile.starts, ends, profile.values):
+        total += value * (end - start)
+    return total / profile.horizon
+
+
+def parent_cumulative_cf(profile, steps, upto):
+    """cumulative_cf as a per-segment loop over the merged breakpoints."""
+    power_starts = tuple(t for t, _ in steps)
+    breakpoints = sorted({0.0, upto, *(t for t in profile.starts if t < upto),
+                          *(t for t in power_starts if t < upto)})
+    total = 0.0
+    for lo, hi in zip(breakpoints[:-1], breakpoints[1:]):
+        xi = profile.values[bisect_right(profile.starts, lo) - 1]
+        watts = steps[bisect_right(power_starts, lo) - 1][1]
+        total += xi * joules_to_kwh(watts * (hi - lo))
+    return total
+
+
+class TestStepCore:
+    """CiProfile's arrays against scalar lookups and the former loops, bit for bit."""
+
+    @given(profile_and_times())
+    def test_values_at_is_value_at(self, case):
+        prof, times = case
+        got = prof.values_at(times)
+        assert got.dtype == np.float64
+        assert got.tolist() == [prof.value_at(t) for t in times.tolist()]
+        assert got.tolist() == [prof.values[bisect_right(prof.starts, t) - 1]
+                                for t in times.tolist()]
+        assert type(prof.value_at(times[-1])) is float
+
+    @given(profile_and_times())
+    def test_integral_to_is_the_reference_copy(self, case):
+        prof, times = case
+        assert np.array_equal(prof.integral_to(times),
+                              _ProfileArrays(prof).integral_to(times))
+
+    @given(step_profiles())
+    def test_mean_is_the_step_sum(self, prof):
+        assert prof.long_term_average == parent_mean(prof)
+        assert prof.long_term_average * prof.horizon == \
+            pytest.approx(float(prof.integral_to(prof.horizon)), rel=1e-12)
+
+    def test_overflowing_mean_is_inf_without_warning(self):
+        prof = CiProfile(((0.0, 1e308), (1.0, 1e308)), 10.0)
+        assert prof.long_term_average == math.inf
+
+    @given(data=st.data(), prof=step_profiles(max_steps=20))
+    def test_cumulative_cf_is_the_segment_loop(self, data, prof):
+        h = prof.horizon
+        inner = data.draw(st.lists(st.floats(0.0, 1.5 * h, exclude_min=True),
+                                   max_size=20, unique=True))
+        starts = [0.0] + sorted(inner)
+        watts = data.draw(st.lists(st.floats(0.0, 1e3), min_size=len(starts),
+                                   max_size=len(starts)))
+        steps = tuple(zip(starts, watts))
+        on_breakpoint = [t for t in prof.starts + tuple(starts) if 0 < t <= h] + [h]
+        upto = data.draw(st.one_of(st.sampled_from(on_breakpoint),
+                                   st.floats(0.0, h, exclude_min=True)))
+        assert cumulative_cf(prof, steps, upto) == parent_cumulative_cf(prof, steps, upto)
+        constant = data.draw(st.floats(1e-3, 1e3))
+        assert cumulative_cf(prof, constant, upto) == \
+            parent_cumulative_cf(prof, ((0.0, constant),), upto)
+        assert type(cumulative_cf(prof, constant, upto)) is float

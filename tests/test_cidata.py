@@ -145,6 +145,18 @@ class TestResample:
         assert len(coarse.samples) == 2
         assert coarse.values == (builtin.value_at(0.0), builtin.value_at(half_year))
 
+    @given(values=st.lists(st.floats(1e-3, 1e4), min_size=1, max_size=30),
+           slot=st.sampled_from([0.7, 0.35, 0.1, 0.7 / 3, 0.05, None]))
+    def test_equals_a_per_slot_lookup(self, values, slot):
+        # Slots that tile 0.7 s periods, and one slot over the whole horizon.
+        prof = records_to_profile(
+            [CiRecord(str(i), i, v) for i, v in enumerate(values, start=1)], 0.7)
+        slot = prof.horizon if slot is None else slot
+        got = resample(prof, slot)
+        n = round(prof.horizon / slot)
+        assert got.samples == tuple((i * slot, prof.value_at(i * slot)) for i in range(n))
+        assert got.horizon == prof.horizon
+
     def test_grid_must_tile_horizon(self, builtin):
         with pytest.raises(DomainError):
             resample(builtin, builtin.horizon / 7.5)

@@ -150,6 +150,25 @@ class TestOptimize:
                    "--budget-k", "0.05", "--mu", "1.0", "--month", "13")
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("mu", ["0", "-1", "nan"])
+    @pytest.mark.parametrize("model,mode", [("mm1star", "paper"), ("mm1star", "exact"),
+                                            ("mm1", "paper")])
+    def test_bad_service_rate_exits_2(self, tmp_path, capsys, mu, model, mode):
+        code = cli.main(["optimize", "--problem", "cf", "--model", model, "--mode", mode,
+                         f"--mu={mu}", "--budget-k", "0.5mg", "--ci-value", "198",
+                         "--out", str(tmp_path / "opt.json")])
+        assert code == 2
+        assert "service rate must be positive" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_snr_floor_that_rounds_away_exits_2(self, tmp_path, capsys):
+        code = cli.main(["optimize", "--problem", "qos", "--model", "mm1",
+                         "--budget-k", "60ug", "--snr-min-db=-170", "--ci-value", "198",
+                         "--out", str(tmp_path / "opt.json")])
+        assert code == 2
+        assert "too small" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
 
 class TestSimulate:
     def test_summary_json(self, tmp_path):
@@ -257,6 +276,23 @@ class TestSweep:
             col = [float(r[3]) for r in rows[1:] if r[0] == str(month)]
             imin = col.index(min(col))
             assert 0 < imin < len(col) - 1
+
+    @pytest.mark.parametrize("mu", ["0", "-1", "nan"])
+    def test_bad_service_rate_exits_2(self, tmp_path, capsys, mu):
+        code = cli.main(["sweep", "--surface", "k", "--k-grid", "4e-4:8e-4:3",
+                         f"--mu={mu}", "--model", "mm1star", "--mode", "paper",
+                         "--ci", "builtin", "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "service rates must be positive" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_snr_grid_reaching_a_vanishing_rate_exits_2(self, tmp_path, capsys):
+        code = cli.main(["sweep", "--surface", "snr", "--snr-grid-db=-170:-10:3",
+                         "--budget-k", "60ug", "--ci", "builtin",
+                         "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "too small" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_snr_surface_needs_budget(self, tmp_path):
         res = caoi("sweep", "--surface", "snr", "--snr-grid-db=-10:30:41",

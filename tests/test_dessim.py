@@ -35,7 +35,7 @@ def assert_same_trace(a, b):
         if isinstance(x, np.ndarray):
             assert np.array_equal(x, y), f.name
         elif isinstance(x, CarbonLedger):
-            assert (x.times, x.grams) == (y.times, y.grams)
+            assert np.array_equal(x.times, y.times) and np.array_equal(x.grams, y.grams)
         else:
             assert x == y, f.name
 
@@ -415,8 +415,8 @@ def assert_matches_reference(config, profile=STEPS):
         assert getattr(trace, name) == getattr(ref, name), name
     assert trace.time_avg_aoi == pytest.approx(ref.time_avg_aoi, rel=1e-12, abs=0)
     # Slot emissions are added in event order, so they are bit-identical.
-    assert trace.ledger.times == ref.ledger.times
-    assert trace.ledger.grams == ref.ledger.grams
+    assert np.array_equal(trace.ledger.times, ref.ledger.times)
+    assert np.array_equal(trace.ledger.grams, ref.ledger.grams)
     return trace
 
 
@@ -479,6 +479,20 @@ class TestChunkSeams:
             tracemalloc.stop()
         assert max(peaks) < 16e6
         assert abs(peaks[1] - peaks[0]) < 1e6
+
+    def test_slot_ledger_is_held_as_arrays(self):
+        # 10**6 slots: the trace holds the counts and the ledger's times,
+        # grams and running total, 8 bytes per slot each.
+        c = cfg(Discipline.FCFS_MM1, 0.5, 1.0, 1e6, 65, slot_length=1.0,
+                cf_mode=CfMode.SERVICE_TIME_CHARGED)
+        tracemalloc.start()
+        try:
+            trace = run(c, CiProfile.constant(150.0, 1e6), ENERGY)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(trace.ledger) == 10 ** 6
+        assert held < 40e6
 
 
 class TestFiniteBufferOracle:

@@ -553,6 +553,31 @@ class TestArrayEngine:
                  for m, ci in enumerate(profile.values, start=1)]
         assert_rows_equal(rows, per_cell(cells, solve, disciplines))
 
+    @pytest.mark.parametrize("mu", [0.0, -1.0, math.nan])
+    def test_bad_service_rate_raises_like_the_solvers(self, mu):
+        # Paper-mode LCFS evaluates 2 / lambda and builds no QueueSpec, so
+        # the service rate is checked on its own, before the rate cap: the
+        # 5e-324 g budget over 1e12 s would make every cell infeasible.
+        k_grid = [5e-324, 1e-4]
+        cells = [(None, k, BUILTIN, ConstraintSet(budget_k=k, horizon_tn=1e12))
+                 for k in k_grid]
+        with pytest.raises(DomainError, match="service rate"):
+            per_cell(cells, lambda c, prof, disc: solve_cf_constrained(
+                mu, c, prof, ENERGY, disc, "paper"), (LCFS,))
+        with pytest.raises(DomainError, match="service rate"):
+            sweep_cf_budget(mu, k_grid, BUILTIN, ENERGY, 1e12, (LCFS,), "paper")
+        c = ConstraintSet(budget_k=5e-4, horizon_tn=3600.0, power_cap=1.0)
+        cells = [(m, float(m), ci, c) for m, ci in enumerate(BUILTIN.values, start=1)]
+        with pytest.raises(DomainError, match="service rate"):
+            per_cell(cells, self.month_solver("power", "paper", mu, SaturationEpsilon()),
+                     (LCFS,))
+        with pytest.raises(DomainError, match="service rate"):
+            sweep_months(c, BUILTIN, ENERGY, (LCFS,), "paper", "power", mu)
+        for disciplines in ((LCFS,), (FCFS,)):
+            for mode in ("paper", "exact"):
+                with pytest.raises(DomainError, match="service rate"):
+                    sweep_lambda(mu, [0.5, 1.0], disciplines, mode)
+
     def test_tie_is_slack(self):
         # A service rate whose slack LCFS rate (1 - eps) mu equals the
         # month-1 cap exactly: the cap does not bind, as in _pick_rate.
