@@ -21,6 +21,23 @@ from .errors import DomainError, MissingConstraint, ValidationError
 J_PER_KWH = 3.6e6
 
 
+def as_float64(values, width: int | None = None) -> np.ndarray:
+    """values as a float64 array: flat, or rows of `width` numbers.
+
+    values may be a sequence, an ndarray or a one-pass iterable.  Numbers
+    convert as float() converts them, and None becomes NaN.  An empty input
+    gives an empty array of the asked shape; any other shape raises
+    ValueError.
+    """
+    if not isinstance(values, (tuple, list, np.ndarray)):
+        values = list(values)
+    array = np.asarray(values, dtype=np.float64)
+    shape = (-1,) if width is None else (-1, width)
+    if array.size and (array.ndim != len(shape) or array.shape[1:] != shape[1:]):
+        raise ValueError(f"expected shape {shape}, got {array.shape}")
+    return array.reshape(shape)
+
+
 def joules_to_kwh(joules: float) -> float:
     return joules / J_PER_KWH
 
@@ -33,42 +50,51 @@ def kwh_to_joules(kwh: float) -> float:
 class CiProfile:
     """Step-function carbon intensity over [0, horizon).
 
-    samples holds (start_s, ci_g_per_kwh) pairs; each value applies from
-    its start until the next start (right-open).  The first start must be
-    0 and starts must be strictly increasing.  Lookups past the horizon
-    take the final step, which lets simulations drain their queues a
-    little beyond the modeled window.  Construction builds float64 arrays
-    of the starts and values and the prefix integral of xi at each start,
-    summed left to right with np.cumsum; its last entry over the horizon
-    is the duration-weighted mean.  starts and values are tuples.
+    samples holds (start_s, ci_g_per_kwh) pairs, given as a sequence, an
+    iterable or an (n, 2) array and kept as a tuple of float pairs; each
+    value applies from its start until the next start (right-open).  The
+    first start must be 0, starts must be strictly increasing and inside
+    the horizon, and every intensity positive and finite: one check on
+    float64 arrays reports the first bad step, as a loop over the steps
+    would, and rejects a NaN start.  Lookups past the horizon take the
+    final step, which lets simulations drain their queues a little beyond
+    the modeled window.  Construction builds float64 arrays of the starts
+    and values and the prefix integral of xi at each start, summed left to
+    right with np.cumsum; its last entry over the horizon is the
+    duration-weighted mean.  starts and values are tuples.
     """
 
     samples: tuple
     horizon: float
 
     def __post_init__(self) -> None:
-        samples = tuple((float(t), float(v)) for t, v in self.samples)
-        object.__setattr__(self, "samples", samples)
-        if not samples:
+        steps = as_float64(self.samples, width=2)
+        if not len(steps):
             raise ValidationError("a profile needs at least one sample")
         if not (math.isfinite(self.horizon) and self.horizon > 0):
             raise ValidationError(f"horizon must be positive, got {self.horizon}")
-        if samples[0][0] != 0.0:
-            raise ValidationError(f"first step must start at 0, got {samples[0][0]}")
-        prev = -math.inf
-        for start, value in samples:
-            if start <= prev:
-                raise ValidationError(f"step starts must increase, got {start} after {prev}")
+        t, xi = steps[:, 0].copy(), steps[:, 1].copy()
+        if t[0] != 0.0:
+            raise ValidationError(f"first step must start at 0, got {float(t[0])}")
+        # The first bad step fails these checks in the order a loop over the
+        # steps makes them.  A NaN start fails the comparison: it does not increase.
+        bad = t >= self.horizon
+        bad |= ~(xi > 0) | np.isinf(xi)
+        bad[1:] |= ~(t[1:] > t[:-1])
+        if np.count_nonzero(bad):
+            i = int(bad.argmax())
+            start, value = float(t[i]), float(xi[i])
+            if i and not start > t[i - 1]:
+                raise ValidationError(
+                    f"step starts must increase, got {start} after {float(t[i - 1])}")
             if start >= self.horizon:
                 raise ValidationError(f"step start {start} is not inside the horizon")
-            if not (math.isfinite(value) and value > 0):
-                raise ValidationError(f"carbon intensity must be positive, got {value}")
-            prev = start
-        starts, values = zip(*samples)
-        t, xi = np.array(starts), np.array(values)
-        prefix = np.zeros(len(samples) + 1)
+            raise ValidationError(f"carbon intensity must be positive, got {value}")
+        starts, values = tuple(t.tolist()), tuple(xi.tolist())
+        object.__setattr__(self, "samples", tuple(zip(starts, values)))
+        prefix = np.zeros(len(t) + 1)
         with np.errstate(over="ignore"):    # a huge intensity gives an inf integral
-            np.cumsum(xi * (np.array(starts[1:] + (self.horizon,)) - t), out=prefix[1:])
+            np.cumsum(xi * (np.append(t[1:], self.horizon) - t), out=prefix[1:])
         vars(self).update(_starts=starts, _values=values, _t=t, _xi=xi, _prefix=prefix,
                           _mean=float(prefix[-1]) / self.horizon)
 
@@ -211,29 +237,38 @@ class CarbonLedger:
         return float(self._running[idx - 1]) if idx else 0.0
 
 
-def _power_steps(power) -> tuple:
+def _power_steps(power) -> np.ndarray:
+    """power, a constant or (start_s, watts) steps, as checked (n, 2) float64 steps."""
     if isinstance(power, (int, float)):
         if not power > 0:
             raise DomainError(f"power must be positive, got {power}")
-        return ((0.0, float(power)),)
-    steps = tuple((float(t), float(p)) for t, p in power)
-    if not steps or steps[0][0] != 0.0:
+        power = ((0.0, power),)
+    steps = as_float64(power, width=2)
+    if not len(steps) or steps[0, 0] != 0.0:
         raise DomainError("power steps must start at 0")
-    prev = -math.inf
-    for t, p in steps:
-        if t <= prev:
+    t, watts = steps.T
+    bad = watts < 0
+    bad |= ~np.isfinite(t) | ~np.isfinite(watts)
+    bad[1:] |= ~(t[1:] > t[:-1])
+    if np.count_nonzero(bad):
+        i = int(bad.argmax())
+        start, w = float(t[i]), float(watts[i])
+        if i and not start > t[i - 1]:
             raise DomainError("power step starts must increase")
-        if p < 0:
-            raise DomainError(f"power must be non-negative, got {p}")
-        prev = t
+        if w < 0:
+            raise DomainError(f"power must be non-negative, got {w}")
+        raise DomainError(f"power steps must be finite, got ({start}, {w})")
     return steps
 
 
 def cumulative_cf(profile: CiProfile, power, upto: float) -> float:
     """Emissions of a piecewise-constant power draw over [0, upto], in grams.
 
-    power is either a constant in watts or a sequence of (start_s, watts)
-    steps with the same right-open convention as the profile.  The
+    power is either a constant in watts or (start_s, watts) steps, as a
+    sequence, an iterable or an (n, 2) array, with the same right-open
+    convention as the profile.  The steps are checked as one float64
+    array: they start at 0 and increase, and every start and wattage is
+    finite and no wattage negative; a constant must be positive.  The
     integral is evaluated exactly on the merged breakpoint grid, and the
     segments are summed left to right.
 
@@ -243,7 +278,7 @@ def cumulative_cf(profile: CiProfile, power, upto: float) -> float:
     """
     if not (0 < upto <= profile.horizon):
         raise DomainError(f"upto must lie in (0, {profile.horizon}], got {upto}")
-    steps = np.array(_power_steps(power))
+    steps = _power_steps(power)
     # Sorted, not np.unique, whose hash table leaves the heap fragmented.
     starts = np.sort(np.concatenate((profile._t, steps[:, 0])))
     lo = starts[(starts < upto) & np.append(True, starts[1:] > starts[:-1])]

@@ -151,8 +151,7 @@ def resample(profile: CiProfile, slot_length: float) -> CiProfile:
             f"slot length {slot_length} does not tile horizon {profile.horizon}"
         )
     starts = np.arange(n) * slot_length
-    return CiProfile(tuple(zip(starts.tolist(), profile.values_at(starts).tolist())),
-                     profile.horizon)
+    return CiProfile(np.column_stack((starts, profile.values_at(starts))), profile.horizon)
 
 
 def _read_text(source) -> str:

@@ -42,6 +42,7 @@ from .carbon import (
     ConstraintSet,
     EnergyModel,
     J_PER_KWH,
+    as_float64,
     energy_cap,
     joules_to_kwh,
     kappa_cap,
@@ -216,15 +217,21 @@ def solve_qos_constrained(constraint: ConstraintSet, month_ci: float,
     return OptimizationResult(discipline, lam, mu_star, aoi, cf, label, mode, bound)
 
 
-def _check_grid(grid) -> list:
-    values = [float(x) for x in grid]
-    if not values:
+def _check_grid(grid) -> np.ndarray:
+    """grid as a float64 array, raising for the first point that does not increase.
+
+    Each point is compared with the one before it, and the first with
+    -inf, so NaN, which compares false, passes, as does the point after it.
+    """
+    values = as_float64(grid)
+    if not len(values):
         raise DomainError("grid must not be empty")
-    prev = -math.inf
-    for v in values:
-        if v <= prev:
-            raise DomainError(f"grid must be strictly increasing, got {v} after {prev}")
-        prev = v
+    prev = np.append(-math.inf, values[:-1])
+    unordered = values <= prev
+    if np.count_nonzero(unordered):
+        i = int(unordered.argmax())
+        raise DomainError(f"grid must be strictly increasing, "
+                          f"got {float(values[i])} after {float(prev[i])}")
     return values
 
 
@@ -318,13 +325,13 @@ def sweep_lambda(mu: float, lambda_grid, disciplines=BOTH_DISCIPLINES,
     column needs profile, energy, and constraint; it is omitted (None)
     when they are not given.
     """
-    values = _check_grid(lambda_grid)
+    lam = _check_grid(lambda_grid)[:, None]
+    _check_mode(mode)
     disciplines = tuple(disciplines)
     emission = None
     if profile is not None and energy is not None and constraint is not None:
         emission = (profile.long_term_average, energy.e_p_kwh(),
                     constraint.success_prob_a, constraint.horizon_tn)
-    lam = np.array(values)[:, None]
     # avg_cf rejects a NaN rate, which passes the grid check.
     if np.any(lam <= 0) or (emission is not None and np.isnan(lam).any()):
         raise DomainError("arrival rates must be positive")
@@ -334,7 +341,7 @@ def sweep_lambda(mu: float, lambda_grid, disciplines=BOTH_DISCIPLINES,
         cap = np.where(_fcfs_mask(disciplines) & (lam >= mu), math.nan, math.inf)
     aoi, cf, binding, infeasible = _pick_rates(disciplines, mode, cap, lam, mu, emission)
     cf = repeat(None) if cf is None else cf.ravel().tolist()
-    return _rows([None], values, disciplines, aoi, cf, repeat(None),
+    return _rows([None], lam.ravel().tolist(), disciplines, aoi, cf, repeat(None),
                  _labels(infeasible, binding, BindingConstraint.NONE))
 
 
@@ -406,8 +413,10 @@ def sweep_cf_budget(mu: float, k_grid, profile: CiProfile, energy: EnergyModel,
     month's intensity, yielding the month-by-budget surface.
     """
     ks = _check_grid(k_grid)
-    for k in ks:    # raises for a budget the solver could not be given
-        ConstraintSet(budget_k=k, horizon_tn=tn, success_prob_a=success_prob_a)
+    # A loop of ConstraintSet(k, tn, a) raises for the first budget, whose
+    # checks include tn and a, or else for the first budget not above 0.
+    for i in (0, int(np.argmax(~(ks > 0)))):
+        ConstraintSet(budget_k=float(ks[i]), horizon_tn=tn, success_prob_a=success_prob_a)
     if per_month:
         # The mean of each month's CiProfile.constant(v, h), (v * h) / h, not v.
         months, h = list(range(1, len(profile.values) + 1)), profile.horizon
@@ -418,8 +427,8 @@ def sweep_cf_budget(mu: float, k_grid, profile: CiProfile, energy: EnergyModel,
     _check_mode(mode)
     ci = np.array(means)[:, None]
     e_kwh = energy.e_p_kwh()
-    cap = kappa_cap(np.array(ks), tn, ci, e_kwh, success_prob_a)
-    return _sweep(months, ks, tuple(disciplines), mode, eps, cap, mu,
+    cap = kappa_cap(ks, tn, ci, e_kwh, success_prob_a)
+    return _sweep(months, ks.tolist(), tuple(disciplines), mode, eps, cap, mu,
                   (ci, e_kwh, success_prob_a, tn), BindingConstraint.CF_BUDGET)
 
 

@@ -4,11 +4,12 @@ from bisect import bisect_right
 import numpy as np
 import pytest
 from dessim_reference import _ProfileArrays
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from caoi.carbon import (
     J_PER_KWH,
+    _power_steps,
     CarbonLedger,
     CiProfile,
     ConstraintSet,
@@ -411,3 +412,174 @@ class TestStepCore:
         assert cumulative_cf(prof, constant, upto) == \
             parent_cumulative_cf(prof, ((0.0, constant),), upto)
         assert type(cumulative_cf(prof, constant, upto)) is float
+
+
+def loop_profile(samples, horizon):
+    """CiProfile's checks and arrays as the per-sample loop computed them.
+
+    Returns (samples, prefix), or raises what the loop raised.
+    """
+    samples = tuple((float(t), float(v)) for t, v in samples)
+    if not samples:
+        raise ValidationError("a profile needs at least one sample")
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ValidationError(f"horizon must be positive, got {horizon}")
+    if samples[0][0] != 0.0:
+        raise ValidationError(f"first step must start at 0, got {samples[0][0]}")
+    prev = -math.inf
+    for start, value in samples:
+        if start <= prev:
+            raise ValidationError(f"step starts must increase, got {start} after {prev}")
+        if start >= horizon:
+            raise ValidationError(f"step start {start} is not inside the horizon")
+        if not (math.isfinite(value) and value > 0):
+            raise ValidationError(f"carbon intensity must be positive, got {value}")
+        prev = start
+    starts, values = zip(*samples)
+    t, xi = np.array(starts), np.array(values)
+    prefix = np.zeros(len(samples) + 1)
+    with np.errstate(over="ignore"):
+        np.cumsum(xi * (np.array(starts[1:] + (horizon,)) - t), out=prefix[1:])
+    return samples, prefix
+
+
+def loop_power_steps(power) -> tuple:
+    """_power_steps as the per-step loop computed it."""
+    if isinstance(power, (int, float)):
+        if not power > 0:
+            raise DomainError(f"power must be positive, got {power}")
+        return ((0.0, float(power)),)
+    steps = tuple((float(t), float(p)) for t, p in power)
+    if not steps or steps[0][0] != 0.0:
+        raise DomainError("power steps must start at 0")
+    prev = -math.inf
+    for t, p in steps:
+        if t <= prev:
+            raise DomainError("power step starts must increase")
+        if p < 0:
+            raise DomainError(f"power must be non-negative, got {p}")
+        prev = t
+    return steps
+
+
+def outcome(f, *args):
+    """(True, result) or (False, (exception type, message))."""
+    try:
+        return True, f(*args)
+    except (ValueError, TypeError) as exc:
+        return False, (type(exc), str(exc))
+
+
+CONTAINERS = {
+    "tuple": tuple,
+    "list": list,
+    "generator": lambda rows: (row for row in rows),
+    "ndarray": lambda rows: np.array(rows, dtype=np.float64),
+}
+
+
+def bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+# A few start and value candidates, so that draws repeat and reorder starts,
+# hit the horizon and cross zero.
+FINITE = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.5, 7.0, -3.0, 1e-300]),
+                   st.floats(-1e6, 1e6, allow_nan=False))
+
+
+@st.composite
+def finite_steps(draw):
+    """(horizon, rows): finite (start, value) rows of a profile, often with
+    up to two entries replaced, an empty list, or a bad horizon."""
+    horizon = draw(st.one_of(st.sampled_from([1.0, 3600.0]), st.floats(1e-3, 1e7)))
+    inner = draw(st.lists(st.floats(0.0, horizon, exclude_min=True, exclude_max=True),
+                          max_size=7, unique=True))
+    starts = [0.0] + sorted(inner)
+    values = draw(st.lists(st.floats(1e-3, 1e6), min_size=len(starts), max_size=len(starts)))
+    rows = [[t, v] for t, v in zip(starts, values)]
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(rows) - 1))
+        rows[i][draw(st.integers(0, 1))] = draw(
+            st.one_of(FINITE, st.sampled_from([horizon, rows[i - 1][0]])))
+    if draw(st.integers(0, 9)) == 9:
+        rows = []
+    if draw(st.integers(0, 9)) == 9:
+        horizon = draw(FINITE)
+    return horizon, [tuple(row) for row in rows]
+
+
+class TestArrayChecks:
+    """The float64 array checks of CiProfile and _power_steps against their loops."""
+
+    @given(case=finite_steps(), kind=st.sampled_from(sorted(CONTAINERS)))
+    @example(case=(10.0, [(0.0, 1.0), (10.0, 2.0)]), kind="tuple")
+    def test_profile_is_the_loop(self, case, kind):
+        horizon, rows = case
+        make = CONTAINERS[kind]
+        ok, want = outcome(loop_profile, make(rows), horizon)
+        got_ok, got = outcome(CiProfile, make(rows), horizon)
+        assert got_ok == ok
+        if not ok:
+            assert got == want
+            return
+        samples, prefix = want
+        assert got.samples == samples
+        assert all(type(x) is float for pair in got.samples for x in pair)
+        assert got.starts == tuple(t for t, _ in samples)
+        assert got.values == tuple(v for _, v in samples)
+        assert bits(got._prefix) == bits(prefix)
+        assert got.long_term_average == float(prefix[-1]) / horizon
+
+    @given(case=finite_steps(), kind=st.sampled_from(sorted(CONTAINERS)), data=st.data())
+    def test_power_steps_are_the_loop(self, case, kind, data):
+        _, rows = case
+        make = CONTAINERS[kind]
+        ok, want = outcome(loop_power_steps, make(rows))
+        got_ok, got = outcome(_power_steps, make(rows))
+        assert got_ok == ok
+        if not ok:
+            assert got == want
+            return
+        assert got.dtype == np.float64 and got.shape == (len(want), 2)
+        assert bits(got) == bits(want)
+        prof = data.draw(step_profiles(max_steps=10))
+        upto = data.draw(st.floats(0.0, prof.horizon, exclude_min=True))
+        assert cumulative_cf(prof, make(rows), upto) == \
+            parent_cumulative_cf(prof, want, upto)
+
+    @given(st.one_of(FINITE, st.integers(-5, 5)))
+    def test_constant_power_is_the_loop(self, power):
+        ok, want = outcome(loop_power_steps, power)
+        got_ok, got = outcome(_power_steps, power)
+        assert got_ok == ok
+        assert got == want if not ok else bits(got) == bits(want)
+
+    def test_rows_of_another_width_are_refused(self):
+        with pytest.raises(ValueError, match="shape"):
+            CiProfile(((0.0, 1.0, 2.0),), 10.0)
+        with pytest.raises(ValueError, match="shape"):
+            cumulative_cf(TWO_STEP, [0.0, 1.0], 10.0)
+
+    @given(step_profiles(max_steps=10), st.data())
+    def test_a_non_finite_entry_is_refused(self, prof, data):
+        rows = [list(pair) for pair in prof.samples]
+        i = data.draw(st.integers(0, len(rows) - 1))
+        rows[i][data.draw(st.integers(0, 1))] = data.draw(
+            st.sampled_from([math.nan, math.inf, -math.inf]))
+        with pytest.raises(ValidationError):
+            CiProfile(rows, prof.horizon)
+        with pytest.raises(DomainError):
+            cumulative_cf(prof, rows, prof.horizon)
+
+    def test_non_finite_steps_are_refused(self):
+        # The loop took a NaN start, and NaN or inf watts, and gave NaN or inf.
+        with pytest.raises(ValidationError, match="got nan after 0.0"):
+            CiProfile(((0, 100), (math.nan, 200), (5, 300)), 10)
+        for steps, message in [(((0, 1.0), (math.nan, 2.0)), "increase"),
+                               (((0, 1.0), (5.0, math.nan)), r"finite, got \(5.0, nan\)"),
+                               (((0, math.inf),), r"finite, got \(0.0, inf\)"),
+                               (((0, 1.0), (math.inf, 2.0)), r"finite, got \(inf, 2.0\)"),
+                               (math.inf, r"finite, got \(0.0, inf\)")]:
+            with pytest.raises(DomainError, match=message):
+                cumulative_cf(TWO_STEP, steps, 3600.0)

@@ -1,13 +1,16 @@
 import math
 import tracemalloc
+from bisect import bisect_right
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from dessim_reference import reference_run
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from caoi import dessim
-from caoi.carbon import CarbonLedger, CiProfile, EnergyModel
+from caoi.carbon import J_PER_KWH, CarbonLedger, CiProfile, EnergyModel
 from caoi.dessim import (
     CfMode,
     SimConfig,
@@ -287,6 +290,68 @@ class TestLedger:
         ratio = run(c_svc, FLAT, ENERGY).ledger.total / \
             run(c_arr, FLAT, ENERGY).ledger.total
         assert ratio == pytest.approx(10.0, rel=0.1)
+
+
+def xi_at(profile, t):
+    """The intensity in force at t, the final step extended past the horizon."""
+    return profile.values[bisect_right(profile.starts, t) - 1]
+
+
+def xi_between(profile, lo, hi):
+    """The integral of the intensity over [lo, hi], summed over the steps it overlaps."""
+    ends = profile.starts[1:] + (math.inf,)
+    return math.fsum(v * (min(hi, end) - max(lo, start))
+                     for start, end, v in zip(profile.starts, ends, profile.values)
+                     if start < hi and end > lo)
+
+
+def packet_charges(trace, discipline, mode, profile, energy):
+    """Each packet's grams, recomputed from the events of a drained run.
+
+    Drained, every admitted packet is delivered, so the admitted arrivals
+    are the generation times of the deliveries, except under preemption,
+    where every arrival is admitted and a preempted one is served until
+    the next arrival.
+    """
+    a, d, u = trace.arrival_times, trace.delivery_times, trace.delivery_gen_times
+    lcfs = discipline is Discipline.LCFS_PREEMPTIVE
+    if mode is CfMode.ARRIVAL_CHARGED:
+        return [xi_at(profile, t) * energy.e_p_kwh() for t in (a if lcfs else u)]
+    if mode is CfMode.COMPLETION_CHARGED:
+        return [xi_at(profile, t) * energy.e_p_kwh() for t in d]
+    if lcfs:
+        done = dict(zip(u.tolist(), d.tolist()))
+        nxt = a[1:].tolist() + [math.inf]
+        busy = [(t, done.get(t, n)) for t, n in zip(a.tolist(), nxt)]
+    else:
+        busy = [(max(t, prev), end) for t, prev, end
+                in zip(u.tolist(), [-math.inf] + d[:-1].tolist(), d.tolist())]
+    return [xi_between(profile, lo, hi) * energy.p_t / J_PER_KWH for lo, hi in busy]
+
+
+class TestLedgerCharges:
+    """In every mode the ledger total is the sum of per-packet charges."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(mode=st.sampled_from(list(CfMode)),
+           kernel=st.sampled_from([(Discipline.FCFS_MM1, None), (Discipline.FCFS_MM1, 2),
+                                   (Discipline.LCFS_PREEMPTIVE, None)]),
+           rho=st.floats(0.1, 0.9), mu=st.floats(0.5, 4.0),
+           cuts=st.lists(st.floats(1.0, 199.0), max_size=3, unique=True),
+           values=st.lists(st.floats(10.0, 1000.0), min_size=4, max_size=4),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_total_is_the_sum_of_packet_charges(self, mode, kernel, rho, mu, cuts,
+                                                values, seed):
+        discipline, buffer = kernel
+        starts = [0.0] + sorted(cuts)
+        profile = CiProfile(tuple(zip(starts, values)), 200.0)
+        c = cfg(discipline, rho * mu, mu, 200.0, seed, cf_mode=mode, buffer=buffer,
+                drain=True, keep_events=True)
+        trace = run(c, profile, ENERGY)
+        charges = packet_charges(trace, discipline, mode, profile, ENERGY)
+        assert trace.ledger.total == pytest.approx(math.fsum(charges), rel=1e-9, abs=0.0)
+        if discipline is not Discipline.LCFS_PREEMPTIVE:
+            assert len(charges) == trace.arrivals - trace.drops
 
 
 class TestCountsAndSuccess:

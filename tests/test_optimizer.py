@@ -14,6 +14,7 @@ from caoi.optimizer import (
     BOTH_DISCIPLINES,
     BindingConstraint,
     SweepRow,
+    _check_grid,
     solve_cf_constrained,
     solve_power_constrained,
     solve_qos_constrained,
@@ -252,6 +253,10 @@ class TestSweeps:
             sweep_lambda(1.0, [0.5, 0.4])
         with pytest.raises(DomainError):
             sweep_lambda(1.0, [])
+
+    def test_lambda_sweep_checks_the_mode(self):
+        with pytest.raises(DomainError, match="mode must be"):
+            sweep_lambda(1.0, [0.5], mode="papr")
 
     def test_budget_sweep_monotone_every_month(self, builtin):
         k_grid = [5e-4 + 5e-5 * i for i in range(11)]
@@ -593,3 +598,65 @@ class TestArrayEngine:
         solve = self.month_solver("power", "exact", mu, eps)
         cells = [(m, float(m), ci, c) for m, ci in enumerate(BUILTIN.values, start=1)]
         assert_rows_equal(rows, per_cell(cells, solve, (LCFS,)))
+
+
+def loop_grid(grid) -> list:
+    """_check_grid as the per-point loop computed it."""
+    values = [float(x) for x in grid]
+    if not values:
+        raise DomainError("grid must not be empty")
+    prev = -math.inf
+    for v in values:
+        if v <= prev:
+            raise DomainError(f"grid must be strictly increasing, got {v} after {prev}")
+        prev = v
+    return values
+
+
+def loop_budgets(ks, tn, a) -> None:
+    """sweep_cf_budget's checks of its grid as the loops made them: the grid,
+    then one ConstraintSet per budget."""
+    for k in loop_grid(ks):
+        ConstraintSet(budget_k=k, horizon_tn=tn, success_prob_a=a)
+
+
+def raised(f, *args):
+    """(type, message) of what f raises, or None."""
+    try:
+        f(*args)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+GRID_CONTAINERS = [list, tuple, lambda g: (x for x in g), lambda g: np.array(g, dtype=float)]
+POINTS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan]),
+                   st.floats(-1e3, 1e3), st.integers(-3, 3))
+
+
+class TestGridChecks:
+    """The float64 array checks of the sweep grids against their loops."""
+
+    @given(grid=st.one_of(st.lists(POINTS, max_size=8), increasing(POINTS.filter(
+        lambda x: x == x))), make=st.sampled_from(GRID_CONTAINERS))
+    def test_grid_check_is_the_loop(self, grid, make):
+        want = raised(loop_grid, make(grid))
+        assert raised(_check_grid, make(grid)) == want
+        if want is None:
+            got = _check_grid(make(grid))
+            assert got.dtype == np.float64 and got.ndim == 1
+            assert got.tobytes() == np.array(loop_grid(make(grid))).tobytes()
+
+    @given(ks=increasing(st.one_of(st.sampled_from([math.inf, 5e-324]), st.floats(1e-7, 1e-2))),
+           bad=st.none() | st.tuples(st.integers(0, 7),
+                                     st.sampled_from([math.nan, 0.0, -1.0, -math.inf])),
+           tn=st.sampled_from([3600.0, 2.78e8, 1e12, 0.0, math.nan]),
+           a=st.sampled_from([1.0, 0.0, 0.5, 1.5, math.nan]),
+           make=st.sampled_from(GRID_CONTAINERS))
+    def test_budget_check_is_the_loop(self, ks, bad, tn, a, make):
+        if bad is not None and bad[0] < len(ks):
+            ks[bad[0]] = bad[1]
+        want = raised(loop_budgets, make(ks), tn, a)
+        got = raised(sweep_cf_budget, 40.0, make(ks), BUILTIN, ENERGY, tn,
+                     BOTH_DISCIPLINES, "paper", a)
+        assert got == want
