@@ -1,16 +1,18 @@
 #!/usr/bin/env python3
 """Record end-to-end benchmark medians into BENCH_<pr>.json.
 
-    python3 scripts/bench_record.py --pr 6 --parent ../caoi-parent --pairs 3
+    python3 scripts/bench_record.py --pr 6 --parent ../caoi-parent
 
-For each workload this runs `perfbench/run.py --trace 0` of this checkout
-(the change) and, with --parent, of another checkout (the parent) in
-alternating pairs: the parent runs first in even pairs and second in odd
-ones.  From each run it keeps the final JSON line and the host facts that
-run.py prints, and it writes to BENCH_<pr>.json in this checkout, per
-workload and side, every run's metrics, their median and their
-quartiles.  The exit status is nonzero if any run failed or reported an
-incorrect result; the file is written either way.
+For each workload this runs `perfbench/run.py --trace 0`, at run.py's
+own run length, of this checkout (the change) and of another checkout
+(the parent) in alternating pairs: the parent runs first in even pairs
+and second in odd ones.  Both checkouts must be committed, with no
+uncommitted change to a tracked file, so the record names the commit
+each side ran.  From each run it keeps the final JSON line and the host
+facts that run.py prints, and it writes to BENCH_<pr>.json in this
+checkout, per workload and side, every run's metrics, their median and
+their quartiles.  The exit status is nonzero if any run failed or
+reported an incorrect result; the file is written either way.
 """
 
 import argparse
@@ -24,10 +26,10 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("sim_validate", "surfaces", "cli_roundtrip")
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
     """One `perfbench/run.py --trace 0` of checkout: its result line and host facts."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", repr(seconds), "--trace", "0"]
+            "--trace", "0"]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     host = next((json.loads(line[5:]) for line in lines if line.startswith("host ")), None)
@@ -40,11 +42,11 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return {"host": host, "result": result}
 
 
-def commit_of(checkout: Path, head: str) -> str:
-    """HEAD as run.py read it, marked when the checkout has uncommitted changes."""
-    dirty = subprocess.run(["git", "status", "--porcelain", "--untracked-files=no"],
-                           cwd=checkout, capture_output=True, text=True).stdout.strip()
-    return f"{head} plus uncommitted changes" if dirty else head
+def uncommitted(checkout: Path) -> str:
+    """`git status` of checkout's tracked files, empty when they are all committed."""
+    proc = subprocess.run(["git", "status", "--porcelain", "--untracked-files=no"],
+                          cwd=checkout, capture_output=True, text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else proc.stderr.strip()
 
 
 def summarize(runs: list) -> dict:
@@ -71,21 +73,22 @@ def summarize(runs: list) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", required=True, help="the number in BENCH_<pr>.json")
-    parser.add_argument("--parent", type=Path, help="checkout of the parent commit")
-    parser.add_argument("--pairs", type=int, default=3)
-    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--parent", type=Path, required=True,
+                        help="checkout of the parent commit")
+    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--workload", choices=WORKLOADS, nargs="+", default=list(WORKLOADS))
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
 
-    sides = {"change": ROOT}
-    if args.parent is not None:
-        sides["parent"] = args.parent.resolve()
+    sides = {"change": ROOT, "parent": args.parent.resolve()}
+    for side, checkout in sides.items():
+        status = uncommitted(checkout)
+        if status:
+            parser.error(f"the {side} checkout {checkout} is not committed:\n{status}")
     record = {"pr": args.pr,
-              "command": f"perfbench/run.py --trace 0 --seed {args.seed} "
-                         f"--seconds {args.seconds:g}",
+              "command": f"perfbench/run.py --trace 0 --seed {args.seed}",
               "pairs": args.pairs, "order": "parent first in even pairs", "host": {},
               "commits": {}, "workloads": {}}
     ok = True
@@ -94,11 +97,11 @@ def main(argv=None) -> int:
         for pair in range(args.pairs):
             order = list(sides) if pair % 2 else list(reversed(sides))
             for side in order:
-                out = run_once(sides[side], workload, args.seed, args.seconds)
+                out = run_once(sides[side], workload, args.seed)
                 result = out["result"]
                 results[side].append(result)
                 if out["host"]:
-                    record["commits"][side] = commit_of(sides[side], out["host"].pop("commit"))
+                    record["commits"][side] = out["host"].pop("commit")
                     record["host"] = out["host"]
                 ok &= result["correct"] and result["exit_code"] == 0
                 work = result["metrics"].get("work_per_ref", {}).get("value")

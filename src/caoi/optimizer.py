@@ -323,7 +323,8 @@ def sweep_lambda(mu: float, lambda_grid, disciplines=BOTH_DISCIPLINES,
     FCFS grid points at or beyond the service rate are reported as
     explicit infeasible rows (aoi = inf) rather than skipped.  The cf
     column needs profile, energy, and constraint; it is omitted (None)
-    when they are not given.
+    when they are not given.  A rate that is not positive and finite
+    (None, NaN, inf) raises DomainError for every discipline and mode.
     """
     lam = _check_grid(lambda_grid)[:, None]
     _check_mode(mode)
@@ -332,9 +333,9 @@ def sweep_lambda(mu: float, lambda_grid, disciplines=BOTH_DISCIPLINES,
     if profile is not None and energy is not None and constraint is not None:
         emission = (profile.long_term_average, energy.e_p_kwh(),
                     constraint.success_prob_a, constraint.horizon_tn)
-    # avg_cf rejects a NaN rate, which passes the grid check.
-    if np.any(lam <= 0) or (emission is not None and np.isnan(lam).any()):
-        raise DomainError("arrival rates must be positive")
+    # The grid check passes NaN and inf, where no age or cf is defined.
+    if not np.all((lam > 0) & np.isfinite(lam)):
+        raise DomainError("arrival rates must be positive and finite")
     # FCFS has no age at or above the service rate: a NaN cap makes those
     # cells infeasible rows and leaves their rate, and cf, at the grid point.
     with np.errstate(invalid="ignore"):

@@ -258,6 +258,20 @@ class TestSweeps:
         with pytest.raises(DomainError, match="mode must be"):
             sweep_lambda(1.0, [0.5], mode="papr")
 
+    @pytest.mark.parametrize("grid", [[None, 0.5], [math.nan, 0.5], [0.5, math.nan],
+                                      [0.5, math.inf], [-1.0, 0.5], [0.0, 0.5]])
+    def test_lambda_sweep_rejects_rates_not_positive_and_finite(self, grid):
+        # The grid check passes NaN (and None, as NaN) and inf: paper-mode
+        # LCFS alone once gave rows with aoi nan or 0.0 for them.
+        cf_args = (FLAT198, EnergyModel(), ConstraintSet(budget_k=math.inf, horizon_tn=3600.0))
+        for disciplines in ((Discipline.LCFS_PREEMPTIVE,), (Discipline.FCFS_MM1,),
+                            BOTH_DISCIPLINES):
+            for mode in ("paper", "exact"):
+                for extra in ((), cf_args):
+                    with pytest.raises(DomainError,
+                                       match="arrival rates must be positive and finite"):
+                        sweep_lambda(1.0, grid, disciplines, mode, *extra)
+
     def test_budget_sweep_monotone_every_month(self, builtin):
         k_grid = [5e-4 + 5e-5 * i for i in range(11)]
         rows = sweep_cf_budget(40.0, k_grid, builtin, ENERGY, 3600.0,
