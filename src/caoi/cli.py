@@ -262,6 +262,16 @@ def resolve_optimize(args) -> dict:
 
 
 def run_optimize(params: dict, out_dir=None) -> int:
+    # Flags the chosen problem would ignore are refused, so that no output
+    # or manifest records a value that did not take part.
+    if params["mu_rule"] == "track_opt_rho" and params["problem"] != "power":
+        raise ValidationError("--mu-rule track_opt_rho applies only to --problem power")
+    if params["mu"] is not None and params["problem"] == "qos":
+        raise ValidationError("--mu does not apply to --problem qos: "
+                              "the SNR floor sets the service rate")
+    if params["mu"] is not None and params["mu_rule"] == "track_opt_rho":
+        raise ValidationError("--mu does not apply under --mu-rule track_opt_rho: "
+                              "the rule sets the service rate")
     out_path = _redirect(params["out"], out_dir)
     profile = load_ci(params["ci"])
     energy = EnergyModel()
@@ -475,6 +485,9 @@ def resolve_sweep(args) -> dict:
 
 
 def run_sweep(params: dict, out_dir=None) -> None:
+    if params["surface"] == "snr" and params["mu"] is not None:
+        raise ValidationError("--mu does not apply to --surface snr: "
+                              "the SNR floor sets the service rate")
     out_path = _redirect(params["out"], out_dir)
     profile = load_ci(params["ci"], full_year=True)
     tn, a = params["tn"], params["a"]

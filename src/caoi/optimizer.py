@@ -14,19 +14,20 @@ The solve_* functions work on one cell, on plain floats.  The sweeps
 (sweep_lambda, sweep_cf_budget, sweep_months, sweep_surface) evaluate
 all their cells at once on float64 arrays in _pick_rates, the array form
 of _pick_rate, and build their SweepRow tuples in bulk.  Both paths use
-the same unchecked formulas (queueing.mm1_age and mm1_star_age,
-carbon.kappa_cap, energy_cap and slot_grams), whose operations round the
-same on floats and arrays, so a sweep equals a loop of per-cell solves
-bit for bit, with an Infeasible solve as an aoi = inf row.  Checks that
-depend only on a grid point run once per point, on floats.
+the same free rate (_free_rho) and unchecked formulas (queueing.mm1_age
+and mm1_star_age, carbon.kappa_cap, energy_cap and slot_grams), whose
+operations round the same on floats and arrays, so a sweep equals a loop
+of per-cell solves bit for bit, with an Infeasible solve as an aoi = inf
+row.  The power and qos solvers and sweep_surface share one point's
+checks in _month_point, which a sweep runs once per point, on floats.
 
 Service-rate selection is controlled by mu_rule:
 
 * "fixed" (default): the caller-supplied service rate stays put; the
   hardware transmission time bounds how fast the server can be.
-* "track_opt_rho": the service rate follows the arrival rate so the
-  queue always sits at its age-optimal utilization.  Under this rule a
-  faster server is always better, so the constraint always binds.
+* "track_opt_rho": mu* = lambda* / rho follows the arrival rate, and mu
+  is unused, so the queue sits at its age-optimal utilization.  A faster
+  server is then always better, so the constraint always binds.
 """
 
 import math
@@ -41,14 +42,11 @@ from .carbon import (
     CiProfile,
     ConstraintSet,
     EnergyModel,
-    J_PER_KWH,
     as_float64,
     energy_cap,
     joules_to_kwh,
     kappa_cap,
     lambda_kappa,
-    lambda_p_max,
-    lambda_qos_max,
     min_rate_for_snr,
     slot_grams,
 )
@@ -60,7 +58,6 @@ from .queueing import (
     SaturationEpsilon,
     avg_aoi_mm1,
     avg_aoi_mm1_star,
-    constrained_aoi_mm1,
     mm1_age,
     mm1_star_age,
     optimal_utilization_mm1,
@@ -102,11 +99,6 @@ class SweepRow(NamedTuple):
     month: int | None = None
 
 
-def _check_mu_rule(mu_rule: str) -> None:
-    if mu_rule not in MU_RULES:
-        raise DomainError(f"mu_rule must be one of {MU_RULES}, got {mu_rule!r}")
-
-
 def _evaluate_aoi(discipline: Discipline, lam: float, mu: float, mode: str) -> float:
     if discipline is Discipline.FCFS_MM1:
         return avg_aoi_mm1(QueueSpec(discipline, lam, mu))
@@ -120,34 +112,27 @@ def _check_mode(mode: str) -> None:
         raise DomainError(f"mode must be 'paper' or 'exact', got {mode!r}")
 
 
-def _check_power_cap(constraint: ConstraintSet, energy: EnergyModel) -> None:
-    if constraint.power_cap is not None and constraint.power_cap > energy.p_max:
-        raise DomainError(
-            f"power cap {constraint.power_cap} exceeds hardware p_max {energy.p_max}"
-        )
+def _free_rho(discipline: Discipline, eps: SaturationEpsilon) -> float:
+    """The utilization where the rate cap is slack: rho' (FCFS) or 1 - eps (LCFS)."""
+    if discipline is Discipline.FCFS_MM1:
+        return optimal_utilization_mm1()
+    return 1.0 - eps.epsilon
 
 
 def _pick_rate(discipline: Discipline, mu: float, bound: float, mode: str,
                eps: SaturationEpsilon, mu_rule: str):
     """Returns (lambda_star, mu_star, aoi, binding)."""
-    _check_mode(mode)
     if mu_rule == "fixed" and not mu > 0:
         raise DomainError(f"service rate must be positive, got {mu}")
     if math.isnan(bound) or bound <= 0:
         raise Infeasible(f"rate bound is not positive: {bound}")
+    rho = _free_rho(discipline, eps)
     if mu_rule == "track_opt_rho":
         if bound == math.inf:
             raise Infeasible("an unbounded budget has no optimum under track_opt_rho")
-        lam = bound
-        if discipline is Discipline.FCFS_MM1:
-            mu_star = lam / optimal_utilization_mm1()
-        else:
-            mu_star = lam / (1.0 - eps.epsilon)
-        return lam, mu_star, _evaluate_aoi(discipline, lam, mu_star, mode), True
-    if discipline is Discipline.FCFS_MM1:
-        res = constrained_aoi_mm1(mu, bound)
-        return res.lambda_used, mu, res.aoi, res.binding
-    lam_free = (1.0 - eps.epsilon) * mu
+        mu_star = bound / rho
+        return bound, mu_star, _evaluate_aoi(discipline, bound, mu_star, mode), True
+    lam_free = rho * mu
     binding = bound < lam_free
     lam = bound if binding else lam_free
     return lam, mu, _evaluate_aoi(discipline, lam, mu, mode), binding
@@ -163,10 +148,57 @@ def solve_cf_constrained(mu: float, constraint: ConstraintSet, profile: CiProfil
     the reported cf is the expected slot emission at the chosen rate.
     """
     bound = lambda_kappa(constraint, profile, energy)
+    _check_mode(mode)
     lam, mu_star, aoi, binding = _pick_rate(discipline, mu, bound, mode, eps, "fixed")
     cf = slot_grams(profile.long_term_average, energy.e_p_kwh(),
                     constraint.success_prob_a, lam, constraint.horizon_tn)
     label = BindingConstraint.CF_BUDGET if binding else BindingConstraint.NONE
+    return OptimizationResult(discipline, lam, mu_star, aoi, cf, label, mode, bound)
+
+
+_MONTH_PROBLEMS = {"power": BindingConstraint.POWER, "qos": BindingConstraint.QOS}
+
+
+def _month_point(problem: str, constraint: ConstraintSet, energy: EnergyModel,
+                 mu: float | None, mode: str):
+    """(kWh per transmitted packet, service rate) at one grid point.
+
+    Every check that depends only on the point, for the month solvers
+    and sweep_surface alike.
+    """
+    if problem == "power":
+        if constraint.power_cap is not None and constraint.power_cap > energy.p_max:
+            raise DomainError(
+                f"power cap {constraint.power_cap} exceeds hardware p_max {energy.p_max}")
+        if constraint.power_cap is None:
+            raise MissingConstraint("lambda_p_max needs constraint.power_cap")
+        e_kwh = joules_to_kwh(constraint.power_cap * energy.t_p)
+        mu = (1.0 / energy.t_p) if mu is None else mu
+    else:
+        if constraint.snr_min is None:
+            raise DomainError("solve_qos_constrained needs constraint.snr_min")
+        link = min_rate_for_snr(energy, constraint.snr_min)
+        if not link.t_p > 0:
+            raise DomainError(f"transmission time must be positive, got {link.t_p}")
+        e_kwh = joules_to_kwh(link.p_t_min * link.t_p)
+        mu = 1.0 / link.t_p
+    _check_mode(mode)
+    return e_kwh, mu
+
+
+def _solve_month(problem: str, constraint: ConstraintSet, month_ci: float,
+                 energy: EnergyModel, discipline: Discipline, mode: str, mu_rule: str,
+                 mu: float | None, eps: SaturationEpsilon) -> OptimizationResult:
+    """One power or qos cell: the rate cap at month_ci, then _pick_rate."""
+    if mu_rule not in MU_RULES:
+        raise DomainError(f"mu_rule must be one of {MU_RULES}, got {mu_rule!r}")
+    e_kwh, mu = _month_point(problem, constraint, energy, mu, mode)
+    if not month_ci > 0:
+        raise DomainError(f"month intensity must be positive, got {month_ci}")
+    bound = energy_cap(constraint.budget_k, month_ci, e_kwh, constraint.horizon_tn)
+    lam, mu_star, aoi, binding = _pick_rate(discipline, mu, bound, mode, eps, mu_rule)
+    cf = slot_grams(month_ci, e_kwh, constraint.success_prob_a, lam, constraint.horizon_tn)
+    label = _MONTH_PROBLEMS[problem] if binding else BindingConstraint.NONE
     return OptimizationResult(discipline, lam, mu_star, aoi, cf, label, mode, bound)
 
 
@@ -180,16 +212,8 @@ def solve_power_constrained(constraint: ConstraintSet, month_ci: float,
     The default service rate is the hardware rate 1/t_p.  Emissions are
     accounted at the cap power, matching the rate bound.
     """
-    _check_mu_rule(mu_rule)
-    _check_power_cap(constraint, energy)
-    bound = lambda_p_max(constraint, month_ci, energy)
-    mu_eff = (1.0 / energy.t_p) if mu is None else mu
-    lam, mu_star, aoi, binding = _pick_rate(discipline, mu_eff, bound, mode, eps, mu_rule)
-    e_kwh = constraint.power_cap * energy.t_p / J_PER_KWH
-    cf = slot_grams(month_ci, e_kwh, constraint.success_prob_a, lam,
-                    constraint.horizon_tn)
-    label = BindingConstraint.POWER if binding else BindingConstraint.NONE
-    return OptimizationResult(discipline, lam, mu_star, aoi, cf, label, mode, bound)
+    return _solve_month("power", constraint, month_ci, energy, discipline, mode, mu_rule,
+                        mu, eps)
 
 
 def solve_qos_constrained(constraint: ConstraintSet, month_ci: float,
@@ -204,17 +228,8 @@ def solve_qos_constrained(constraint: ConstraintSet, month_ci: float,
     tighter emission-feasible rate cap, which is what produces the
     interior age optimum in floor sweeps.
     """
-    if constraint.snr_min is None:
-        raise DomainError("solve_qos_constrained needs constraint.snr_min")
-    link = min_rate_for_snr(energy, constraint.snr_min)
-    bound = lambda_qos_max(constraint, month_ci, energy, t_p_override=link.t_p)
-    mu_eff = 1.0 / link.t_p
-    lam, mu_star, aoi, binding = _pick_rate(discipline, mu_eff, bound, mode, eps, "fixed")
-    e_kwh = link.p_t_min * link.t_p / J_PER_KWH
-    cf = slot_grams(month_ci, e_kwh, constraint.success_prob_a, lam,
-                    constraint.horizon_tn)
-    label = BindingConstraint.QOS if binding else BindingConstraint.NONE
-    return OptimizationResult(discipline, lam, mu_star, aoi, cf, label, mode, bound)
+    return _solve_month("qos", constraint, month_ci, energy, discipline, mode, "fixed",
+                        None, eps)
 
 
 def _check_grid(grid) -> np.ndarray:
@@ -323,14 +338,18 @@ def sweep_lambda(mu: float, lambda_grid, disciplines=BOTH_DISCIPLINES,
     FCFS grid points at or beyond the service rate are reported as
     explicit infeasible rows (aoi = inf) rather than skipped.  The cf
     column needs profile, energy, and constraint; it is omitted (None)
-    when they are not given.  A rate that is not positive and finite
-    (None, NaN, inf) raises DomainError for every discipline and mode.
+    when none is given, and some without the others raise DomainError.
+    A rate that is not positive and finite (None, NaN, inf) raises
+    DomainError for every discipline and mode.
     """
     lam = _check_grid(lambda_grid)[:, None]
     _check_mode(mode)
     disciplines = tuple(disciplines)
+    missing = [v is None for v in (profile, energy, constraint)]
+    if any(missing) and not all(missing):
+        raise DomainError("the cf column needs all of profile, energy and constraint")
     emission = None
-    if profile is not None and energy is not None and constraint is not None:
+    if not any(missing):
         emission = (profile.long_term_average, energy.e_p_kwh(),
                     constraint.success_prob_a, constraint.horizon_tn)
     # The grid check passes NaN and inf, where no age or cf is defined.
@@ -351,47 +370,18 @@ def _sweep(months, xs, disciplines, mode, eps, cap, mu, emission, label) -> list
 
     months and xs label the two axes.  cap, mu and the slot_grams factors
     in emission broadcast to months x grid points.  Where the cap is slack
-    the rate is rho' * mu (FCFS) or (1 - eps) * mu (LCFS).
+    the rate is _free_rho * mu, as in _pick_rate.
     """
     def per_discipline(v):
         return np.asarray(v, dtype=float)[..., None]
 
     mu = per_discipline(mu)
     cap = per_discipline(np.broadcast_to(cap, (len(months), len(xs))))
-    rho = np.array([optimal_utilization_mm1() if d is Discipline.FCFS_MM1
-                    else 1.0 - eps.epsilon for d in disciplines])
+    rho = np.array([_free_rho(d, eps) for d in disciplines])
     aoi, cf, binding, infeasible = _pick_rates(
         disciplines, mode, cap, rho * mu, mu, tuple(map(per_discipline, emission)))
     return _rows(months, xs, disciplines, aoi, _unless(infeasible, cf),
                  _unless(infeasible, cap), _labels(infeasible, binding, label))
-
-
-_MONTH_PROBLEMS = {"power": BindingConstraint.POWER, "qos": BindingConstraint.QOS}
-
-
-def _month_point(problem: str, constraint: ConstraintSet, energy: EnergyModel,
-                 mu: float | None, mode: str):
-    """(kWh per transmitted packet, service rate) at one grid point.
-
-    Raises what solve_power_constrained or solve_qos_constrained raises
-    for the point, in the same order.
-    """
-    if problem == "power":
-        _check_power_cap(constraint, energy)
-        if constraint.power_cap is None:
-            raise MissingConstraint("lambda_p_max needs constraint.power_cap")
-        e_kwh = joules_to_kwh(constraint.power_cap * energy.t_p)
-        mu = (1.0 / energy.t_p) if mu is None else mu
-    else:
-        if constraint.snr_min is None:
-            raise DomainError("solve_qos_constrained needs constraint.snr_min")
-        link = min_rate_for_snr(energy, constraint.snr_min)
-        if not link.t_p > 0:
-            raise DomainError(f"transmission time must be positive, got {link.t_p}")
-        e_kwh = joules_to_kwh(link.p_t_min * link.t_p)
-        mu = 1.0 / link.t_p
-    _check_mode(mode)
-    return e_kwh, mu
 
 
 def _months(profile: CiProfile) -> list:

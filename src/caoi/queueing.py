@@ -157,8 +157,8 @@ def constrained_aoi_mm1(mu: float, lambda_bound: float) -> ConstrainedAoi:
 
     When the cap exceeds the free optimum rho'*mu the cap is slack and the
     unconstrained optimum is returned (ties count as slack).  Otherwise the
-    cap binds and the closed form is evaluated at the cap.  The preemptive
-    discipline's counterpart is optimizer._pick_rate.
+    cap binds and the closed form is evaluated at the cap.  The optimizer
+    applies the same slack rule to both disciplines in _pick_rate.
     """
     if not (math.isfinite(mu) and mu > 0):
         raise DomainError(f"service rate must be positive and finite, got {mu}")

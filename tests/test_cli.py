@@ -150,6 +150,38 @@ class TestOptimize:
                    "--budget-k", "0.05", "--mu", "1.0", "--month", "13")
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--problem", "qos", "--snr-min-db", "0", "--mu", "40"], "--problem qos"),
+        (["--problem", "cf", "--mu-rule", "track_opt_rho"], "track_opt_rho applies only"),
+        (["--problem", "qos", "--snr-min-db", "0", "--mu-rule", "track_opt_rho"],
+         "track_opt_rho applies only"),
+        (["--problem", "power", "--p-max", "1", "--mu-rule", "track_opt_rho", "--mu", "-1"],
+         "under --mu-rule track_opt_rho"),
+        (["--problem", "power", "--p-max", "1", "--mu-rule", "track_opt_rho", "--mu", "40"],
+         "under --mu-rule track_opt_rho"),
+    ])
+    def test_ignored_flags_exit_2(self, tmp_path, capsys, flags, message):
+        # Each of these once exited 0 with the bytes of the run without the flag.
+        code = cli.main(["optimize", "--model", "mm1", "--budget-k", "0.5mg",
+                         "--ci", "builtin", "--month", "11", *flags,
+                         "--out", str(tmp_path / "opt.json")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_replayed_manifest_with_an_ignored_flag_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "opt.json"
+        assert cli.main(["optimize", "--problem", "qos", "--model", "mm1",
+                         "--budget-k", "60ug", "--snr-min-db", "0", "--ci", "builtin",
+                         "--out", str(out)]) == 0
+        manifest = tmp_path / "opt.json.manifest.json"
+        body = json.loads(manifest.read_text())
+        body["params"]["mu"] = 40.0
+        manifest.write_text(json.dumps(body))
+        assert cli.main(["replay", str(manifest), "--out-dir", str(tmp_path / "redo")]) == 2
+        assert "--problem qos" in capsys.readouterr().err
+        assert not any((tmp_path / "redo").iterdir())
+
     @pytest.mark.parametrize("mu", ["0", "-1", "nan"])
     @pytest.mark.parametrize("model,mode", [("mm1star", "paper"), ("mm1star", "exact"),
                                             ("mm1", "paper")])
@@ -284,6 +316,15 @@ class TestSweep:
                          "--ci", "builtin", "--out", str(tmp_path / "x.csv")])
         assert code == 2
         assert "service rates must be positive" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_snr_surface_refuses_mu(self, tmp_path, capsys):
+        # The SNR floor sets each cell's service rate; --mu was once ignored.
+        code = cli.main(["sweep", "--surface", "snr", "--snr-grid-db=-10:30:5",
+                         "--budget-k", "60ug", "--mu", "40", "--ci", "builtin",
+                         "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "--surface snr" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
     def test_snr_grid_reaching_a_vanishing_rate_exits_2(self, tmp_path, capsys):

@@ -1,7 +1,9 @@
 import csv
+import dataclasses
 import math
 
 import numpy as np
+import optimizer_reference as ref
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 from caoi import cli
 from caoi.carbon import CiProfile, ConstraintSet, EnergyModel, avg_cf
 from caoi.cidata import builtin_profile_si2024
-from caoi.errors import DomainError, Infeasible
+from caoi.errors import CaoiError, DomainError, Infeasible
 from caoi.optimizer import (
     BOTH_DISCIPLINES,
     BindingConstraint,
@@ -254,6 +256,15 @@ class TestSweeps:
         with pytest.raises(DomainError):
             sweep_lambda(1.0, [])
 
+    @pytest.mark.parametrize("given", [(True, True, False), (True, False, True),
+                                       (False, True, True), (True, False, False)])
+    def test_lambda_sweep_needs_every_cf_argument_or_none(self, given):
+        args = (FLAT198, ENERGY, ConstraintSet(budget_k=math.inf, horizon_tn=3600.0))
+        kwargs = dict(zip(("profile", "energy", "constraint"),
+                          (a if g else None for a, g in zip(args, given))))
+        with pytest.raises(DomainError, match="cf column"):
+            sweep_lambda(1.0, [0.5], **kwargs)
+
     def test_lambda_sweep_checks_the_mode(self):
         with pytest.raises(DomainError, match="mode must be"):
             sweep_lambda(1.0, [0.5], mode="papr")
@@ -370,7 +381,8 @@ def fmt_sweep_rows(rows):
 
 
 class TestOneSweepLoop:
-    """Every solved sweep equals a per-cell solve loop, row for row.
+    """Every solved sweep equals a per-cell loop of the frozen reference
+    solvers in optimizer_reference, row for row.
 
     A 5e-324 g budget underflows the rate cap to 0 once the slot is long,
     so each case mixes infeasible cells with feasible ones.
@@ -389,7 +401,7 @@ class TestOneSweepLoop:
         cells = [(m, k, ci, ConstraintSet(budget_k=k, horizon_tn=1e12, power_cap=1.0))
                  for m, ci in enumerate(builtin.values, start=1)
                  for k in cli.parse_grid("5e-324:1e-3:4")]
-        expected = per_cell(cells, lambda c, ci, disc: solve_power_constrained(
+        expected = per_cell(cells, lambda c, ci, disc: ref.solve_power_constrained(
             c, ci, ENERGY, disc, mode="paper"))
         assert rows == [fmt(str(m), x, model, aoi, b) for m, x, model, aoi, _, _, b in expected]
         assert {r[4] for r in rows} == {"infeasible", "power"}
@@ -401,7 +413,7 @@ class TestOneSweepLoop:
                                            snr_min=10.0 ** (db / 10.0)))
                  for m, ci in enumerate(builtin.values, start=1)
                  for db in cli.parse_grid("-10:30:9")]
-        expected = per_cell(cells, lambda c, ci, disc: solve_qos_constrained(
+        expected = per_cell(cells, lambda c, ci, disc: ref.solve_qos_constrained(
             c, ci, ENERGY, disc, mode="exact"))
         assert rows == [fmt(str(m), x, model, aoi, b) for m, x, model, aoi, _, _, b in expected]
         assert {r[4] for r in rows} >= {"infeasible", "qos"}
@@ -416,10 +428,10 @@ class TestOneSweepLoop:
         rows = sweep_months(constraint, builtin, ENERGY, mode="paper", problem=problem)
         if problem == "power":
             def solve(c, ci, disc):
-                return solve_power_constrained(c, ci, ENERGY, disc, mode="paper")
+                return ref.solve_power_constrained(c, ci, ENERGY, disc, mode="paper")
         else:
             def solve(c, ci, disc):
-                return solve_qos_constrained(c, ci, ENERGY, disc, mode="paper")
+                return ref.solve_qos_constrained(c, ci, ENERGY, disc, mode="paper")
         cells = [(m, float(m), ci, constraint)
                  for m, ci in enumerate(builtin.values, start=1)]
         assert fmt_sweep_rows(rows) == [fmt(*r) for r in per_cell(cells, solve)]
@@ -431,7 +443,7 @@ class TestOneSweepLoop:
         cells = [(m, k, CiProfile.constant(ci, builtin.horizon),
                   ConstraintSet(budget_k=k, horizon_tn=1e12))
                  for m, ci in enumerate(builtin.values, start=1) for k in k_grid]
-        expected = per_cell(cells, lambda c, prof, disc: solve_cf_constrained(
+        expected = per_cell(cells, lambda c, prof, disc: ref.solve_cf_constrained(
             40.0, c, prof, ENERGY, disc, mode="paper"))
         assert fmt_sweep_rows(rows) == [fmt(*r) for r in expected]
         assert {r.binding for r in rows} == {"infeasible", "cf_budget"}
@@ -497,7 +509,8 @@ def profiles(draw):
 
 
 class TestArrayEngine:
-    """The array sweeps equal per-cell scalar loops in every field and type.
+    """The array sweeps equal per-cell loops of the frozen reference
+    solvers in every field and type.
 
     The grids reach FCFS rates at and above mu, rate caps that underflow
     to 0, infinite caps (a = 0), both modes and both month problems.
@@ -535,7 +548,7 @@ class TestArrayEngine:
             months = [(None, profile)]
         cells = [(m, k, prof, ConstraintSet(budget_k=k, horizon_tn=tn, success_prob_a=a))
                  for m, prof in months for k in k_grid]
-        expected = per_cell(cells, lambda c, prof, disc: solve_cf_constrained(
+        expected = per_cell(cells, lambda c, prof, disc: ref.solve_cf_constrained(
             mu, c, prof, ENERGY, disc, mode, eps), disciplines)
         assert_rows_equal(rows, expected)
 
@@ -549,9 +562,9 @@ class TestArrayEngine:
     @staticmethod
     def month_solver(problem, mode, mu, eps):
         if problem == "power":
-            return lambda c, ci, disc: solve_power_constrained(c, ci, ENERGY, disc, mode,
-                                                               "fixed", mu, eps)
-        return lambda c, ci, disc: solve_qos_constrained(c, ci, ENERGY, disc, mode, eps)
+            return lambda c, ci, disc: ref.solve_power_constrained(c, ci, ENERGY, disc, mode,
+                                                                   "fixed", mu, eps)
+        return lambda c, ci, disc: ref.solve_qos_constrained(c, ci, ENERGY, disc, mode, eps)
 
     @pytest.mark.parametrize("problem", ["power", "qos"])
     @settings(max_examples=40, deadline=None)
@@ -581,7 +594,7 @@ class TestArrayEngine:
         cells = [(None, k, BUILTIN, ConstraintSet(budget_k=k, horizon_tn=1e12))
                  for k in k_grid]
         with pytest.raises(DomainError, match="service rate"):
-            per_cell(cells, lambda c, prof, disc: solve_cf_constrained(
+            per_cell(cells, lambda c, prof, disc: ref.solve_cf_constrained(
                 mu, c, prof, ENERGY, disc, "paper"), (LCFS,))
         with pytest.raises(DomainError, match="service rate"):
             sweep_cf_budget(mu, k_grid, BUILTIN, ENERGY, 1e12, (LCFS,), "paper")
@@ -612,6 +625,61 @@ class TestArrayEngine:
         solve = self.month_solver("power", "exact", mu, eps)
         cells = [(m, float(m), ci, c) for m, ci in enumerate(BUILTIN.values, start=1)]
         assert_rows_equal(rows, per_cell(cells, solve, (LCFS,)))
+
+
+def outcome(solve, *args):
+    """Each field of solve's result as (type, repr), or the type of what it raises."""
+    try:
+        res = solve(*args)
+    except (CaoiError, ArithmeticError, TypeError) as exc:
+        return type(exc)
+    return [(type(v), repr(v)) for v in dataclasses.astuple(res)]
+
+
+def mostly(valid, odd):
+    """valid three draws in four, else one of the odd values."""
+    return st.one_of(valid, valid, valid, st.sampled_from(odd))
+
+
+SOLVER_MUS = mostly(st.floats(1e-3, 1e5), [0.0, -1.0, math.nan, math.inf, 5e-324, None])
+SOLVER_CIS = mostly(st.floats(10.0, 1000.0), [0.0, -5.0, math.nan, 1e-300, 1e300, math.inf])
+SOLVER_MODES = st.sampled_from(["paper", "exact"] * 3 + ["papr"])
+SOLVER_BUDGETS = st.one_of(st.sampled_from([5e-324, 1e300, math.inf]),
+                           st.floats(1e-9, 1.0), st.floats(5e-324, math.inf))
+
+
+class TestFrozenSolvers:
+    """Each solve_* equals its frozen copy in optimizer_reference: the same
+    fields of the same types, or the same exception type."""
+
+    @staticmethod
+    def constraints(**extra):
+        return st.builds(ConstraintSet, budget_k=SOLVER_BUDGETS, horizon_tn=SLOTS,
+                         success_prob_a=SUCCESS, **extra)
+
+    @settings(max_examples=150, deadline=None)
+    @given(mu=SOLVER_MUS, c=constraints(), profile=profiles(),
+           disc=st.sampled_from(BOTH_DISCIPLINES), mode=SOLVER_MODES, eps=EPS)
+    def test_cf(self, mu, c, profile, disc, mode, eps):
+        args = (mu, c, profile, ENERGY, disc, mode, eps)
+        assert outcome(solve_cf_constrained, *args) == outcome(ref.solve_cf_constrained, *args)
+
+    @settings(max_examples=300, deadline=None)
+    @given(c=constraints(power_cap=mostly(st.floats(1e-6, 1.0), [None, 2.0])),
+           ci=SOLVER_CIS, disc=st.sampled_from(BOTH_DISCIPLINES), mode=SOLVER_MODES,
+           mu_rule=st.sampled_from(["fixed", "track_opt_rho"] * 3 + ["greedy"]),
+           mu=SOLVER_MUS, eps=EPS)
+    def test_power(self, c, ci, disc, mode, mu_rule, mu, eps):
+        args = (c, ci, ENERGY, disc, mode, mu_rule, mu, eps)
+        assert outcome(solve_power_constrained, *args) == \
+            outcome(ref.solve_power_constrained, *args)
+
+    @settings(max_examples=300, deadline=None)
+    @given(c=constraints(snr_min=mostly(st.floats(1e-3, 1e4), [None, 1e-20])),
+           ci=SOLVER_CIS, disc=st.sampled_from(BOTH_DISCIPLINES), mode=SOLVER_MODES, eps=EPS)
+    def test_qos(self, c, ci, disc, mode, eps):
+        args = (c, ci, ENERGY, disc, mode, eps)
+        assert outcome(solve_qos_constrained, *args) == outcome(ref.solve_qos_constrained, *args)
 
 
 def loop_grid(grid) -> list:

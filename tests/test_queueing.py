@@ -4,9 +4,15 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from caoi.carbon import J_PER_KWH, ConstraintSet, EnergyModel
+from caoi.carbon import J_PER_KWH, CiProfile, ConstraintSet, EnergyModel
 from caoi.errors import DomainError
-from caoi.optimizer import BindingConstraint, _pick_rate, solve_power_constrained
+from caoi.optimizer import (
+    BindingConstraint,
+    _pick_rate,
+    solve_cf_constrained,
+    solve_power_constrained,
+    solve_qos_constrained,
+)
 from caoi.queueing import (
     DEFAULT_EPS,
     Discipline,
@@ -180,10 +186,17 @@ class TestConstrainedFcfs:
                 == _pick_rate(Discipline.FCFS_MM1, 1.0, bound, "exact", DEFAULT_EPS, "fixed")
 
     def test_unknown_mode_rejected(self):
-        # The optimizer, which owns the paper/exact choice, validates it.
+        # The optimizer, which owns the paper/exact choice, validates it in
+        # each solver before it picks a rate.
+        c = ConstraintSet(budget_k=5e-4, horizon_tn=3600.0, power_cap=1.0, snr_min=10.0)
+        profile = CiProfile.constant(198.0, 3600.0)
         for disc in (Discipline.FCFS_MM1, Discipline.LCFS_PREEMPTIVE):
-            with pytest.raises(DomainError):
-                _pick_rate(disc, 1.0, 0.5, "fast", DEFAULT_EPS, "fixed")
+            with pytest.raises(DomainError, match="mode"):
+                solve_cf_constrained(1.0, c, profile, EnergyModel(), disc, "fast")
+            with pytest.raises(DomainError, match="mode"):
+                solve_power_constrained(c, 198.0, EnergyModel(), disc, "fast")
+            with pytest.raises(DomainError, match="mode"):
+                solve_qos_constrained(c, 198.0, EnergyModel(), disc, "fast")
 
 
 class TestConstrainedLcfs:
