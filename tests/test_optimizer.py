@@ -256,12 +256,12 @@ class TestSweeps:
         with pytest.raises(DomainError):
             sweep_lambda(1.0, [])
 
-    @pytest.mark.parametrize("given", [(True, True, False), (True, False, True),
-                                       (False, True, True), (True, False, False)])
-    def test_lambda_sweep_needs_every_cf_argument_or_none(self, given):
+    @pytest.mark.parametrize("present", [(True, True, False), (True, False, True),
+                                         (False, True, True), (True, False, False)])
+    def test_lambda_sweep_needs_every_cf_argument_or_none(self, present):
         args = (FLAT198, ENERGY, ConstraintSet(budget_k=math.inf, horizon_tn=3600.0))
         kwargs = dict(zip(("profile", "energy", "constraint"),
-                          (a if g else None for a, g in zip(args, given))))
+                          (a if p else None for a, p in zip(args, present))))
         with pytest.raises(DomainError, match="cf column"):
             sweep_lambda(1.0, [0.5], **kwargs)
 
@@ -637,7 +637,7 @@ def outcome(solve, *args):
 
 
 def mostly(valid, odd):
-    """valid three draws in four, else one of the odd values."""
+    """valid in about three draws of four, else one of the odd values."""
     return st.one_of(valid, valid, valid, st.sampled_from(odd))
 
 
