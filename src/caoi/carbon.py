@@ -347,6 +347,8 @@ def lambda_p_max(constraint: ConstraintSet, month_ci: float,
     if not month_ci > 0:
         raise DomainError(f"month intensity must be positive, got {month_ci}")
     e_cap_kwh = joules_to_kwh(constraint.power_cap * energy.t_p)
+    if not e_cap_kwh > 0:
+        raise DomainError(f"energy per packet must be positive, got {e_cap_kwh} kWh")
     return energy_cap(constraint.budget_k, month_ci, e_cap_kwh, constraint.horizon_tn)
 
 

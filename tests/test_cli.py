@@ -1,9 +1,13 @@
+import argparse
+import copy
 import csv
 import json
 import math
 import os
 import subprocess
 import sys
+
+from pathlib import Path
 
 import pytest
 
@@ -159,6 +163,15 @@ class TestOptimize:
          "under --mu-rule track_opt_rho"),
         (["--problem", "power", "--p-max", "1", "--mu-rule", "track_opt_rho", "--mu", "40"],
          "under --mu-rule track_opt_rho"),
+        (["--problem", "cf", "--mu", "40", "--p-max", "1"], "--p-max does not apply"),
+        (["--problem", "qos", "--snr-min-db", "0", "--p-max", "1"], "--p-max does not apply"),
+        (["--problem", "cf", "--mu", "40", "--snr-min-db", "3"],
+         "--snr-min-db does not apply to --problem cf"),
+        (["--problem", "power", "--p-max", "1", "--snr-min-db", "3"],
+         "--snr-min-db does not apply to --problem power"),
+        # The refusals that came first still do.
+        (["--problem", "qos", "--snr-min-db", "0", "--mu", "40", "--p-max", "1"],
+         "--problem qos: the SNR floor"),
     ])
     def test_ignored_flags_exit_2(self, tmp_path, capsys, flags, message):
         # Each of these once exited 0 with the bytes of the run without the flag.
@@ -192,6 +205,33 @@ class TestOptimize:
         assert code == 2
         assert "service rate must be positive" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--problem", "power", "--p-max", "5e-324"], "energy per packet"),
+        (["--problem", "qos", "--snr-min-db", "4000"], "transmission time"),
+    ])
+    def test_cap_that_would_divide_by_zero_exits_2(self, tmp_path, capsys, flags, message):
+        # A traceback once: a power whose energy underflows to 0 kWh, and an
+        # SNR floor whose linear value overflows.
+        code = cli.main(["optimize", "--model", "mm1", "--budget-k", "0.5mg", "--ci", "builtin",
+                         *flags, "--out", str(tmp_path / "opt.json")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flags", [
+        ["--problem", "power", "--budget-k", "1e300", "--tn", "1e-3", "--p-max", "1",
+         "--month", "1"],
+        ["--problem", "cf", "--budget-k", "0.5mg", "--a", "0", "--mu", "40"],
+    ])
+    def test_infinite_bound_is_written_as_strict_json(self, capsys, flags):
+        assert cli.main(["optimize", "--model", "mm1", "--ci", "builtin", *flags]) == 0
+
+        def refuse(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        body = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert body["lambda_bound"] == "inf"
 
     def test_snr_floor_that_rounds_away_exits_2(self, tmp_path, capsys):
         code = cli.main(["optimize", "--problem", "qos", "--model", "mm1",
@@ -335,6 +375,24 @@ class TestSweep:
         assert "too small" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--surface", "k", "--k-grid", "4e-4:8e-4:3", "--snr-grid-db=-10:30:5"],
+         "--snr-grid-db does not apply to --surface k"),
+        (["--surface", "k", "--k-grid", "4e-4:8e-4:3", "--budget-k", "60ug"],
+         "--budget-k does not apply to --surface k"),
+        (["--surface", "snr", "--snr-grid-db=-10:30:5", "--budget-k", "60ug",
+          "--k-grid", "4e-4:8e-4:3"], "--k-grid does not apply to --surface snr"),
+        (["--surface", "k", "--k-grid", "4e-4:8e-4:3", "--p-max", "5e-324"],
+         "energy per packet"),
+        (["--surface", "snr", "--snr-grid-db", "4000:5000:2", "--budget-k", "60ug"],
+         "transmission time"),
+    ])
+    def test_refused_flags_exit_2(self, tmp_path, capsys, flags, message):
+        code = cli.main(["sweep", *flags, "--ci", "builtin", "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_snr_surface_needs_budget(self, tmp_path):
         res = caoi("sweep", "--surface", "snr", "--snr-grid-db=-10:30:41",
                    "--out", str(tmp_path / "x.csv"))
@@ -396,6 +454,116 @@ class TestManifestsAndReplay:
                    "--out-dir", str(tmp_path / "redo"))
         assert res.returncode == 2
         assert "changed" in res.stderr
+
+
+DELETE = object()
+
+
+class TestReplayChecks:
+    """A replay refuses a manifest the parser could not have produced."""
+
+    @pytest.fixture(scope="class")
+    def bodies(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("base")
+        runs = {
+            "analyze": ["analyze", "--model", "both", "--mu", "1", "--lambda-grid",
+                        "0.1:0.9:3", "--ci", "builtin", "--out", str(d / "a.csv")],
+            "optimize": ["optimize", "--problem", "qos", "--model", "mm1", "--budget-k",
+                         "60ug", "--snr-min-db", "0", "--ci", "builtin",
+                         "--out", str(d / "o.json")],
+            "simulate": ["simulate", "--model", "mm1", "--lambda", "0.5", "--mu", "1",
+                         "--horizon", "100", "--ci-value", "198", "--out", str(d / "s.json")],
+            "sweep_k": ["sweep", "--surface", "k", "--k-grid", "4e-4:8e-4:3", "--ci",
+                        "builtin", "--out", str(d / "k.csv")],
+            "sweep_snr": ["sweep", "--surface", "snr", "--snr-grid-db=-10:30:5",
+                          "--budget-k", "60ug", "--ci", "builtin", "--out", str(d / "snr.csv")],
+            "optimize_power": ["optimize", "--problem", "power", "--model", "mm1",
+                               "--budget-k", "0.5mg", "--p-max", "1", "--ci", "builtin",
+                               "--out", str(d / "p.json")],
+        }
+        out = {}
+        for name, argv in runs.items():
+            assert cli.main(argv) == 0
+            out[name] = json.loads(Path(argv[-1] + ".manifest.json").read_text())
+        return out
+
+    @staticmethod
+    def replay(tmp_path, text):
+        manifest = tmp_path / "m.manifest.json"
+        manifest.write_text(text)
+        return cli.main(["replay", str(manifest), "--out-dir", str(tmp_path / "redo")])
+
+    @staticmethod
+    def edited(bodies, name, **params):
+        body = copy.deepcopy(bodies[name])
+        for key, value in params.items():
+            if value is DELETE:
+                del body["params"][key]
+            else:
+                body["params"][key] = value
+        return json.dumps(body)
+
+    MALFORMED = {
+        "not-json": lambda b: '{"command": ',
+        "json-list": lambda b: json.dumps([b["optimize"]]),
+        "unknown-command": lambda b: json.dumps(dict(b["optimize"], command="transmogrify")),
+        "missing-key": ("optimize", {"eps": DELETE}),
+        "extra-key": ("optimize", {"speed": 1.0}),
+        "problem-foo": ("optimize", {"problem": "foo"}),
+        "simulate-model-both": ("simulate", {"model": "both"}),
+        "cf-mode-x": ("simulate", {"cf_mode": "x"}),
+        "reps-fraction": ("simulate", {"reps": 1.5}),
+        "seed-string": ("simulate", {"seed": "7"}),
+        "mu-null": ("simulate", {"mu": None}),
+        "grid-string": ("analyze", {"grid": "abc"}),
+        "grid-over-cap": ("analyze", {"grid": [float(i) for i in range(10**5 + 1)]}),
+        "ci-unknown-kind": ("analyze", {"ci": {"kind": "url", "path": "https://x"}}),
+    }
+
+    @pytest.mark.parametrize("case", list(MALFORMED))
+    def test_malformed_manifest_exits_2(self, tmp_path, capsys, bodies, case):
+        make = self.MALFORMED[case]
+        text = make(bodies) if callable(make) else self.edited(bodies, make[0], **make[1])
+        assert self.replay(tmp_path, text) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert [p.name for p in tmp_path.iterdir()] == ["m.manifest.json"]
+
+    @pytest.mark.parametrize("name,key,value,message", [
+        ("optimize", "p_max", 1.0, "--p-max does not apply to --problem qos"),
+        ("optimize_power", "snr_min_db", 3.0, "--snr-min-db does not apply to --problem power"),
+        ("sweep_k", "budget_k", 6e-5, "--budget-k does not apply to --surface k"),
+        ("sweep_k", "snr_grid_db", [0.0], "--snr-grid-db does not apply to --surface k"),
+        ("sweep_snr", "k_grid", [4e-4], "--k-grid does not apply to --surface snr"),
+        ("analyze", "grid_kind", "both", "exactly one of --lambda-grid or --k-grid"),
+    ])
+    def test_manifest_with_an_ignored_value_exits_2(self, tmp_path, capsys, bodies, name,
+                                                     key, value, message):
+        assert self.replay(tmp_path, self.edited(bodies, name, **{key: value})) == 2
+        assert message in capsys.readouterr().err
+        assert not any((tmp_path / "redo").iterdir())
+
+    def test_unedited_manifests_replay(self, tmp_path, bodies):
+        for name, body in bodies.items():
+            (tmp_path / name).mkdir()
+            assert self.replay(tmp_path / name, json.dumps(body)) == 0
+
+
+class TestGridCap:
+    def test_parse_grid_refuses_more_points_than_the_cap(self):
+        assert len(cli.parse_grid(f"0:1:{cli.MAX_GRID_POINTS}")) == cli.MAX_GRID_POINTS
+        with pytest.raises(argparse.ArgumentTypeError, match="exceeds the cap"):
+            cli.parse_grid(f"0:1:{cli.MAX_GRID_POINTS + 1}")
+
+    def test_grid_flag_over_the_cap_exits_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["analyze", "--model", "both", "--mu", "1.0",
+                      f"--lambda-grid=0.1:0.9:{cli.MAX_GRID_POINTS + 1}",
+                      "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert "exceeds the cap" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
 
 class TestCiResolution:

@@ -352,6 +352,29 @@ class TestInfeasibility:
                        DEFAULT_EPS, "track_opt_rho")
 
 
+class TestCapEdges:
+    def test_energy_that_underflows_is_refused_by_solver_and_sweep(self):
+        c = ConstraintSet(budget_k=5e-4, horizon_tn=3600.0, power_cap=5e-324)
+        with pytest.raises(DomainError, match="energy per packet"):
+            solve_power_constrained(c, 108.0, ENERGY, Discipline.FCFS_MM1)
+        with pytest.raises(DomainError, match="energy per packet"):
+            sweep_surface("power", [(5e-4, c)], builtin_profile_si2024(), ENERGY)
+
+    def test_cap_that_overflows_is_inf_without_a_warning(self):
+        # A huge budget over a short slot: each cap overflows to inf, as the
+        # scalar solver's does, and no numpy warning leaks (tier-1 turns a
+        # RuntimeWarning into an error).
+        profile = builtin_profile_si2024()
+        c = ConstraintSet(budget_k=1e300, horizon_tn=1e-3, power_cap=1.0)
+        rows = sweep_surface("power", [(1e300, c)], profile, ENERGY)
+        assert [r.lambda_bound for r in rows] == [math.inf] * 24
+        assert solve_power_constrained(c, profile.values[0], ENERGY,
+                                       Discipline.FCFS_MM1).lambda_bound == math.inf
+        rows = sweep_cf_budget(40.0, [1e300, 1e301], profile, ENERGY, 1e-3)
+        assert [r.lambda_bound for r in rows] == [math.inf] * 4
+        assert {r.binding for r in rows} == {"none"}
+
+
 def per_cell(cells, solve, disciplines=BOTH_DISCIPLINES):
     """The month x grid x discipline loop with one direct solve per cell.
 

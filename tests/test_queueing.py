@@ -111,9 +111,9 @@ class TestOptimalUtilization:
         residual = r**4 - 2 * r**3 + r**2 - 2 * r + 1
         assert abs(residual) < 1e-12
 
-    def test_cached(self):
-        assert optimal_utilization_mm1() is not None
-        assert optimal_utilization_mm1.cache_info().hits >= 1
+    def test_closed_form_is_the_correctly_rounded_root(self):
+        # The bisection-and-Newton solver it replaced gave these bits too.
+        assert optimal_utilization_mm1().hex() == "0x1.0fe08cd4ae92cp-1"
 
     @given(rho=st.floats(0.005, 0.995))
     def test_root_is_the_argmin(self, rho):
