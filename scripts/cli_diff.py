@@ -112,6 +112,18 @@ def commands() -> list:
             "--seed", "5", "--cf-mode", cf_mode, "--drain", "--buffer", buffer,
             "--ci", "profile.csv", "--out", f"sim_{cf_mode}.json",
             "--events-out", f"events_{cf_mode}.csv"]))
+    # Without --drain: deliveries and busy time are cut at the horizon, in
+    # every kernel, with work in service there.
+    for stem, model, lam, buffer, cf_mode, reps in (
+            ("lcfs-service", "mm1star", "1.2", "inf", "service_time", "1"),
+            ("fcfs-completion", "mm1", "0.9", "inf", "completion", "2"),
+            ("fcfs-service", "mm1", "0.9", "inf", "service_time", "2"),
+            ("b5-service", "mm1", "1.2", "5", "service_time", "2")):
+        cmds.append((f"simulate-cut-{stem}", [
+            "simulate", "--model", model, "--lambda", lam, "--mu", "1", "--horizon", "5000",
+            "--seed", "6", "--reps", reps, "--cf-mode", cf_mode, "--buffer", buffer,
+            "--ci", "profile.csv", "--out", f"sim_cut_{stem}.json",
+            "--slots-out", f"slots_cut_{stem}.csv", "--events-out", f"events_cut_{stem}.csv"]))
     return cmds
 
 

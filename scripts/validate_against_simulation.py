@@ -40,6 +40,8 @@ def main(argv=None):
     parser.add_argument("--tol", type=float, default=0.02)
     parser.add_argument("--out", help="optional CSV of the comparison table")
     args = parser.parse_args(argv)
+    if args.reps < 1:
+        parser.error(f"--reps must be at least 1, got {args.reps}")
 
     energy = EnergyModel()
     rows = []
@@ -60,11 +62,12 @@ def main(argv=None):
             bad = rel > args.tol
             failures += bad
             flag = "  FAIL" if bad else ""
+            half = summary.ci95_halfwidth       # None for one replication
+            half_text = "-" if half is None else f"{half:.4f}"
             print(f"{name:8} {rho:6.3f} {closed:10.4f} "
-                  f"{summary.mean_aoi:10.4f} {summary.ci95_halfwidth:8.4f} "
+                  f"{summary.mean_aoi:10.4f} {half_text:>8} "
                   f"{rel:8.5f}{flag}")
-            rows.append((name, rho, closed, summary.mean_aoi,
-                         summary.ci95_halfwidth, rel))
+            rows.append((name, rho, closed, summary.mean_aoi, half, rel))
 
     if args.out:
         with open(args.out, "w", newline="") as handle:
@@ -73,7 +76,8 @@ def main(argv=None):
                              "simulated_aoi_s", "ci95_halfwidth_s",
                              "rel_dev"])
             for row in rows:
-                writer.writerow([row[0]] + [f"{v:.17g}" for v in row[1:]])
+                writer.writerow([row[0]] + ["" if v is None else f"{v:.17g}"
+                                            for v in row[1:]])
         print(f"wrote {args.out}")
 
     if failures:

@@ -42,10 +42,6 @@ def joules_to_kwh(joules: float) -> float:
     return joules / J_PER_KWH
 
 
-def kwh_to_joules(kwh: float) -> float:
-    return kwh * J_PER_KWH
-
-
 @dataclass(frozen=True)
 class CiProfile:
     """Step-function carbon intensity over [0, horizon).
@@ -288,10 +284,22 @@ def cumulative_cf(profile: CiProfile, power, upto: float) -> float:
         return float(np.cumsum(grams)[-1])
 
 
-# The three formulas below are unchecked arithmetic on floats or float64
-# arrays alike.  Their operations run left to right in the same order on
-# both, so a sweep over arrays matches the checked scalar functions bit
-# for bit.
+# The three formulas below are arithmetic on floats or float64 arrays
+# alike.  Their operations run left to right in the same order on both, so
+# a sweep over arrays matches the checked scalar functions bit for bit.
+# The two caps refuse a denominator that underflows to 0, with one plain
+# comparison for a float and one check of a whole array.
+
+def _denominator(product, name: str):
+    """product, a rate cap's denominator; DomainError where it is 0.
+
+    Its factors are checked positive before, so 0 means the product
+    underflowed, and the budget over it would divide by zero.
+    """
+    if not (product.all() if isinstance(product, np.ndarray) else product):
+        raise DomainError(f"the rate cap's denominator {name} underflows to 0")
+    return product
+
 
 def slot_grams(ci, e_kwh, a, lam, tn):
     """Slot emissions xi * E_p * a * lam * t_N, in grams."""
@@ -302,12 +310,12 @@ def kappa_cap(budget, tn, mean_ci, e_kwh, a: float):
     """K / (t_N * mean(xi) * E_p * a); inf for a success probability of 0."""
     if a == 0.0:
         return math.inf
-    return budget / (tn * mean_ci * e_kwh * a)
+    return budget / _denominator(tn * mean_ci * e_kwh * a, "t_N * mean(xi) * E_p * a")
 
 
 def energy_cap(budget, ci, e_kwh, tn):
     """K / (xi * E * t_N): the rate cap at E kWh per transmitted packet."""
-    return budget / (ci * e_kwh * tn)
+    return budget / _denominator(ci * e_kwh * tn, "xi * E * t_N")
 
 
 def avg_cf(profile: CiProfile, energy: EnergyModel, lam: float,

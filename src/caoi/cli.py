@@ -29,7 +29,7 @@ from pathlib import Path
 from . import __version__
 from .carbon import CiProfile, ConstraintSet, EnergyModel
 from .cidata import builtin_profile_si2024, parse_ci_csv
-from .dessim import CfMode, SimConfig, replicate, run
+from .dessim import CfMode, SimConfig, replicate
 from .errors import CaoiError, Infeasible, ValidationError
 from .optimizer import (
     BOTH_DISCIPLINES,
@@ -355,18 +355,10 @@ def run_simulate(params: dict, out_dir=None) -> None:
     profile = load_ci(params["ci"], horizon=params["horizon"])
     energy = EnergyModel()
 
-    if params["reps"] >= 2:
-        summary = replicate(config, profile, energy, params["reps"])
-        traces, ci95 = summary.traces, summary.ci95_halfwidth
-    else:
-        traces, ci95 = [run(config, profile, energy)], None
+    summary = replicate(config, profile, energy, params["reps"])
+    traces = summary.traces
     first = traces[0]
 
-    def mean(values):
-        # replicate's own sums, which with one trace give its value exactly.
-        return sum(values) / len(traces)
-
-    mean_aoi = mean(t.time_avg_aoi for t in traces)
     if discipline is Discipline.FCFS_MM1:
         # The closed form models the unbounded queue; a buffer cap changes
         # the system, so no reference value is reported there.
@@ -374,7 +366,10 @@ def run_simulate(params: dict, out_dir=None) -> None:
         closed = avg_aoi_mm1(spec) if modeled else None
     else:
         closed = avg_aoi_mm1_star(spec)
-    rel_dev = None if closed is None else abs(mean_aoi - closed) / closed
+    rel_dev = None if closed is None else abs(summary.mean_aoi - closed) / closed
+
+    def mean(values):
+        return sum(values) / len(traces)
 
     write_json(out_path, {
         "model": params["model"],
@@ -388,10 +383,10 @@ def run_simulate(params: dict, out_dir=None) -> None:
         "cf_mode": params["cf_mode"],
         "buffer": params["buffer"],
         "drain": params["drain"],
-        "mean_aoi_s": mean_aoi,
-        "ci95_halfwidth_s": ci95,
-        "empirical_a": mean(t.empirical_a for t in traces),
-        "total_cf_g": mean(t.ledger.total for t in traces),
+        "mean_aoi_s": summary.mean_aoi,
+        "ci95_halfwidth_s": summary.ci95_halfwidth,
+        "empirical_a": summary.mean_a,
+        "total_cf_g": summary.mean_cf_g,
         "closed_form_aoi_s": closed,
         "rel_dev_from_closed_form": rel_dev,
         "arrivals": mean(t.arrivals for t in traces),
@@ -576,7 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--mu", type=float, required=True)
     ps.add_argument("--horizon", type=float, required=True, help="seconds")
     ps.add_argument("--seed", type=int, default=1)
-    ps.add_argument("--reps", type=int, default=1)
+    ps.add_argument("--reps", type=int, default=1, help="replications, at least 1")
     ps.add_argument("--warmup", type=float, help="default: 1%% of horizon")
     ps.add_argument("--slot", type=float, help="default: horizon/1000")
     ps.add_argument("--cf-mode", choices=["arrival", "completion", "service_time"],

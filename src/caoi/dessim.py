@@ -20,8 +20,11 @@ that `keep_events` keeps every arrival and delivery.  The chunk size is
 part of the seeded sample-path contract: arrival, service, delivery and
 slot outputs do not depend on it, but the age integral is summed chunk
 by chunk, so another size changes the last digits of the mean age.
-Emissions use the profile's own arrays (CiProfile.values_at, integral_to),
-and the slot grams go into the CarbonLedger as float64 arrays.
+A kernel yields each chunk's uncut sample path, and `run` alone applies
+the horizon: without drain, nothing is delivered after it, and work in
+service at the horizon is charged only up to it.  Emissions use the
+profile's own arrays (CiProfile.values_at, integral_to), and the slot
+grams go into the CarbonLedger as float64 arrays.
 
 Randomness: the seed feeds a SeedSequence whose first spawned child
 drives interarrival draws and whose second drives service draws.  The
@@ -151,7 +154,7 @@ class ReplicationSummary:
     """Aggregate over independent replications (seed, seed+1, ...)."""
 
     mean_aoi: float
-    ci95_halfwidth: float
+    ci95_halfwidth: float | None    # None for one replication
     mean_a: float
     mean_cf_g: float
     traces: list
@@ -179,18 +182,19 @@ def _arrival_chunks(rng: np.random.Generator, lam: float, horizon: float):
 
 
 class _Out(NamedTuple):
-    """One kernel step: deliveries, busy intervals and charged arrivals."""
+    """One kernel step, uncut at the horizon: deliveries, busy intervals up
+    to their natural end, and charged arrivals."""
 
     d: np.ndarray               # delivery times, ascending
     u: np.ndarray               # generation times of those deliveries
     busy_start: np.ndarray
-    busy_end: np.ndarray
+    busy_end: np.ndarray        # ascending; every delivery is one of them
     admitted: np.ndarray        # arrival times charged in arrival mode
     preemptions: int = 0
     drops: int = 0
 
 
-def _fcfs(chunks, rng_service, mu, horizon, drain):
+def _fcfs(chunks, rng_service, mu):
     """Unbounded FCFS: d_i = S_i + max_{j<=i} (a_j - S_{j-1}), where S is
     the running service sum.  S and the running max carry across chunks."""
     total, peak = 0.0, -math.inf
@@ -204,27 +208,17 @@ def _fcfs(chunks, rng_service, mu, horizon, drain):
         np.maximum.accumulate(offsets, out=offsets)
         total, peak = float(run_sum[-1]), float(offsets[-1])
         d = run_sum + offsets
-        start = d - s
-        if drain or d[-1] <= horizon:
-            yield _Out(d, a, start, d, a)
-            continue
-        keep = d <= horizon
-        busy = start < horizon
-        yield _Out(d[keep], a[keep], start[busy], np.minimum(d[busy], horizon), a)
+        yield _Out(d, a, d - s, d, a)
 
 
-def _lcfs(chunks, rng_service, mu, horizon, drain):
+def _lcfs(chunks, rng_service, mu):
     """Preemptive LCFS: a packet completes iff a + s beats the next arrival.
     The last arrival of each chunk waits for the next chunk's first."""
 
     def settle(a, s, next_a):
         c = a + s
         completed = c < next_a      # else preempted at the next arrival
-        keep = completed if drain else completed & (c <= horizon)
-        busy_end = np.minimum(c, next_a)
-        if not drain:
-            busy_end = np.minimum(busy_end, horizon)
-        return _Out(c[keep], a[keep], a, busy_end, a,
+        return _Out(c[completed], a[completed], a, np.minimum(c, next_a), a,
                     preemptions=len(a) - int(completed.sum()))
 
     held_a = held_s = np.empty(0)
@@ -237,7 +231,7 @@ def _lcfs(chunks, rng_service, mu, horizon, drain):
     yield settle(held_a, held_s, np.full(len(held_a), math.inf))
 
 
-def _fcfs_finite(chunks, rng_service, mu, capacity, horizon, drain):
+def _fcfs_finite(chunks, rng_service, mu, capacity):
     """FCFS with room for `capacity` packets, the one in service included.
 
     An arrival finds in the system the admitted packets that depart after
@@ -268,17 +262,8 @@ def _fcfs_finite(chunks, rng_service, mu, capacity, horizon, drain):
             starts.append(start)
             deps.append(last)
         admitted = np.array(admitted, dtype=float)
-        starts = np.array(starts, dtype=float)
         d = np.array(deps, dtype=float)
-        if drain:
-            yield _Out(d, admitted, starts, d, admitted, drops=drops)
-            continue
-        # Past the horizon only the packet then in service still burns
-        # energy, up to the horizon; the ones queued behind it never start.
-        keep = d <= horizon
-        busy = starts <= horizon
-        yield _Out(d[keep], admitted[keep], starts[busy],
-                   np.minimum(d[busy], horizon), admitted, drops=drops)
+        yield _Out(d, admitted, np.array(starts, dtype=float), d, admitted, drops=drops)
 
 
 class _AgeIntegral:
@@ -372,12 +357,11 @@ def run(config: SimConfig, profile: CiProfile, energy: EnergyModel) -> Simulatio
             yield a
 
     if spec.discipline is Discipline.LCFS_PREEMPTIVE:
-        steps = _lcfs(arrival_stream(), rng_service, spec.mu, horizon, config.drain)
+        steps = _lcfs(arrival_stream(), rng_service, spec.mu)
     elif config.buffer is None:
-        steps = _fcfs(arrival_stream(), rng_service, spec.mu, horizon, config.drain)
+        steps = _fcfs(arrival_stream(), rng_service, spec.mu)
     else:
-        steps = _fcfs_finite(arrival_stream(), rng_service, spec.mu, config.buffer,
-                             horizon, config.drain)
+        steps = _fcfs_finite(arrival_stream(), rng_service, spec.mu, config.buffer)
 
     slot = config.effective_slot
     n_slots = int(round(horizon / slot))
@@ -388,6 +372,13 @@ def run(config: SimConfig, profile: CiProfile, energy: EnergyModel) -> Simulatio
     completions = preemptions = drops = 0
     delivered = []              # (d, u) per step, kept for keep_events only
     for out in steps:
+        if not config.drain and len(out.busy_end) and out.busy_end[-1] > horizon:
+            # Nothing is delivered after the horizon, and work then in service
+            # is charged up to it; work that would start later never starts.
+            keep = out.d <= horizon
+            busy = out.busy_start < horizon
+            out = out._replace(d=out.d[keep], u=out.u[keep], busy_start=out.busy_start[busy],
+                               busy_end=np.minimum(out.busy_end[busy], horizon))
         age.add(out.d, out.u)
         counts.add(out.d, 1)
         if config.cf_mode is CfMode.ARRIVAL_CHARGED:
@@ -452,22 +443,25 @@ def _t975(df: int) -> float:
 
 def replicate(config: SimConfig, profile: CiProfile, energy: EnergyModel,
               n_reps: int) -> ReplicationSummary:
-    """Run n_reps independent replications seeded seed, seed+1, ...
+    """Run n_reps >= 1 independent replications seeded seed, seed+1, ...
 
-    The 95% halfwidth is the Student-t interval t(0.975, n-1) * s / sqrt(n).
+    The 95% halfwidth is the Student-t interval t(0.975, n-1) * s / sqrt(n),
+    and None for one replication, which has no spread to measure.
     keep_events applies to the first replication only: traces[1:] carry no
     events, so their memory does not grow with the run.
     """
-    if n_reps < 2:
-        raise DomainError(f"need at least 2 replications, got {n_reps}")
+    if n_reps < 1:
+        raise DomainError(f"need at least 1 replication, got {n_reps}")
     traces = []
     for r in range(n_reps):
         rep = replace(config, seed=config.seed + r, keep_events=config.keep_events and r == 0)
         traces.append(run(rep, profile, energy))
     aois = [t.time_avg_aoi for t in traces]
     mean = sum(aois) / n_reps
-    var = sum((x - mean) ** 2 for x in aois) / (n_reps - 1)
-    half = _t975(n_reps - 1) * math.sqrt(var / n_reps)
+    half = None
+    if n_reps > 1:
+        var = sum((x - mean) ** 2 for x in aois) / (n_reps - 1)
+        half = _t975(n_reps - 1) * math.sqrt(var / n_reps)
     mean_a = sum(t.empirical_a for t in traces) / n_reps
     mean_cf = sum(t.ledger.total for t in traces) / n_reps
     return ReplicationSummary(mean, half, mean_a, mean_cf, traces)

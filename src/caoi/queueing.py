@@ -132,10 +132,6 @@ def constrained_aoi_mm1(mu: float, lambda_bound: float) -> ConstrainedAoi:
     if lambda_bound >= lam_free:
         spec = QueueSpec(Discipline.FCFS_MM1, lam_free, mu)
         return ConstrainedAoi(avg_aoi_mm1(spec), lam_free, False)
-    if lambda_bound >= mu:
-        raise DomainError(
-            f"bound {lambda_bound:.6g} >= mu {mu:.6g} leaves no stable binding point"
-        )
     spec = QueueSpec(Discipline.FCFS_MM1, lambda_bound, mu)
     return ConstrainedAoi(avg_aoi_mm1(spec), lambda_bound, True)
 

@@ -17,7 +17,6 @@ from caoi.carbon import (
     avg_cf,
     cumulative_cf,
     joules_to_kwh,
-    kwh_to_joules,
     lambda_kappa,
     lambda_p_max,
     lambda_qos_max,
@@ -47,11 +46,6 @@ class TestUnits:
 
     def test_known_conversion(self):
         assert joules_to_kwh(3.6e6) == 1.0
-        assert kwh_to_joules(0.5) == 1.8e6
-
-    @given(st.floats(1e-12, 1e12))
-    def test_round_trip(self, j):
-        assert kwh_to_joules(joules_to_kwh(j)) == pytest.approx(j, rel=1e-12)
 
 
 class TestCiProfile:
@@ -184,6 +178,18 @@ class TestRateBounds:
         c = ConstraintSet(budget_k=5e-4, horizon_tn=3600.0, power_cap=5e-324)
         with pytest.raises(DomainError, match="energy per packet"):
             lambda_p_max(c, 108.0, energy)
+
+    def test_caps_refuse_a_denominator_that_underflows(self, energy):
+        # Every factor is positive, but xi * E * t_N (times a) rounds to 0.
+        for tn, a in ((5e-324, 1.0), (3600.0, 5e-324)):
+            c = ConstraintSet(budget_k=5e-4, horizon_tn=tn, success_prob_a=a)
+            with pytest.raises(DomainError, match="underflows to 0"):
+                lambda_kappa(c, const_profile(198.0), energy)
+        c = ConstraintSet(budget_k=5e-4, horizon_tn=5e-324, power_cap=1e-3, snr_min=2.0)
+        with pytest.raises(DomainError, match="underflows to 0"):
+            lambda_p_max(c, 108.0, energy)
+        with pytest.raises(DomainError, match="underflows to 0"):
+            lambda_qos_max(c, 108.0, energy)
 
     def test_lambda_p_max_needs_cap(self, energy):
         c = ConstraintSet(budget_k=5e-4, horizon_tn=3600.0)

@@ -294,6 +294,18 @@ class TestSimulate:
         assert one.count(b"\n") > 900
         assert (tmp_path / "events3.csv").read_bytes() == one
 
+    @pytest.mark.parametrize("reps", ["0", "-3"])
+    def test_reps_below_one_exits_2(self, tmp_path, capsys, reps):
+        code = cli.main(["simulate", "--model", "mm1", "--lambda", "0.5", "--mu", "1",
+                         "--horizon", "100", "--reps", reps, "--ci-value", "198",
+                         "--out", str(tmp_path / "sim.json"),
+                         "--slots-out", str(tmp_path / "slots.csv")])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: need at least 1 replication, got {reps}\n"
+        assert not any(tmp_path.iterdir())
+
     def test_unstable_fcfs_exits_2(self):
         res = caoi("simulate", "--model", "mm1", "--lambda", "2", "--mu", "1",
                    "--horizon", "1000", "--seed", "1")
@@ -544,10 +556,49 @@ class TestReplayChecks:
         assert message in capsys.readouterr().err
         assert not any((tmp_path / "redo").iterdir())
 
+    def test_manifest_with_reps_below_one_exits_2(self, tmp_path, capsys, bodies):
+        assert self.replay(tmp_path, self.edited(bodies, "simulate", reps=0)) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: need at least 1 replication, got 0\n"
+        assert not any((tmp_path / "redo").iterdir())
+
     def test_unedited_manifests_replay(self, tmp_path, bodies):
         for name, body in bodies.items():
             (tmp_path / name).mkdir()
             assert self.replay(tmp_path / name, json.dumps(body)) == 0
+
+
+class TestRateCapUnderflow:
+    """A rate cap whose denominator xi * E * t_N (times a) rounds to 0 is
+    refused on every path, with no traceback and no numpy warning."""
+
+    @pytest.mark.parametrize("argv", [
+        ["optimize", "--problem", "power", "--model", "mm1", "--budget-k", "0.5mg",
+         "--tn", "5e-324", "--p-max", "1e-3", "--ci", "builtin"],
+        ["optimize", "--problem", "qos", "--model", "mm1", "--budget-k", "0.5mg",
+         "--tn", "5e-324", "--snr-min-db", "3", "--ci", "builtin"],
+        ["optimize", "--problem", "cf", "--model", "mm1", "--budget-k", "0.5mg",
+         "--mu", "40", "--tn", "5e-324", "--ci", "builtin"],
+        ["optimize", "--problem", "cf", "--model", "mm1", "--budget-k", "0.5mg",
+         "--mu", "40", "--a", "5e-324", "--ci", "builtin"],
+        ["sweep", "--surface", "k", "--k-grid", "1e-4:2e-4:3", "--tn", "5e-324",
+         "--p-max", "1e-3", "--ci", "builtin"],
+        ["sweep", "--surface", "snr", "--snr-grid-db=-10:30:5", "--budget-k", "60ug",
+         "--tn", "5e-324", "--ci", "builtin"],
+        ["analyze", "--model", "both", "--mu", "40", "--k-grid", "1e-4:2e-4:3",
+         "--tn", "5e-324", "--ci", "builtin"],
+        ["analyze", "--model", "both", "--mu", "40", "--k-grid", "1e-4:2e-4:3",
+         "--a", "5e-324", "--ci", "builtin"],
+    ])
+    def test_exits_2(self, tmp_path, capsys, argv):
+        # Tier-1 turns a RuntimeWarning into an error, which main does not catch.
+        assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "underflows to 0" in err
+        assert not any(tmp_path.iterdir())
 
 
 class TestGridCap:

@@ -452,10 +452,19 @@ class TestReplicate:
             tracemalloc.stop()
         assert peaks[1] - peaks[0] < 0.5 * events
 
-    def test_needs_two_reps(self):
-        c = cfg(Discipline.FCFS_MM1, 0.5, 1.0, 1000.0, 40)
-        with pytest.raises(DomainError):
-            replicate(c, FLAT, ENERGY, 1)
+    def test_one_replication_is_a_run(self):
+        c = cfg(Discipline.FCFS_MM1, 0.5, 1.0, 1000.0, 40, keep_events=True)
+        summary = replicate(c, FLAT, ENERGY, 1)
+        trace = run(c, FLAT, ENERGY)
+        assert len(summary.traces) == 1
+        assert_same_trace(summary.traces[0], trace)
+        assert summary.mean_aoi == trace.time_avg_aoi
+        assert summary.mean_a == trace.empirical_a
+        assert summary.mean_cf_g == trace.ledger.total
+        assert summary.ci95_halfwidth is None
+        for n_reps in (0, -1):
+            with pytest.raises(DomainError):
+                replicate(c, FLAT, ENERGY, n_reps)
 
 
 STEPS = CiProfile(((0.0, 100.0), (1000.0, 400.0), (2500.0, 250.0)), 1e5)

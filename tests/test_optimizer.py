@@ -360,6 +360,38 @@ class TestCapEdges:
         with pytest.raises(DomainError, match="energy per packet"):
             sweep_surface("power", [(5e-4, c)], builtin_profile_si2024(), ENERGY)
 
+    def test_denominator_that_underflows_is_refused_by_solver_and_sweep(self):
+        # Positive factors whose product xi * E * t_N (times a) rounds to 0.
+        # Tier-1 turns a leaked numpy divide warning into an error.
+        profile = builtin_profile_si2024()
+        power = ConstraintSet(budget_k=5e-4, horizon_tn=5e-324, power_cap=1e-3)
+        qos = ConstraintSet(budget_k=5e-4, horizon_tn=5e-324, snr_min=2.0)
+        for solve in (lambda d: solve_power_constrained(power, 108.0, ENERGY, d),
+                      lambda d: solve_qos_constrained(qos, 108.0, ENERGY, d)):
+            for d in BOTH_DISCIPLINES:
+                with pytest.raises(DomainError, match="underflows to 0"):
+                    solve(d)
+        for problem, c in (("power", power), ("qos", qos)):
+            with pytest.raises(DomainError, match="underflows to 0"):
+                sweep_surface(problem, [(5e-4, c)], profile, ENERGY)
+        for tn, a in ((5e-324, 1.0), (3600.0, 5e-324)):
+            c = ConstraintSet(budget_k=5e-4, horizon_tn=tn, success_prob_a=a)
+            with pytest.raises(DomainError, match="underflows to 0"):
+                solve_cf_constrained(40.0, c, profile, ENERGY, Discipline.FCFS_MM1)
+            for per_month in (False, True):
+                with pytest.raises(DomainError, match="underflows to 0"):
+                    sweep_cf_budget(40.0, [1e-4, 2e-4], profile, ENERGY, tn,
+                                    success_prob_a=a, per_month=per_month)
+
+    def test_zero_success_probability_keeps_an_infinite_cap(self):
+        # a = 0 emits nothing, so the cap stays inf where t_N alone would underflow.
+        profile = builtin_profile_si2024()
+        rows = sweep_cf_budget(40.0, [1e-4, 2e-4], profile, ENERGY, 5e-324, success_prob_a=0.0)
+        assert [r.lambda_bound for r in rows] == [math.inf] * 4
+        c = ConstraintSet(budget_k=1e-4, horizon_tn=5e-324, success_prob_a=0.0)
+        assert solve_cf_constrained(40.0, c, profile, ENERGY,
+                                    Discipline.FCFS_MM1).lambda_bound == math.inf
+
     def test_cap_that_overflows_is_inf_without_a_warning(self):
         # A huge budget over a short slot: each cap overflows to inf, as the
         # scalar solver's does, and no numpy warning leaks (tier-1 turns a
