@@ -5,6 +5,8 @@
 
 Runs a fixed list of `python -m caoi` commands with PYTHONPATH set to
 each checkout's src/, then replays every manifest the commands wrote.
+`--parent .` compares the checkout with itself, so it fails when a
+command or a replay writes other bytes from one run to the next.
 Both sides run in the same work directory, one after the other, so the
 paths the CLI resolves (a CSV profile's, for one) are the same.  Every
 output file, and each command's stdout, stderr and exit code, is
@@ -24,6 +26,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 PROFILE_CSV = "period,ci_g_per_kwh\n2024-01,228\n2024-02,150.5\n2024-03,310\n"
+YEAR_CSV = "period,ci_g_per_kwh\n# 12 periods, as a month sweep needs\n" + "".join(
+    f"2023-{m:02d},{v}\n" for m, v in enumerate(
+        ("231", "219.5", "190", "151", "110", "126", "160", "175.25", "205", "250", "311",
+         "262"), start=1))
 
 
 def commands() -> list:
@@ -67,6 +73,10 @@ def commands() -> list:
         ("opt-csv-profile", ["optimize", "--problem", "power", "--model", "mm1star",
                              "--budget-k", "0.5mg", "--p-max", "0.5", "--ci", "profile.csv",
                              "--month", "3", "--out", "opt_csv.json"]),
+        # A profile whose lines end in \r, as the CLI reads it.
+        ("opt-cr-profile", ["optimize", "--problem", "cf", "--model", "mm1", "--mu", "40",
+                            "--budget-k", "0.5mg", "--ci", "profile_cr.csv", "--month", "2",
+                            "--out", "opt_cr.json"]),
         ("opt-track", ["optimize", "--problem", "power", "--model", "mm1",
                        "--mu-rule", "track_opt_rho", "--budget-k", "0.5mg", "--p-max", "1",
                        "--ci", "builtin", "--out", "opt_track.json"]),
@@ -90,6 +100,14 @@ def commands() -> list:
                           "--p-max", "1", "--out", "opt_track_mu.json"]),
         ("sweep-snr-mu", ["sweep", "--surface", "snr", "--snr-grid-db=-10:30:5",
                           "--budget-k", "60ug", "--mu", "40", "--out", "sweep_snr_mu.csv"]),
+        # Month sweeps of a CSV profile: 12 periods, and 3, which is refused.
+        ("sweep-k-csv", ["sweep", "--surface", "k", "--k-grid", "4e-4:8e-4:3", "--mu", "40",
+                         "--ci", "year.csv", "--out", "sweep_k_csv.csv"]),
+        ("sweep-snr-csv", ["sweep", "--surface", "snr", "--snr-grid-db=-10:30:9",
+                           "--budget-k", "60ug", "--ci", "year.csv",
+                           "--out", "sweep_snr_csv.csv"]),
+        ("sweep-three-periods", ["sweep", "--surface", "k", "--k-grid", "4e-4:8e-4:3",
+                                 "--ci", "profile.csv", "--out", "sweep_three.csv"]),
     ]
     for mode in ("exact", "paper"):
         cmds += [
@@ -138,6 +156,8 @@ def run_side(checkout: Path, work: Path, log: Path) -> None:
     work.mkdir()
     log.mkdir(parents=True)
     (work / "profile.csv").write_text(PROFILE_CSV)
+    (work / "year.csv").write_text(YEAR_CSV)
+    (work / "profile_cr.csv").write_bytes(PROFILE_CSV.replace("\n", "\r").encode())
 
     def run(label, argv):
         proc = subprocess.run([sys.executable, "-m", "caoi", *argv], cwd=work, env=env,

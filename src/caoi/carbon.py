@@ -42,6 +42,20 @@ def joules_to_kwh(joules: float) -> float:
     return joules / J_PER_KWH
 
 
+def slot_count(horizon: float, slot: float) -> int:
+    """How many slots of length slot tile [0, horizon), or 0 if none do.
+
+    horizon / slot may miss a whole number by 1e-9 of itself.  A slot that is
+    not positive, or a ratio below 1, infinite or NaN, gives 0."""
+    if not slot > 0:
+        return 0
+    n = horizon / slot
+    if not 1 <= n < math.inf:
+        return 0
+    count = round(n)
+    return count if abs(n - count) <= 1e-9 * n else 0
+
+
 @dataclass(frozen=True)
 class CiProfile:
     """Step-function carbon intensity over [0, horizon).
@@ -130,30 +144,19 @@ class CiProfile:
 class EnergyModel:
     """Radio energy parameters.  Defaults follow the bundled experiments.
 
-    Either t_p or rate may be omitted; the missing one is derived from
-    t_p = mtu / rate.  When both are given they must agree.
+    The transmission time per packet, t_p, is mtu / rate, and is checked
+    positive and finite along with the fields.
     """
 
     p_t: float = 1.0            # transmit power, W
     p_max: float = 1.0          # hardware power cap, W
     mtu: float = 12000.0        # packet size, bits
-    rate: float | None = 1e8    # link rate, bits/s
-    t_p: float | None = None    # transmission time per packet, s
+    rate: float = 1e8           # link rate, bits/s
     bandwidth: float = 1e6      # Hz
     channel_gain: float = 1.0   # |h|^2, dimensionless
     noise_power: float = 1e-4   # sigma^2, W
 
     def __post_init__(self) -> None:
-        if self.t_p is None and self.rate is None:
-            raise ValidationError("one of t_p or rate is required")
-        if self.t_p is None:
-            object.__setattr__(self, "t_p", self.mtu / self.rate)
-        elif self.rate is None:
-            object.__setattr__(self, "rate", self.mtu / self.t_p)
-        elif not math.isclose(self.t_p, self.mtu / self.rate, rel_tol=1e-9):
-            raise ValidationError(
-                f"t_p={self.t_p} disagrees with mtu/rate={self.mtu / self.rate}"
-            )
         for name in ("p_t", "p_max", "mtu", "rate", "t_p", "bandwidth",
                      "channel_gain", "noise_power"):
             value = getattr(self, name)
@@ -161,6 +164,11 @@ class EnergyModel:
                 raise ValidationError(f"{name} must be positive and finite, got {value}")
         if self.p_t > self.p_max:
             raise ValidationError(f"p_t={self.p_t} exceeds p_max={self.p_max}")
+
+    @property
+    def t_p(self) -> float:
+        """Transmission time per packet, s."""
+        return self.mtu / self.rate
 
     def e_p(self) -> float:
         """Energy per transmitted packet in joules."""

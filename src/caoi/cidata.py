@@ -1,23 +1,23 @@
-"""Loading and reshaping carbon-intensity time series.
+"""Reading and reshaping carbon-intensity time series.
 
-The on-disk format is a small CSV with header ``period,ci_g_per_kwh``.
-A period is either an integer month index 1..12 or a ``YYYY-MM`` label;
-lines starting with ``#`` are comments.  Periods are mapped onto equal
-length steps so that the duration-weighted profile mean coincides with
+parse_ci_csv reads a profile from CSV text with the header
+``period,ci_g_per_kwh``; lines starting with ``#`` are comments.  A
+period is an integer month index 1..12 or a ``YYYY-MM`` label whose
+month is 01..12.  The i-th data row becomes the i-th step of 30 days
+(MONTH_SECONDS), so the duration-weighted profile mean coincides with
 the plain arithmetic mean of the listed values (months are weighted
-equally, not by day count).
+equally, not by day count).  Reading and decoding a file is the
+caller's: the CLI parses the UTF-8 text of the bytes it hashed.
 """
 
 import csv
 import io
 import re
-from dataclasses import dataclass
 from importlib import resources
-from pathlib import Path
 
 import numpy as np
 
-from .carbon import CiProfile
+from .carbon import CiProfile, slot_count
 from .errors import DomainError, ParseError, ValidationError
 
 HEADER = ("period", "ci_g_per_kwh")
@@ -25,21 +25,17 @@ HEADER = ("period", "ci_g_per_kwh")
 # Nominal month used for the step grid: 30 days.
 MONTH_SECONDS = 30.0 * 86400.0
 
-_YEAR_MONTH = re.compile(r"^(\d{4})-(\d{2})$")
+_YEAR_MONTH = re.compile(r"^\d{4}-(\d{2})$")
 
 BUILTIN_NAME = "ci_si2024.csv"
 
 
-@dataclass(frozen=True)
-class CiRecord:
-    period: str
-    month_index: int          # 1-based position in the series
-    ci_g_per_kwh: float
-
-
 def _parse_period(raw: str, line_no: int) -> str:
     raw = raw.strip()
-    if _YEAR_MONTH.match(raw):
+    year_month = _YEAR_MONTH.match(raw)
+    if year_month:
+        if not 1 <= int(year_month[1]) <= 12:
+            raise ValidationError(f"line {line_no}: period {raw}: month outside 01..12")
         return raw
     try:
         month = int(raw)
@@ -52,16 +48,11 @@ def _parse_period(raw: str, line_no: int) -> str:
     return str(month)
 
 
-def parse_ci_records(source) -> list:
-    """Parse CSV content into CiRecord rows.
-
-    source may be a path, a text or byte string, or an open file object.
-    """
-    text = _read_text(source)
-    rows = []
-    reader = csv.reader(io.StringIO(text))
+def parse_ci_csv(text: str) -> CiProfile:
+    """One 30-day step per data row of CSV text; a line ends in \\n, \\r\\n or \\r."""
+    periods, values = [], []
     header_seen = False
-    for line_no, row in enumerate(reader, start=1):
+    for line_no, row in enumerate(csv.reader(io.StringIO(text, newline=None)), start=1):
         if not row or (row[0].lstrip().startswith("#")):
             continue
         cells = [c.strip() for c in row]
@@ -81,34 +72,19 @@ def parse_ci_records(source) -> list:
             raise ParseError(f"line {line_no}: bad intensity {cells[1]!r}") from None
         if not ci > 0:
             raise ValidationError(f"line {line_no}: period {period}: intensity must be positive")
-        rows.append(CiRecord(period, len(rows) + 1, ci))
+        periods.append(period)
+        values.append(ci)
     if not header_seen:
         raise ParseError("line 1: missing header row")
-    if not rows:
+    if not values:
         raise ParseError("no data rows found")
     seen = set()
-    for rec in rows:
-        if rec.period in seen:
-            raise ValidationError(f"period {rec.period} listed twice")
-        seen.add(rec.period)
-    return rows
-
-
-def records_to_profile(records, period_seconds: float = MONTH_SECONDS) -> CiProfile:
-    steps = tuple(((i * period_seconds), rec.ci_g_per_kwh)
-                  for i, rec in enumerate(records))
-    return CiProfile(steps, period_seconds * len(records))
-
-
-def parse_ci_csv(source, period_seconds: float = MONTH_SECONDS,
-                 full_year: bool = False) -> CiProfile:
-    """Parse a profile CSV, optionally insisting on exactly 12 periods."""
-    records = parse_ci_records(source)
-    if full_year and len(records) != 12:
-        raise ValidationError(
-            f"a full-year profile needs 12 periods, found {len(records)}"
-        )
-    return records_to_profile(records, period_seconds)
+    for period in periods:
+        if period in seen:
+            raise ValidationError(f"period {period} listed twice")
+        seen.add(period)
+    return CiProfile(tuple((i * MONTH_SECONDS, ci) for i, ci in enumerate(values)),
+                     MONTH_SECONDS * len(values))
 
 
 def serialize_ci_csv(profile: CiProfile) -> str:
@@ -131,8 +107,8 @@ def serialize_ci_csv(profile: CiProfile) -> str:
 
 def builtin_profile_si2024() -> CiProfile:
     """The bundled synthetic 12-month profile (mean 198 g/kWh)."""
-    data = resources.files("caoi").joinpath(f"data/{BUILTIN_NAME}").read_text()
-    return parse_ci_csv(data, full_year=True)
+    return parse_ci_csv(resources.files("caoi").joinpath(f"data/{BUILTIN_NAME}")
+                        .read_text(encoding="utf-8"))
 
 
 def resample(profile: CiProfile, slot_length: float) -> CiProfile:
@@ -140,31 +116,12 @@ def resample(profile: CiProfile, slot_length: float) -> CiProfile:
 
     Each slot carries the value in force at its start, so a slot spanning
     a step boundary takes the earlier step's value.  The grid must tile
-    the horizon exactly.
+    the horizon, by carbon.slot_count's rule.
     """
     if not slot_length > 0:
         raise DomainError(f"slot length must be positive, got {slot_length}")
-    n_float = profile.horizon / slot_length
-    n = round(n_float)
-    if n < 1 or abs(n_float - n) > 1e-9 * max(1.0, abs(n_float)):
-        raise DomainError(
-            f"slot length {slot_length} does not tile horizon {profile.horizon}"
-        )
+    n = slot_count(profile.horizon, slot_length)
+    if not n:
+        raise DomainError(f"slot length {slot_length} does not tile horizon {profile.horizon}")
     starts = np.arange(n) * slot_length
     return CiProfile(np.column_stack((starts, profile.values_at(starts))), profile.horizon)
-
-
-def _read_text(source) -> str:
-    if isinstance(source, Path):
-        return source.read_text()
-    if isinstance(source, bytes):
-        return source.decode("utf-8")
-    if isinstance(source, str):
-        # A path-looking string without newlines is treated as a file.
-        if "\n" not in source and Path(source).exists():
-            return Path(source).read_text()
-        return source
-    data = source.read()
-    if isinstance(data, bytes):
-        return data.decode("utf-8")
-    return data

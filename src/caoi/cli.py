@@ -30,7 +30,7 @@ from . import __version__
 from .carbon import CiProfile, ConstraintSet, EnergyModel
 from .cidata import builtin_profile_si2024, parse_ci_csv
 from .dessim import CfMode, SimConfig, replicate
-from .errors import CaoiError, Infeasible, ValidationError
+from .errors import CaoiError, Infeasible, ParseError, ValidationError
 from .optimizer import (
     BOTH_DISCIPLINES,
     sweep_cf_budget,
@@ -126,14 +126,6 @@ def parse_buffer(text: str):
         raise argparse.ArgumentTypeError(f"buffer must be an integer or 'inf', got {text!r}") from None
 
 
-def _sha256(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(65536), b""):
-            h.update(block)
-    return h.hexdigest()
-
-
 def resolve_ci_spec(ci_arg, ci_value) -> dict:
     """Turn --ci/--ci-value flags into a manifest-ready source record."""
     if ci_value is not None:
@@ -142,8 +134,9 @@ def resolve_ci_spec(ci_arg, ci_value) -> dict:
         ci_arg = os.environ.get(ENV_DEFAULT_CI) or "builtin"
     if ci_arg == "builtin":
         return {"kind": "builtin"}
-    path = str(Path(ci_arg).resolve())
-    return {"kind": "file", "path": path, "sha256": _sha256(path)}
+    path = Path(ci_arg).resolve()
+    return {"kind": "file", "path": str(path),
+            "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
 
 
 def _is_ci_spec(spec) -> bool:
@@ -154,17 +147,24 @@ def _is_ci_spec(spec) -> bool:
         and all(type(spec[key]) is t for key, t in fields[kind].items())
 
 
-def load_ci(spec: dict, horizon: float = 1.0, full_year: bool = False) -> CiProfile:
+def load_ci(spec: dict, horizon: float = 1.0) -> CiProfile:
+    """The profile of a source record.  A file's bytes are read once: the
+    bytes checked against the recorded digest are the bytes parsed."""
     kind = spec["kind"]
     if kind == "constant":
         return CiProfile.constant(spec["value"], horizon)
     if kind == "builtin":
         return builtin_profile_si2024()
-    if _sha256(spec["path"]) != spec["sha256"]:
+    data = Path(spec["path"]).read_bytes()
+    if hashlib.sha256(data).hexdigest() != spec["sha256"]:
         raise ValidationError(
             f"input {spec['path']} changed since the manifest was written"
         )
-    return parse_ci_csv(Path(spec["path"]), full_year=full_year)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input {spec['path']} is not UTF-8: {exc}") from None
+    return parse_ci_csv(text)
 
 
 def _disciplines(model: str):
@@ -433,7 +433,7 @@ def run_sweep(params: dict, out_dir=None) -> None:
         if params[key] is not None:
             raise ValidationError(f"--{key.replace('_', '-')} does not apply to --surface {surface}")
     out_path = _redirect(params["out"], out_dir)
-    profile = load_ci(params["ci"], full_year=True)
+    profile = load_ci(params["ci"])
     tn, a = params["tn"], params["a"]
     if surface == "k":
         problem = "power"

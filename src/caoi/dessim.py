@@ -45,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .carbon import CarbonLedger, CiProfile, EnergyModel, J_PER_KWH
+from .carbon import CarbonLedger, CiProfile, EnergyModel, J_PER_KWH, slot_count
 from .errors import ConfigError, DomainError
 from .queueing import Discipline, QueueSpec
 
@@ -102,15 +102,12 @@ class SimConfig:
         if self.warmup is not None and not (0 <= self.warmup < self.horizon):
             raise ConfigError(f"warmup must lie in [0, horizon), got {self.warmup}")
         slot = self.effective_slot
-        n = self.horizon / slot
-        if n < 1 or abs(n - round(n)) > 1e-9 * max(1.0, n):
-            raise ConfigError(
-                f"slot length {slot} does not tile horizon {self.horizon}"
-            )
-        if round(n) > _MAX_SLOTS:
-            raise ConfigError(
-                f"{n:.6g} slots exceed the cap of {_MAX_SLOTS}; use a longer slot"
-            )
+        n = slot_count(self.horizon, slot)
+        if not n:
+            raise ConfigError(f"slot length {slot} does not tile horizon {self.horizon}")
+        if n > _MAX_SLOTS:
+            raise ConfigError(f"{self.horizon / slot:.6g} slots exceed the cap of {_MAX_SLOTS}; "
+                              "use a longer slot")
         if self.buffer is not None and self.buffer < 1:
             raise ConfigError(f"buffer capacity must be >= 1, got {self.buffer}")
         expected = self.spec.lam * self.horizon
@@ -364,7 +361,7 @@ def run(config: SimConfig, profile: CiProfile, energy: EnergyModel) -> Simulatio
         steps = _fcfs_finite(arrival_stream(), rng_service, spec.mu, config.buffer)
 
     slot = config.effective_slot
-    n_slots = int(round(horizon / slot))
+    n_slots = slot_count(horizon, slot)
     age = _AgeIntegral(config.effective_warmup, horizon)
     counts = _SlotSums(slot, n_slots, horizon, np.int64)
     grams = _SlotSums(slot, n_slots, horizon, np.float64)
@@ -465,12 +462,3 @@ def replicate(config: SimConfig, profile: CiProfile, energy: EnergyModel,
     mean_a = sum(t.empirical_a for t in traces) / n_reps
     mean_cf = sum(t.ledger.total for t in traces) / n_reps
     return ReplicationSummary(mean, half, mean_a, mean_cf, traces)
-
-
-def empirical_packet_count_check(trace: SimulationTrace, lam: float, t_n: float) -> float:
-    """Relative gap between binned transmissions and a_hat * lam * t_n."""
-    if not (lam > 0 and t_n > 0):
-        raise DomainError("lam and t_n must be positive")
-    total = float(np.sum(trace.n_tx_per_slot))
-    expected = trace.empirical_a * lam * t_n
-    return abs(total - expected) / (lam * t_n)

@@ -21,6 +21,7 @@ from caoi.carbon import (
     lambda_p_max,
     lambda_qos_max,
     min_rate_for_snr,
+    slot_count,
 )
 from caoi.errors import DomainError, MissingConstraint, ValidationError
 
@@ -125,14 +126,25 @@ class TestEnergyModel:
         with pytest.raises(ValidationError):
             EnergyModel(p_t=2.0, p_max=1.0)
 
-    def test_rate_tp_consistency(self):
-        EnergyModel(rate=1e8, t_p=1.2e-4)          # consistent: fine
-        with pytest.raises(ValidationError):
-            EnergyModel(rate=1e8, t_p=5e-4)
+    @given(mtu=st.floats(1.0, 1e6), rate=st.floats(1.0, 1e12))
+    def test_t_p_follows_rate(self, mtu, rate):
+        energy = EnergyModel(mtu=mtu, rate=rate)
+        assert energy.t_p == mtu / rate
+        assert energy.e_p() == energy.p_t * (mtu / rate)
+        with pytest.raises(TypeError):
+            EnergyModel(t_p=1.2e-4)         # derived, not a field
+        with pytest.raises(ValidationError, match="t_p must be positive"):
+            EnergyModel(mtu=1e-300, rate=1e300)
 
-    def test_needs_some_timing(self):
-        with pytest.raises(ValidationError):
-            EnergyModel(rate=None, t_p=None)
+
+class TestSlotCount:
+    @pytest.mark.parametrize("horizon, slot, count", [
+        (100.0, 1.0, 100), (0.7, 0.7 / 3, 3), (100.0, 100.0, 1), (1.0, 3e-8, 0),
+        (100.0, 7.5, 0), (100.0, math.nextafter(100.0, math.inf), 0), (100.0, 0.0, 0),
+        (100.0, -1.0, 0), (100.0, math.nan, 0), (100.0, math.inf, 0), (100.0, 1e-320, 0),
+    ])
+    def test_count(self, horizon, slot, count):
+        assert slot_count(horizon, slot) == count
 
 
 class TestConstraintSet:

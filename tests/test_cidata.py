@@ -1,20 +1,11 @@
-import io
+import math
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from caoi.carbon import CiProfile, cumulative_cf
-from caoi.cidata import (
-    MONTH_SECONDS,
-    CiRecord,
-    builtin_profile_si2024,
-    parse_ci_csv,
-    parse_ci_records,
-    records_to_profile,
-    resample,
-    serialize_ci_csv,
-)
+from caoi.cidata import MONTH_SECONDS, parse_ci_csv, resample, serialize_ci_csv
 from caoi.errors import DomainError, ParseError, ValidationError
 
 BUILTIN_VALUES = (228.0, 218.0, 188.0, 148.0, 108.0, 128.0, 158.0, 178.0,
@@ -28,71 +19,73 @@ SMALL = """period,ci_g_per_kwh
 """
 
 
+def months(values, period=MONTH_SECONDS) -> CiProfile:
+    """values as consecutive steps of one period each."""
+    return CiProfile(tuple((i * period, v) for i, v in enumerate(values)),
+                     period * len(values))
+
+
 class TestParsing:
     def test_basic_parse(self):
-        records = parse_ci_records(SMALL)
-        assert [r.month_index for r in records] == [1, 2, 3]
-        assert [r.ci_g_per_kwh for r in records] == [220.0, 180.0, 140.0]
+        prof = parse_ci_csv(SMALL)
+        assert prof.values == (220.0, 180.0, 140.0)
+        assert prof == months((220.0, 180.0, 140.0))
 
     def test_year_month_periods(self):
         text = "period,ci_g_per_kwh\n2024-01,100\n2024-02,250\n"
-        records = parse_ci_records(text)
-        assert [r.month_index for r in records] == [1, 2]
-        assert records[0].period == "2024-01"
+        assert parse_ci_csv(text) == months((100.0, 250.0))
 
-    def test_file_like_source(self):
-        records = parse_ci_records(io.StringIO(SMALL))
-        assert len(records) == 3
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_line_endings(self, newline):
+        # The line endings a file read as text would have turned into \n.
+        assert parse_ci_csv(SMALL.replace("\n", newline)) == parse_ci_csv(SMALL)
 
     def test_header_required(self):
         with pytest.raises(ParseError):
-            parse_ci_records("month,value\n1,100\n")
+            parse_ci_csv("month,value\n1,100\n")
 
     def test_bad_number_reports_line(self):
         with pytest.raises(ParseError) as err:
-            parse_ci_records("period,ci_g_per_kwh\n1,100\n2,n/a\n")
+            parse_ci_csv("period,ci_g_per_kwh\n1,100\n2,n/a\n")
         assert "3" in str(err.value)
 
     def test_month_range_checked(self):
         with pytest.raises(ValidationError):
-            parse_ci_records("period,ci_g_per_kwh\n13,100\n")
+            parse_ci_csv("period,ci_g_per_kwh\n13,100\n")
+
+    @pytest.mark.parametrize("period", ["2024-13", "2024-00", "0000-99"])
+    def test_year_month_range_checked(self, period):
+        # The month of a label is checked as a month index is.
+        with pytest.raises(ValidationError, match=f"line 3: period {period}: month outside"):
+            parse_ci_csv(f"period,ci_g_per_kwh\n2024-12,100\n{period},100\n")
 
     def test_duplicate_period_rejected(self):
         with pytest.raises(ValidationError):
-            parse_ci_records("period,ci_g_per_kwh\n4,100\n4,200\n")
+            parse_ci_csv("period,ci_g_per_kwh\n4,100\n4,200\n")
 
     def test_nonpositive_ci_rejected(self):
         with pytest.raises(ValidationError):
-            parse_ci_records("period,ci_g_per_kwh\n1,0\n")
-
-    def test_full_year_gate(self):
-        with pytest.raises(ValidationError):
-            parse_ci_csv(SMALL, full_year=True)
+            parse_ci_csv("period,ci_g_per_kwh\n1,0\n")
 
 
 class TestProfileConstruction:
     def test_equal_length_steps(self):
-        prof = parse_ci_csv(SMALL, period_seconds=100.0)
-        assert prof.starts == (0.0, 100.0, 200.0)
-        assert prof.horizon == 300.0
-        assert prof.value_at(150.0) == 180.0
+        prof = parse_ci_csv(SMALL)
+        assert prof.starts == (0.0, MONTH_SECONDS, 2 * MONTH_SECONDS)
+        assert prof.horizon == 3 * MONTH_SECONDS
+        assert prof.value_at(1.5 * MONTH_SECONDS) == 180.0
 
     def test_default_period_is_thirty_days(self):
         assert MONTH_SECONDS == 30 * 86400
         prof = parse_ci_csv(SMALL)
         assert prof.horizon == 3 * MONTH_SECONDS
 
-    def test_records_to_profile_roundtrip(self):
-        prof = records_to_profile(parse_ci_records(SMALL), period_seconds=10.0)
-        assert prof.values == (220.0, 180.0, 140.0)
-
 
 class TestSerialize:
     @given(st.lists(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
                     min_size=1, max_size=12))
     def test_csv_round_trip(self, values):
-        records = [CiRecord(str(i), i, v) for i, v in enumerate(values, start=1)]
-        prof = records_to_profile(records)
+        prof = months(values)
         assert parse_ci_csv(serialize_ci_csv(prof)) == prof
 
     def test_more_than_twelve_periods_rejected(self):
@@ -118,7 +111,7 @@ class TestBuiltinProfile:
         assert abs(308.0 / 108.0 - 2.852) < 1e-3
 
     def test_round_trip_through_csv(self, builtin):
-        again = parse_ci_csv(serialize_ci_csv(builtin), full_year=True)
+        again = parse_ci_csv(serialize_ci_csv(builtin))
         assert again.samples == builtin.samples
         assert again.horizon == builtin.horizon
 
@@ -149,8 +142,7 @@ class TestResample:
            slot=st.sampled_from([0.7, 0.35, 0.1, 0.7 / 3, 0.05, None]))
     def test_equals_a_per_slot_lookup(self, values, slot):
         # Slots that tile 0.7 s periods, and one slot over the whole horizon.
-        prof = records_to_profile(
-            [CiRecord(str(i), i, v) for i, v in enumerate(values, start=1)], 0.7)
+        prof = months(values, 0.7)
         slot = prof.horizon if slot is None else slot
         got = resample(prof, slot)
         n = round(prof.horizon / slot)
@@ -160,3 +152,14 @@ class TestResample:
     def test_grid_must_tile_horizon(self, builtin):
         with pytest.raises(DomainError):
             resample(builtin, builtin.horizon / 7.5)
+
+    @pytest.mark.parametrize("slot", [1e-320, 5e-324, math.inf, math.nan, 0.0, -1.0])
+    def test_slot_without_a_count_is_refused(self, builtin, slot):
+        # 1e-320 once overflowed round() with an OverflowError.
+        with pytest.raises(DomainError):
+            resample(builtin, slot)
+
+    def test_slot_past_the_horizon_is_refused(self, builtin):
+        # One ulp longer than the horizon: fewer than one slot, as SimConfig rules.
+        with pytest.raises(DomainError, match="does not tile"):
+            resample(builtin, math.nextafter(builtin.horizon, math.inf))

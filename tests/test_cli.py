@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from caoi import cli
+from caoi import cidata, cli
 
 BUILTIN_CSV = """period,ci_g_per_kwh
 1,228
@@ -328,6 +328,18 @@ class TestSimulate:
         assert "slots exceed the cap" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("slot", ["0", "nan", "1e-320"])
+    def test_slot_without_a_count_exits_2(self, tmp_path, capsys, slot):
+        # Once a ZeroDivisionError, ValueError and OverflowError traceback.
+        code = cli.main(["simulate", "--model", "mm1", "--lambda", "0.5", "--mu", "1",
+                         "--horizon", "100", "--slot", slot, "--ci-value", "198",
+                         "--out", str(tmp_path / "sim.json")])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: slot length ") and err.endswith(" does not tile horizon 100.0\n")
+        assert not any(tmp_path.iterdir())
+
     def test_oversized_event_record_exits_2(self, tmp_path, capsys):
         # 10^8 expected arrivals with every event kept.
         code = cli.main(["simulate", "--model", "mm1", "--lambda", "100", "--mu", "1000",
@@ -404,6 +416,17 @@ class TestSweep:
         assert code == 2
         assert message in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    def test_profile_of_three_periods_exits_2(self, tmp_path, capsys):
+        # The 12-step rule is the month sweep's own, as for a caller in Python.
+        ci = tmp_path / "ci.csv"
+        ci.write_text("period,ci_g_per_kwh\n2024-01,228\n2024-02,150.5\n2024-03,310\n")
+        code = cli.main(["sweep", "--surface", "k", "--k-grid", "4e-4:8e-4:3", "--ci", str(ci),
+                         "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert capsys.readouterr() == ("", "error: month sweeps need a 12-step profile, "
+                                           "got 3 steps\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["ci.csv"]
 
     def test_snr_surface_needs_budget(self, tmp_path):
         res = caoi("sweep", "--surface", "snr", "--snr-grid-db=-10:30:41",
@@ -642,6 +665,34 @@ class TestCiResolution:
                    env_extra={"CAOI_DEFAULT_CI": str(ci)})
         body = json.loads(res.stdout)
         assert body["lambda_bound"] == pytest.approx(2104.377, abs=1e-3)
+
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys):
+        ci = tmp_path / "latin1.csv"
+        ci.write_bytes("period,ci_g_per_kwh\n# Málaga\n1,500\n".encode("latin-1"))
+        out = tmp_path / "out" / "o.json"
+        out.parent.mkdir()
+        code = cli.main(["optimize", "--problem", "cf", "--model", "mm1", "--budget-k",
+                         "0.5mg", "--mu", "40", "--ci", str(ci), "--out", str(out)])
+        assert code == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err.startswith(f"error: input {ci.resolve()} is not UTF-8: ") and err.count("\n") == 1
+        assert not any(out.parent.iterdir())
+
+    def test_file_is_read_once_and_parsed_as_hashed(self, tmp_path, monkeypatch):
+        ci = tmp_path / "ci.csv"
+        ci.write_bytes(BUILTIN_CSV.replace("258", "258.5").encode())
+        spec = cli.resolve_ci_spec(str(ci), None)
+        reads, parsed = [], []
+        read_bytes = Path.read_bytes
+        monkeypatch.setattr(Path, "read_bytes",
+                            lambda self: reads.append(self) or read_bytes(self))
+        monkeypatch.setattr(cli, "parse_ci_csv",
+                            lambda text: parsed.append(text) or cidata.parse_ci_csv(text))
+        profile = cli.load_ci(spec)
+        assert reads == [Path(spec["path"])]
+        assert parsed == [BUILTIN_CSV.replace("258", "258.5")]
+        assert profile.values[-1] == 258.5
 
     def test_ci_value_shortcut(self):
         res = caoi("optimize", "--problem", "cf", "--model", "mm1",
