@@ -42,6 +42,10 @@ def joules_to_kwh(joules: float) -> float:
     return joules / J_PER_KWH
 
 
+# The longest slot grid a simulation or a resampled profile may have.
+MAX_SLOTS = 10 ** 7
+
+
 def slot_count(horizon: float, slot: float) -> int:
     """How many slots of length slot tile [0, horizon), or 0 if none do.
 

@@ -23,8 +23,10 @@ import math
 import os
 import reprlib
 import sys
-from itertools import zip_longest
+from itertools import repeat
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .carbon import CiProfile, ConstraintSet, EnergyModel
@@ -33,6 +35,7 @@ from .dessim import CfMode, SimConfig, replicate
 from .errors import CaoiError, Infeasible, ParseError, ValidationError
 from .optimizer import (
     BOTH_DISCIPLINES,
+    SweepTable,
     sweep_cf_budget,
     sweep_lambda,
     sweep_surface,
@@ -51,7 +54,8 @@ from .queueing import (
 ENV_DEFAULT_CI = "CAOI_DEFAULT_CI"
 
 # Points in one grid, from a flag or a replayed manifest; a longer grid is
-# refused before any list is built (10^5 sweep points take about 1.4 GB).
+# refused before any list is built.  A 10^5-point sweep --surface k, 2.4M
+# cells, peaks at about 210 MB, most of it in the solve's float64 arrays.
 MAX_GRID_POINTS = 10**5
 
 ANALYZE_HEADER = ("x", "model", "aoi_s", "cf_g", "lambda_bound", "binding")
@@ -59,14 +63,23 @@ SWEEP_HEADER = ("month", "x", "model", "aoi_s", "binding")
 SLOTS_HEADER = ("slot_start_s", "n_tx", "cf_g")
 EVENTS_HEADER = ("t_deliver_s", "t_generated_s", "age_after_s")
 
+# Rows formatted at a time on the way to a CSV file; a block holds a few MB.
+_BLOCK_ROWS = 1 << 12
+
 
 def fmt_float(x) -> str:
-    if x is None:
-        return ""
-    xf = float(x)
-    if math.isinf(xf):
-        return "inf" if xf > 0 else "-inf"
-    return format(xf, ".17g")
+    """x with 17 significant digits ("inf", "-inf", "nan" as such), "" for None."""
+    return "" if x is None else format(float(x), ".17g")
+
+
+def fmt_floats(values, blank=None) -> list:
+    """fmt_float of each value of a float array, "" where the mask blank is set."""
+    values = np.asarray(values, dtype=float)
+    if blank is None:
+        return list(map(format, values.tolist(), repeat(".17g")))
+    out = np.full(len(values), "", dtype=object)
+    out[~blank] = fmt_floats(values[~blank])
+    return out.tolist()
 
 
 def snr_db_to_linear(db: float) -> float:
@@ -194,11 +207,63 @@ def write_manifest(command: str, params: dict, outputs: list) -> None:
         Path(str(out) + ".manifest.json").write_text(text)
 
 
-def write_csv(path: str, header, rows) -> None:
+def write_csv(path: str, header, blocks) -> None:
+    """Write header, then each block of columns as rows, as csv.writer would.
+
+    A block is a sequence of str columns that are zipped into rows, so an
+    endless column (itertools.repeat) takes the length of the others.
+    blocks may be a generator, which formats each block as it is written.
+    A block whose rows are plain comma-joined fields is written as one
+    string; csv.writer writes any other (a field it would quote).
+    """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows)
+        for columns in blocks:
+            rows = list(zip(*columns))
+            text = "\n".join(map(",".join, rows)) + "\n"
+            plain = (len(columns) > 1 and text.count(",") == len(rows) * (len(columns) - 1)
+                     and text.count("\n") == len(rows) and not ('"' in text or "\r" in text))
+            if plain:
+                fh.write(text)
+            else:
+                writer.writerows(rows)
+
+
+def _blocks(n: int, columns):
+    """columns(rows) for consecutive slices of range(n), _BLOCK_ROWS at a
+    time, so that a long file is formatted and written a block at a time."""
+    for start in range(0, n, _BLOCK_ROWS):
+        yield columns(slice(start, min(start + _BLOCK_ROWS, n)))
+
+
+def _table_blocks(table: SweepTable, header):
+    """The CSV columns of table named in header, in blocks of _BLOCK_ROWS
+    rows or fewer within a month.
+
+    Each distinct x is formatted once, and every float goes through
+    fmt_float's rule.
+    """
+    d = len(table.models)
+    xs = [text for text in map(fmt_float, table.xs) for _ in range(d)]
+    models = list(table.models) * len(table.xs)
+    for k, month in enumerate(table.months):
+        for start in range(0, len(xs), _BLOCK_ROWS):
+            rows = slice(start, min(start + _BLOCK_ROWS, len(xs)))
+            cells = slice(k * len(xs) + rows.start, k * len(xs) + rows.stop)
+            fixed = {"month": repeat(str(month)), "x": xs[rows], "model": models[rows]}
+            yield [fixed[name] if name in fixed else _cell_column(table, name, cells)
+                   for name in header]
+
+
+def _cell_column(table: SweepTable, name: str, cells: slice):
+    """table's aoi_s, cf_g, lambda_bound or binding column at cells, as text."""
+    if name == "binding":
+        return list(map(table.labels.__getitem__, table.binding[cells].tolist()))
+    if name == "aoi_s":
+        return fmt_floats(table.aoi[cells])
+    values = table.cf if name == "cf_g" else table.lambda_bound
+    return repeat("") if values is None else fmt_floats(values[cells], table.blank[cells])
 
 
 def write_json(path, obj) -> None:
@@ -238,20 +303,15 @@ def run_analyze(params: dict, out_dir=None) -> None:
     if params["grid_kind"] == "lambda":
         constraint = ConstraintSet(budget_k=math.inf, horizon_tn=params["tn"],
                                    success_prob_a=params["a"])
-        rows = sweep_lambda(params["mu"], params["grid"], disciplines,
-                            params["mode"], profile, energy, constraint)
+        table = sweep_lambda(params["mu"], params["grid"], disciplines,
+                             params["mode"], profile, energy, constraint)
     else:
-        rows = sweep_cf_budget(params["mu"], params["grid"], profile, energy,
-                               params["tn"], disciplines, params["mode"],
-                               params["a"], per_month=False, eps=eps)
-    if rows and all(r.binding == "infeasible" for r in rows):
+        table = sweep_cf_budget(params["mu"], params["grid"], profile, energy,
+                                params["tn"], disciplines, params["mode"],
+                                params["a"], per_month=False, eps=eps)
+    if table.infeasible.all():
         raise Infeasible("every grid point is infeasible")
-    out_rows = [
-        (fmt_float(r.x), r.model, fmt_float(r.aoi), fmt_float(r.cf),
-         fmt_float(r.lambda_bound), r.binding)
-        for r in rows
-    ]
-    write_csv(out_path, ANALYZE_HEADER, out_rows)
+    write_csv(out_path, ANALYZE_HEADER, _table_blocks(table, ANALYZE_HEADER))
     write_manifest("analyze", params, [out_path])
 
 
@@ -397,17 +457,21 @@ def run_simulate(params: dict, out_dir=None) -> None:
 
     outputs = [] if out_path is None else [out_path]
     if slots_path is not None:
-        slot = first.slot_length
-        pairs = zip_longest(first.n_tx_per_slot.tolist(), first.ledger.grams.tolist(),
-                            fillvalue=0)
-        write_csv(slots_path, SLOTS_HEADER, [(fmt_float(i * slot), str(int(n)), fmt_float(g))
-                                             for i, (n, g) in enumerate(pairs)])
+        # The ledger can hold more slots than the counts, or fewer, when
+        # drained work ends past the horizon: the shorter is padded with 0.
+        n_tx, grams = first.n_tx_per_slot, first.ledger.grams
+        n = max(len(n_tx), len(grams))
+        n_tx, grams = (np.concatenate((v, np.zeros(n - len(v), v.dtype))) for v in (n_tx, grams))
+        starts = np.arange(n) * first.slot_length
+        write_csv(slots_path, SLOTS_HEADER, _blocks(
+            n, lambda cells: (fmt_floats(starts[cells]), list(map(str, n_tx[cells].tolist())),
+                              fmt_floats(grams[cells]))))
         outputs.append(slots_path)
     if events_path is not None:
-        # Rows are formatted as they are written, one delivery at a time.
-        rows = ((fmt_float(t), fmt_float(u), fmt_float(t - u))
-                for t, u in zip(first.delivery_times, first.delivery_gen_times))
-        write_csv(events_path, EVENTS_HEADER, rows)
+        t, u = first.delivery_times, first.delivery_gen_times
+        write_csv(events_path, EVENTS_HEADER, _blocks(
+            len(t), lambda cells: (fmt_floats(t[cells]), fmt_floats(u[cells]),
+                                   fmt_floats(t[cells] - u[cells]))))
         outputs.append(events_path)
     if outputs:
         write_manifest("simulate", params, outputs)
@@ -445,14 +509,12 @@ def run_sweep(params: dict, out_dir=None) -> None:
         grid = [(db, ConstraintSet(budget_k=params["budget_k"], horizon_tn=tn,
                                    snr_min=snr_db_to_linear(db), success_prob_a=a))
                 for db in params["snr_grid_db"]]
-    rows = sweep_surface(problem, grid, profile, EnergyModel(),
-                         _disciplines(params["model"]), params["mode"], params["mu"],
-                         SaturationEpsilon(params["eps"]))
-    if rows and all(r.binding == "infeasible" for r in rows):
+    table = sweep_surface(problem, grid, profile, EnergyModel(),
+                          _disciplines(params["model"]), params["mode"], params["mu"],
+                          SaturationEpsilon(params["eps"]))
+    if table.infeasible.all():
         raise Infeasible("every grid cell is infeasible")
-    out_rows = [(str(r.month), fmt_float(r.x), r.model, fmt_float(r.aoi), r.binding)
-                for r in rows]
-    write_csv(out_path, SWEEP_HEADER, out_rows)
+    write_csv(out_path, SWEEP_HEADER, _table_blocks(table, SWEEP_HEADER))
     write_manifest("sweep", params, [out_path])
 
 

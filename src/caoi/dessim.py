@@ -45,12 +45,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .carbon import CarbonLedger, CiProfile, EnergyModel, J_PER_KWH, slot_count
+from .carbon import MAX_SLOTS, CarbonLedger, CiProfile, EnergyModel, J_PER_KWH, slot_count
 from .errors import ConfigError, DomainError
 from .queueing import Discipline, QueueSpec
 
 _CHUNK = 1 << 16                # arrivals per chunk; see the module docstring
-_MAX_SLOTS = 10 ** 7            # slot-grid length cap
 _MAX_EVENT_ARRIVALS = 10 ** 7   # keep_events cap on expected arrivals, lam * horizon
 
 
@@ -105,8 +104,8 @@ class SimConfig:
         n = slot_count(self.horizon, slot)
         if not n:
             raise ConfigError(f"slot length {slot} does not tile horizon {self.horizon}")
-        if n > _MAX_SLOTS:
-            raise ConfigError(f"{self.horizon / slot:.6g} slots exceed the cap of {_MAX_SLOTS}; "
+        if n > MAX_SLOTS:
+            raise ConfigError(f"{self.horizon / slot:.6g} slots exceed the cap of {MAX_SLOTS}; "
                               "use a longer slot")
         if self.buffer is not None and self.buffer < 1:
             raise ConfigError(f"buffer capacity must be >= 1, got {self.buffer}")

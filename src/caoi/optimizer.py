@@ -13,13 +13,14 @@ age is the same in both.
 The solve_* functions work on one cell, on plain floats.  The sweeps
 (sweep_lambda, sweep_cf_budget, sweep_months, sweep_surface) evaluate
 all their cells at once on float64 arrays in _pick_rates, the array form
-of _pick_rate, and build their SweepRow tuples in bulk.  Both paths use
-the same free rate (_free_rho) and unchecked formulas (queueing.mm1_age
-and mm1_star_age, carbon.kappa_cap, energy_cap and slot_grams), whose
-operations round the same on floats and arrays, so a sweep equals a loop
-of per-cell solves bit for bit, with an Infeasible solve as an aoi = inf
-row.  The power and qos solvers and sweep_surface share one point's
-checks in _month_point, which a sweep runs once per point, on floats.
+of _pick_rate, and return a SweepTable of those arrays, whose SweepRows
+are built only when read.  Both paths use the same free rate (_free_rho)
+and unchecked formulas (queueing.mm1_age and mm1_star_age,
+carbon.kappa_cap, energy_cap and slot_grams), whose operations round the
+same on floats and arrays, so a sweep's rows equal a loop of per-cell
+solves bit for bit, with an Infeasible solve as an aoi = inf row.  The
+power and qos solvers and sweep_surface share one point's checks in
+_month_point, which a sweep runs once per point, on floats.
 
 Service-rate selection is controlled by mu_rule:
 
@@ -31,9 +32,10 @@ Service-rate selection is controlled by mu_rule:
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, cycle, repeat
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -97,6 +99,92 @@ class SweepRow(NamedTuple):
     lambda_bound: float | None
     binding: str                    # none|cf_budget|power|qos|infeasible
     month: int | None = None
+
+
+class SweepTable:
+    """A sweep's cells as columns, in row order: month, then x, then model.
+
+    The axes are months (a single None when the sweep solves the profile
+    mean), xs, the x labels (None when each row's x is its month as a
+    float, as in sweep_months), and models, the discipline values.  The
+    columns hold one read-only entry per cell: aoi, cf and lambda_bound in
+    float64 (cf and lambda_bound are None when the sweep has no such
+    column), the masks infeasible (aoi = inf) and blank (cf and
+    lambda_bound read None), and binding, each cell's index into labels
+    ("none", the constraint's name, "infeasible").
+
+    len, indexing (an int gives a SweepRow, a slice a list of them) and
+    iteration build rows on demand, each equal to the per-cell solve's row
+    in value and Python type.  No row is kept, so a table holds only its
+    columns.
+    """
+
+    _BLOCK = 1 << 12    # rows built at a time while iterating
+
+    def __init__(self, months, xs, models, aoi, cf, lambda_bound, infeasible, blank,
+                 binding, label: BindingConstraint):
+        self.months, self.models = tuple(months), tuple(models)
+        self.xs = None if xs is None else tuple(xs)
+        self.labels = ("none", label.value, "infeasible")
+        shape = np.shape(aoi)
+        self.aoi = _column(aoi, float, shape)
+        self.cf, self.lambda_bound = (None if v is None else _column(v, float, shape)
+                                      for v in (cf, lambda_bound))
+        self.infeasible, self.blank = (_column(v, bool, shape) for v in (infeasible, blank))
+        self.binding = _column(np.where(infeasible, 2, binding), np.uint8, shape)
+
+    def __len__(self) -> int:
+        return len(self.aoi)
+
+    def __repr__(self) -> str:
+        return (f"<SweepTable of {len(self)} rows: {len(self.months)} months x "
+                f"{self._points} points x {len(self.models)} models>")
+
+    @property
+    def _points(self) -> int:
+        """Grid points per month."""
+        return 1 if self.xs is None else len(self.xs)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return self._rows(np.arange(len(self))[key])
+        i = operator.index(key)
+        if not -len(self) <= i < len(self):
+            raise IndexError(f"row {i} out of range for a table of {len(self)} rows")
+        return self._rows(np.array([i % len(self)]))[0]
+
+    def __iter__(self):
+        for start in range(0, len(self), self._BLOCK):
+            yield from self._rows(np.arange(start, min(start + self._BLOCK, len(self))))
+
+    def _blank(self, column, cells):
+        """column's values at cells as Python floats, None where blank."""
+        if column is None:
+            return repeat(None)
+        values = column[cells].astype(object)
+        values[self.blank[cells]] = None
+        return values.tolist()
+
+    def _rows(self, cells) -> list:
+        """The SweepRows of the cells at the given row indices."""
+        point, model = np.divmod(cells, len(self.models))
+        month, x = np.divmod(point, self._points)
+        months = list(map(self.months.__getitem__, month.tolist()))
+        xs = (list(map(float, months)) if self.xs is None
+              else map(self.xs.__getitem__, x.tolist()))
+        columns = zip(xs, map(self.models.__getitem__, model.tolist()),
+                      self.aoi[cells].tolist(), self._blank(self.cf, cells),
+                      self._blank(self.lambda_bound, cells),
+                      map(self.labels.__getitem__, self.binding[cells].tolist()), months)
+        # tuple.__new__ is what SweepRow._make calls, minus a Python frame per row.
+        return list(map(tuple.__new__, repeat(SweepRow), columns))
+
+
+def _column(values, dtype, shape) -> np.ndarray:
+    """values broadcast to shape, as a read-only copy in row order."""
+    column = np.array(np.broadcast_to(values, shape), dtype=dtype).ravel()
+    column.flags.writeable = False
+    return column
 
 
 def _evaluate_aoi(discipline: Discipline, lam: float, mu: float, mode: str) -> float:
@@ -171,12 +259,12 @@ def _month_point(problem: str, constraint: ConstraintSet, energy: EnergyModel,
             raise DomainError(
                 f"power cap {constraint.power_cap} exceeds hardware p_max {energy.p_max}")
         if constraint.power_cap is None:
-            raise MissingConstraint("lambda_p_max needs constraint.power_cap")
+            raise MissingConstraint("solve_power_constrained needs constraint.power_cap")
         e_kwh = joules_to_kwh(constraint.power_cap * energy.t_p)
         mu = (1.0 / energy.t_p) if mu is None else mu
     else:
         if constraint.snr_min is None:
-            raise DomainError("solve_qos_constrained needs constraint.snr_min")
+            raise MissingConstraint("solve_qos_constrained needs constraint.snr_min")
         link = min_rate_for_snr(energy, constraint.snr_min)
         if not link.t_p > 0:
             raise DomainError(f"transmission time must be positive, got {link.t_p}")
@@ -297,45 +385,10 @@ def _pick_rates(disciplines, mode: str, cap, lam_free, mu, emission=None):
     return aoi, cf, binding, infeasible
 
 
-def _unless(infeasible, values) -> list:
-    """values in row order as Python floats, None where a cell is infeasible."""
-    column = np.broadcast_to(values, infeasible.shape).astype(object)
-    column[infeasible] = None
-    return column.ravel().tolist()
-
-
-def _labels(infeasible, binding, label: BindingConstraint) -> list:
-    """The binding column in row order: infeasible, label, or none.
-
-    Indexing an object array hands out the same three str objects, where
-    a numpy string array would make one str per row.
-    """
-    names = np.array(["none", label.value, "infeasible"], dtype=object)
-    return names[np.where(infeasible, 2, binding.astype(np.intp))].ravel().tolist()
-
-
-def _rows(months, xs, disciplines, aoi, cf, bound, binding) -> list:
-    """SweepRows in bulk, one per (month, x, discipline) cell, in that order.
-
-    aoi is a months x xs x disciplines array (the month axis may be left
-    out when there is one month); cf, bound and binding are lists in row
-    order, or endless iterators, since zip stops with the other columns.
-    Every field comes out a Python float, int, str or None.
-    """
-    d, per_month = len(disciplines), len(xs) * len(disciplines)
-    columns = zip(
-        chain.from_iterable(repeat(x, d) for _ in months for x in xs),
-        cycle([disc.value for disc in disciplines]),
-        aoi.ravel().tolist(), cf, bound, binding,
-        chain.from_iterable(repeat(m, per_month) for m in months))
-    # tuple.__new__ is what SweepRow._make calls, minus a Python frame per row.
-    return list(map(tuple.__new__, repeat(SweepRow), columns))
-
-
 def sweep_lambda(mu: float, lambda_grid, disciplines=BOTH_DISCIPLINES,
                  mode: str = "exact", profile: CiProfile | None = None,
                  energy: EnergyModel | None = None,
-                 constraint: ConstraintSet | None = None) -> list:
+                 constraint: ConstraintSet | None = None) -> SweepTable:
     """Evaluate average age and slot emissions along an arrival-rate grid.
 
     FCFS grid points at or beyond the service rate are reported as
@@ -363,13 +416,12 @@ def sweep_lambda(mu: float, lambda_grid, disciplines=BOTH_DISCIPLINES,
     with np.errstate(invalid="ignore"):
         cap = np.where(_fcfs_mask(disciplines) & (lam >= mu), math.nan, math.inf)
     aoi, cf, binding, infeasible = _pick_rates(disciplines, mode, cap, lam, mu, emission)
-    cf = repeat(None) if cf is None else cf.ravel().tolist()
-    return _rows([None], lam.ravel().tolist(), disciplines, aoi, cf, repeat(None),
-                 _labels(infeasible, binding, BindingConstraint.NONE))
+    return SweepTable([None], lam.ravel().tolist(), [d.value for d in disciplines], aoi, cf,
+                      None, infeasible, False, binding, BindingConstraint.NONE)
 
 
-def _sweep(months, xs, disciplines, mode, eps, cap, mu, emission, label) -> list:
-    """The rows of a solved sweep over months x grid points.
+def _sweep(months, xs, disciplines, mode, eps, cap, mu, emission, label) -> SweepTable:
+    """The table of a solved sweep over months x grid points.
 
     months and xs label the two axes.  cap, mu and the slot_grams factors
     in emission broadcast to months x grid points.  Where the cap is slack
@@ -383,8 +435,8 @@ def _sweep(months, xs, disciplines, mode, eps, cap, mu, emission, label) -> list
     rho = np.array([_free_rho(d, eps) for d in disciplines])
     aoi, cf, binding, infeasible = _pick_rates(
         disciplines, mode, cap, rho * mu, mu, tuple(map(per_discipline, emission)))
-    return _rows(months, xs, disciplines, aoi, _unless(infeasible, cf),
-                 _unless(infeasible, cap), _labels(infeasible, binding, label))
+    return SweepTable(months, xs, [d.value for d in disciplines], aoi, cf, cap, infeasible,
+                      infeasible, binding, label)
 
 
 def _months(profile: CiProfile) -> list:
@@ -398,7 +450,7 @@ def _months(profile: CiProfile) -> list:
 def sweep_cf_budget(mu: float, k_grid, profile: CiProfile, energy: EnergyModel,
                     tn: float, disciplines=BOTH_DISCIPLINES, mode: str = "exact",
                     success_prob_a: float = 1.0, per_month: bool = False,
-                    eps: SaturationEpsilon = DEFAULT_EPS) -> list:
+                    eps: SaturationEpsilon = DEFAULT_EPS) -> SweepTable:
     """Solve the budget-constrained problem along a budget grid.
 
     With per_month=False each budget is solved once against the profile
@@ -430,20 +482,21 @@ def sweep_cf_budget(mu: float, k_grid, profile: CiProfile, energy: EnergyModel,
 def sweep_months(constraint: ConstraintSet, profile: CiProfile, energy: EnergyModel,
                  disciplines=BOTH_DISCIPLINES, mode: str = "exact",
                  problem: str = "power", mu: float | None = None,
-                 eps: SaturationEpsilon = DEFAULT_EPS) -> list:
+                 eps: SaturationEpsilon = DEFAULT_EPS) -> SweepTable:
     """Solve one constrained problem per calendar month of a 12-step profile.
 
     The one-point surface of sweep_surface, with each row's x its month.
     """
-    rows = sweep_surface(problem, [(None, constraint)], profile, energy, disciplines,
-                         mode, mu, eps)
-    return [r._replace(x=float(r.month)) for r in rows]
+    table = sweep_surface(problem, [(None, constraint)], profile, energy, disciplines,
+                          mode, mu, eps)
+    table.xs = None
+    return table
 
 
 def sweep_surface(problem: str, grid, profile: CiProfile, energy: EnergyModel,
                   disciplines=BOTH_DISCIPLINES, mode: str = "exact",
                   mu: float | None = None,
-                  eps: SaturationEpsilon = DEFAULT_EPS) -> list:
+                  eps: SaturationEpsilon = DEFAULT_EPS) -> SweepTable:
     """Solve a power or qos problem on every (month, grid point) cell.
 
     grid holds (x, ConstraintSet) pairs: x is only the row label (a budget

@@ -7,7 +7,9 @@ lambda_p_max or lambda_qos_max, and the FCFS rate comes from
 queueing.constrained_aoi_mm1, so the reference shares no per-point
 check or slack rule with the code under test.  Tests compare the
 solvers, and the sweeps' per-cell loops, against these copies: equal
-fields of equal types, and the same exception type.
+fields of equal types, and the same exception type.  One change was made
+on purpose since: a missing SNR floor raises MissingConstraint, as a
+missing power cap does, where it raised DomainError.
 """
 
 import math
@@ -23,7 +25,7 @@ from caoi.carbon import (
     min_rate_for_snr,
     slot_grams,
 )
-from caoi.errors import DomainError, Infeasible
+from caoi.errors import DomainError, Infeasible, MissingConstraint
 from caoi.optimizer import MU_RULES, BindingConstraint, OptimizationResult
 from caoi.queueing import (
     DEFAULT_EPS,
@@ -140,7 +142,7 @@ def solve_qos_constrained(constraint: ConstraintSet, month_ci: float,
     interior age optimum in floor sweeps.
     """
     if constraint.snr_min is None:
-        raise DomainError("solve_qos_constrained needs constraint.snr_min")
+        raise MissingConstraint("solve_qos_constrained needs constraint.snr_min")
     link = min_rate_for_snr(energy, constraint.snr_min)
     bound = lambda_qos_max(constraint, month_ci, energy, t_p_override=link.t_p)
     mu_eff = 1.0 / link.t_p

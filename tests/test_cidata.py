@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from caoi.carbon import CiProfile, cumulative_cf
+from caoi.carbon import MAX_SLOTS, CiProfile, cumulative_cf
 from caoi.cidata import MONTH_SECONDS, parse_ci_csv, resample, serialize_ci_csv
-from caoi.errors import DomainError, ParseError, ValidationError
+from caoi.dessim import SimConfig
+from caoi.errors import ConfigError, DomainError, ParseError, ValidationError
+from caoi.queueing import Discipline, QueueSpec
 
 BUILTIN_VALUES = (228.0, 218.0, 188.0, 148.0, 108.0, 128.0, 158.0, 178.0,
                   208.0, 248.0, 308.0, 258.0)
@@ -163,3 +165,22 @@ class TestResample:
         # One ulp longer than the horizon: fewer than one slot, as SimConfig rules.
         with pytest.raises(DomainError, match="does not tile"):
             resample(builtin, math.nextafter(builtin.horizon, math.inf))
+
+    @pytest.mark.parametrize("slot", [1e-300, 1.0])
+    def test_slot_count_over_the_cap_is_refused(self, builtin, slot):
+        # 1e-300 s tiles the year in about 3e307 slots; 1 s in 3.1e7.  Both
+        # are refused before any array is made, at the cap SimConfig uses.
+        assert builtin.horizon / slot > MAX_SLOTS
+        with pytest.raises(DomainError, match=f"exceed the cap of {MAX_SLOTS}"):
+            resample(builtin, slot)
+
+    def test_cap_is_the_simulators(self):
+        # One slot over the cap: resample raises DomainError, SimConfig
+        # ConfigError, both for the same count.
+        horizon = float(MAX_SLOTS + 1)
+        with pytest.raises(DomainError, match="exceed the cap"):
+            resample(CiProfile.constant(198.0, horizon), 1.0)
+        spec = QueueSpec(Discipline.FCFS_MM1, 0.5, 1.0)
+        with pytest.raises(ConfigError, match="exceed the cap"):
+            SimConfig(spec, horizon, seed=1, slot_length=1.0)
+        SimConfig(spec, float(MAX_SLOTS), seed=1, slot_length=1.0)

@@ -1,6 +1,7 @@
 import argparse
 import copy
 import csv
+import itertools
 import json
 import math
 import os
@@ -12,6 +13,9 @@ from pathlib import Path
 import pytest
 
 from caoi import cidata, cli
+from caoi.carbon import EnergyModel
+from caoi.dessim import SimConfig, run
+from caoi.queueing import Discipline, QueueSpec
 
 BUILTIN_CSV = """period,ci_g_per_kwh
 1,228
@@ -281,6 +285,30 @@ class TestSimulate:
         assert all(a > 0 for a in ages)
         body = json.loads(out.read_text())
         assert len(erows) - 1 == int(body["completions"])
+
+    @pytest.mark.parametrize("block_rows", [cli._BLOCK_ROWS, 7])
+    def test_slot_and_event_bytes_are_the_row_loop(self, tmp_path, monkeypatch, block_rows):
+        # Drained arrival-charged work ends past the horizon, so the counts
+        # span more slots than the ledger, whose missing slots read 0.
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
+        slots, events = tmp_path / "slots.csv", tmp_path / "events.csv"
+        assert cli.main(["simulate", "--model", "mm1", "--lambda", "0.95", "--mu", "1",
+                         "--horizon", "500", "--slot", "1", "--seed", "5", "--drain",
+                         "--buffer", "50", "--ci", "builtin", "--slots-out", str(slots),
+                         "--events-out", str(events)]) == 0
+        config = SimConfig(QueueSpec(Discipline.FCFS_MM1, 0.95, 1.0), 500.0, seed=5,
+                           slot_length=1.0, buffer=50, drain=True, keep_events=True)
+        trace = run(config, cidata.builtin_profile_si2024(), EnergyModel())
+        assert len(trace.n_tx_per_slot) > len(trace.ledger.grams)
+        pairs = itertools.zip_longest(trace.n_tx_per_slot.tolist(),
+                                      trace.ledger.grams.tolist(), fillvalue=0)
+        expected = [cli.SLOTS_HEADER] + [
+            (cli.fmt_float(i * 1.0), str(n), cli.fmt_float(g)) for i, (n, g) in enumerate(pairs)]
+        assert slots.read_text() == "".join(",".join(r) + "\n" for r in expected)
+        expected = [cli.EVENTS_HEADER] + [
+            (cli.fmt_float(t), cli.fmt_float(u), cli.fmt_float(t - u))
+            for t, u in zip(trace.delivery_times.tolist(), trace.delivery_gen_times.tolist())]
+        assert events.read_text() == "".join(",".join(r) + "\n" for r in expected)
 
     def test_replicated_events_are_the_first_replication(self, tmp_path):
         # Only the first replication keeps its events, and it is the run

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import io
 import math
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from caoi import cli
 from caoi.carbon import CiProfile, ConstraintSet, EnergyModel, avg_cf
 from caoi.cidata import builtin_profile_si2024
-from caoi.errors import CaoiError, DomainError, Infeasible
+from caoi.errors import CaoiError, DomainError, Infeasible, MissingConstraint
 from caoi.optimizer import (
     BOTH_DISCIPLINES,
     BindingConstraint,
@@ -158,6 +159,11 @@ class TestPowerConstrained:
             solve_power_constrained(self.constraint(), 108.0, ENERGY,
                                     Discipline.FCFS_MM1, mu_rule="greedy")
 
+    def test_needs_power_cap(self):
+        c = ConstraintSet(budget_k=5e-4, horizon_tn=3600.0)
+        with pytest.raises(MissingConstraint, match="solve_power_constrained"):
+            solve_power_constrained(c, 108.0, ENERGY, Discipline.FCFS_MM1)
+
     def test_binding_paper_lcfs_tracks_ci_ratio(self):
         nov = solve_power_constrained(self.constraint(), 308.0, ENERGY,
                                       Discipline.LCFS_PREEMPTIVE, mode="paper")
@@ -188,7 +194,7 @@ class TestQosConstrained:
 
     def test_needs_snr_floor(self):
         c = ConstraintSet(budget_k=6e-5, horizon_tn=3600.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(MissingConstraint, match="solve_qos_constrained"):
             solve_qos_constrained(c, 198.0, ENERGY, Discipline.FCFS_MM1)
 
     def test_u_shape_over_grid(self):
@@ -317,6 +323,15 @@ class TestSweeps:
             key=lambda r: builtin.values[r.month - 1])
         aois = [r.aoi for r in by_ci]
         assert aois == sorted(aois)
+
+    @pytest.mark.parametrize("problem,solver", [("power", "solve_power_constrained"),
+                                                ("qos", "solve_qos_constrained")])
+    def test_month_sweeps_need_their_constraint(self, builtin, problem, solver):
+        c = ConstraintSet(budget_k=5e-4, horizon_tn=3600.0)
+        with pytest.raises(MissingConstraint, match=solver):
+            sweep_months(c, builtin, ENERGY, problem=problem)
+        with pytest.raises(MissingConstraint, match=solver):
+            sweep_surface(problem, [(1.0, c)], builtin, ENERGY)
 
     def test_month_sweep_needs_full_year(self):
         c = ConstraintSet(budget_k=5e-4, horizon_tn=3600.0, power_cap=1.0)
@@ -680,6 +695,135 @@ class TestArrayEngine:
         solve = self.month_solver("power", "exact", mu, eps)
         cells = [(m, float(m), ci, c) for m, ci in enumerate(BUILTIN.values, start=1)]
         assert_rows_equal(rows, per_cell(cells, solve, (LCFS,)))
+
+
+class TestSweepTable:
+    """A sweep's SweepTable builds each row on demand, equal to the per-cell
+    solve's row in value and type, and the CLI writes CSV from its columns."""
+
+    # 5e-324 g over 1e12 s underflows the cap to 0.
+    K_GRID = cli.parse_grid("5e-324:5e-4:3")
+
+    def surface(self, disciplines=BOTH_DISCIPLINES):
+        grid = [(k, ConstraintSet(budget_k=k, horizon_tn=1e12, power_cap=1.0))
+                for k in self.K_GRID]
+        table = sweep_surface("power", grid, BUILTIN, ENERGY, disciplines, "paper")
+        cells = [(m, k, ci, c) for m, ci in enumerate(BUILTIN.values, start=1)
+                 for k, c in grid]
+        expected = per_cell(cells, lambda c, ci, disc: ref.solve_power_constrained(
+            c, ci, ENERGY, disc, mode="paper"), disciplines)
+        return table, expected
+
+    def test_len_and_indexing(self):
+        table, expected = self.surface()
+        assert len(table) == len(expected) == 12 * 3 * 2
+        assert_rows_equal([table[0]], expected[:1])
+        assert_rows_equal([table[-1]], expected[-1:])
+        assert_rows_equal([table[len(table) - 1], table[-len(table)]],
+                          [expected[-1], expected[0]])
+        for i in (len(table), -len(table) - 1):
+            with pytest.raises(IndexError):
+                table[i]
+        with pytest.raises(TypeError):
+            table[1.0]
+
+    def test_slices_are_lists_of_rows(self):
+        table, expected = self.surface()
+        for key in (slice(None, None, 2), slice(5, 30, 7), slice(None, None, -3),
+                    slice(70, 80), slice(3, 3)):
+            rows = table[key]
+            assert type(rows) is list
+            assert_rows_equal(rows, expected[key])
+
+    @pytest.mark.parametrize("disciplines", [BOTH_DISCIPLINES, (LCFS,)])
+    def test_iteration_is_the_per_cell_loop(self, disciplines, monkeypatch):
+        table, expected = self.surface(disciplines)
+        assert_rows_equal(list(table), expected)
+        # Rows are built in blocks while iterating: a block edge inside the
+        # table changes nothing.
+        monkeypatch.setattr(type(table), "_BLOCK", 5)
+        assert_rows_equal(list(table), expected)
+        assert {r.binding for r in table} == {"infeasible", "power"}
+
+    def test_columns(self):
+        table, expected = self.surface()
+        assert table.months == tuple(range(1, 13))
+        assert table.xs == tuple(self.K_GRID) and table.models == ("mm1", "mm1star")
+        assert table.aoi.dtype == np.float64 and not table.aoi.flags.writeable
+        assert table.aoi.tolist() == [r[3] for r in expected]
+        assert table.infeasible.tolist() == [r[6] == "infeasible" for r in expected]
+        assert [table.labels[b] for b in table.binding] == [r[6] for r in expected]
+        assert table.blank.tolist() == table.infeasible.tolist()
+
+    def test_sweep_months_x_is_the_month(self):
+        c = ConstraintSet(budget_k=5e-4, horizon_tn=3600.0, power_cap=1.0)
+        table = sweep_months(c, BUILTIN, ENERGY, mode="paper", problem="power")
+        assert table.xs is None
+        for row in (*table, table[-1]):
+            assert type(row.x) is float and row.x == float(row.month)
+
+    def test_lambda_table_keeps_cf_in_infeasible_cells(self):
+        c = ConstraintSet(budget_k=math.inf, horizon_tn=3600.0)
+        table = sweep_lambda(1.0, [0.5, 1.0], profile=BUILTIN, energy=ENERGY, constraint=c)
+        assert table.lambda_bound is None and not table.blank.any()
+        assert table[2].binding == "infeasible" and table[2].cf == table[3].cf > 0
+        assert_rows_equal(table[:], per_point(1.0, [0.5, 1.0], BOTH_DISCIPLINES, "exact",
+                                              BUILTIN, c))
+
+    @staticmethod
+    def csv_bytes(header, rows) -> bytes:
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        return out.getvalue().encode()
+
+    def test_analyze_csv_bytes(self, tmp_path):
+        out = tmp_path / "k.csv"
+        assert cli.main(["analyze", "--model", "both", "--mu", "40", "--k-grid",
+                         "5e-324:1e-3:4", "--tn", "1e12", "--ci", "builtin",
+                         "--out", str(out)]) == 0
+        cells = [(None, k, BUILTIN, ConstraintSet(budget_k=k, horizon_tn=1e12))
+                 for k in cli.parse_grid("5e-324:1e-3:4")]
+        expected = per_cell(cells, lambda c, prof, disc: ref.solve_cf_constrained(
+            40.0, c, prof, ENERGY, disc, mode="paper"))
+        rows = [fmt(x, model, aoi, cf, bound, b) for _, x, model, aoi, cf, bound, b in expected]
+        assert out.read_bytes() == self.csv_bytes(cli.ANALYZE_HEADER, rows)
+        assert rows[0][3:] == ("", "", "infeasible") and rows[-1][5] == "cf_budget"
+
+        out = tmp_path / "lambda.csv"
+        assert cli.main(["analyze", "--model", "both", "--mu", "1", "--lambda-grid",
+                         "0.5:1.5:3", "--ci", "builtin", "--out", str(out)]) == 0
+        c = ConstraintSet(budget_k=math.inf, horizon_tn=3600.0)
+        rows = [fmt(x, model, aoi, cf, bound, b) for _, x, model, aoi, cf, bound, b
+                in per_point(1.0, [0.5, 1.0, 1.5], BOTH_DISCIPLINES, "exact", BUILTIN, c)]
+        assert out.read_bytes() == self.csv_bytes(cli.ANALYZE_HEADER, rows)
+        assert rows[2][2:] == ("inf", rows[2][3], "", "infeasible") and rows[2][3]
+
+    def test_sweep_csv_bytes(self, tmp_path, monkeypatch):
+        table, expected = self.surface()
+        rows = [fmt(str(m), x, model, aoi, b) for m, x, model, aoi, _, _, b in expected]
+        want = self.csv_bytes(cli.SWEEP_HEADER, rows)
+        # Blocks of 4 rows end inside a month, and one of the 3 x 2 cells of each.
+        for block_rows in (cli._BLOCK_ROWS, 4):
+            monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
+            out = tmp_path / f"surface{block_rows}.csv"
+            assert cli.main(["sweep", "--surface", "k", "--k-grid", "5e-324:5e-4:3",
+                             "--tn", "1e12", "--ci", "builtin", "--out", str(out)]) == 0
+            assert out.read_bytes() == want
+
+    @pytest.mark.parametrize("columns", [
+        (["1", "2"], ["a,b", "c"]),
+        (["1", "2"], ['say "x"', "c"]),
+        (["1", "2"], ["two\nlines", "c\r"]),
+        (["", "x"],),
+        (["", ""], ["", ""]),
+    ])
+    def test_write_csv_writes_what_csv_writer_writes(self, tmp_path, columns):
+        out = tmp_path / "t.csv"
+        cli.write_csv(str(out), ("h",) * len(columns), [columns, columns])
+        rows = list(zip(*columns))
+        assert out.read_bytes() == self.csv_bytes(("h",) * len(columns), rows + rows)
 
 
 def outcome(solve, *args):
