@@ -16,7 +16,6 @@ problem, 4 I/O failure.
 """
 
 import argparse
-import csv
 import hashlib
 import json
 import math
@@ -36,6 +35,7 @@ from .errors import CaoiError, Infeasible, ParseError, ValidationError
 from .optimizer import (
     BOTH_DISCIPLINES,
     SweepTable,
+    row_blocks,
     sweep_cf_budget,
     sweep_lambda,
     sweep_surface,
@@ -62,9 +62,6 @@ ANALYZE_HEADER = ("x", "model", "aoi_s", "cf_g", "lambda_bound", "binding")
 SWEEP_HEADER = ("month", "x", "model", "aoi_s", "binding")
 SLOTS_HEADER = ("slot_start_s", "n_tx", "cf_g")
 EVENTS_HEADER = ("t_deliver_s", "t_generated_s", "age_after_s")
-
-# Rows formatted at a time on the way to a CSV file; a block holds a few MB.
-_BLOCK_ROWS = 1 << 12
 
 
 def fmt_float(x) -> str:
@@ -208,49 +205,36 @@ def write_manifest(command: str, params: dict, outputs: list) -> None:
 
 
 def write_csv(path: str, header, blocks) -> None:
-    """Write header, then each block of columns as rows, as csv.writer would.
+    """Write header, then each block of columns as comma-joined rows.
 
-    A block is a sequence of str columns that are zipped into rows, so an
-    endless column (itertools.repeat) takes the length of the others.
-    blocks may be a generator, which formats each block as it is written.
-    A block whose rows are plain comma-joined fields is written as one
-    string; csv.writer writes any other (a field it would quote).
+    A block is a non-empty sequence of str columns that are zipped into
+    rows, so an endless column (itertools.repeat) takes the length of the
+    others.  blocks may be a generator, which formats each block as it is
+    written.  No field is quoted: each is a number, a model or a binding
+    label, none of which holds a comma, a quote or a line break.
     """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+        fh.write(",".join(header) + "\n")
         for columns in blocks:
-            rows = list(zip(*columns))
-            text = "\n".join(map(",".join, rows)) + "\n"
-            plain = (len(columns) > 1 and text.count(",") == len(rows) * (len(columns) - 1)
-                     and text.count("\n") == len(rows) and not ('"' in text or "\r" in text))
-            if plain:
-                fh.write(text)
-            else:
-                writer.writerows(rows)
-
-
-def _blocks(n: int, columns):
-    """columns(rows) for consecutive slices of range(n), _BLOCK_ROWS at a
-    time, so that a long file is formatted and written a block at a time."""
-    for start in range(0, n, _BLOCK_ROWS):
-        yield columns(slice(start, min(start + _BLOCK_ROWS, n)))
+            fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
 
 
 def _table_blocks(table: SweepTable, header):
-    """The CSV columns of table named in header, in blocks of _BLOCK_ROWS
-    rows or fewer within a month.
+    """The CSV columns of table named in header, a block of row_blocks at
+    a time within each month.
 
     Each distinct x is formatted once, and every float goes through
-    fmt_float's rule.
+    fmt_float's rule; a table without x labels (xs None) writes each
+    row's month as a float.
     """
-    d = len(table.models)
-    xs = [text for text in map(fmt_float, table.xs) for _ in range(d)]
-    models = list(table.models) * len(table.xs)
+    d, n = len(table.models), table.points * len(table.models)    # n rows a month
+    labels = None if table.xs is None else [
+        text for text in map(fmt_float, table.xs) for _ in range(d)]
+    models = list(table.models) * table.points
     for k, month in enumerate(table.months):
-        for start in range(0, len(xs), _BLOCK_ROWS):
-            rows = slice(start, min(start + _BLOCK_ROWS, len(xs)))
-            cells = slice(k * len(xs) + rows.start, k * len(xs) + rows.stop)
+        xs = [fmt_float(float(month))] * d if labels is None else labels
+        for cells in row_blocks(n, k * n):
+            rows = slice(cells.start - k * n, cells.stop - k * n)
             fixed = {"month": repeat(str(month)), "x": xs[rows], "model": models[rows]}
             yield [fixed[name] if name in fixed else _cell_column(table, name, cells)
                    for name in header]
@@ -263,7 +247,9 @@ def _cell_column(table: SweepTable, name: str, cells: slice):
     if name == "aoi_s":
         return fmt_floats(table.aoi[cells])
     values = table.cf if name == "cf_g" else table.lambda_bound
-    return repeat("") if values is None else fmt_floats(values[cells], table.blank[cells])
+    if values is None:
+        return repeat("")
+    return fmt_floats(values[cells], None if table.blank is None else table.blank[cells])
 
 
 def write_json(path, obj) -> None:
@@ -463,15 +449,15 @@ def run_simulate(params: dict, out_dir=None) -> None:
         n = max(len(n_tx), len(grams))
         n_tx, grams = (np.concatenate((v, np.zeros(n - len(v), v.dtype))) for v in (n_tx, grams))
         starts = np.arange(n) * first.slot_length
-        write_csv(slots_path, SLOTS_HEADER, _blocks(
-            n, lambda cells: (fmt_floats(starts[cells]), list(map(str, n_tx[cells].tolist())),
-                              fmt_floats(grams[cells]))))
+        write_csv(slots_path, SLOTS_HEADER, map(
+            lambda cells: (fmt_floats(starts[cells]), list(map(str, n_tx[cells].tolist())),
+                           fmt_floats(grams[cells])), row_blocks(n)))
         outputs.append(slots_path)
     if events_path is not None:
         t, u = first.delivery_times, first.delivery_gen_times
-        write_csv(events_path, EVENTS_HEADER, _blocks(
-            len(t), lambda cells: (fmt_floats(t[cells]), fmt_floats(u[cells]),
-                                   fmt_floats(t[cells] - u[cells]))))
+        write_csv(events_path, EVENTS_HEADER, map(
+            lambda cells: (fmt_floats(t[cells]), fmt_floats(u[cells]),
+                           fmt_floats(t[cells] - u[cells])), row_blocks(len(t))))
         outputs.append(events_path)
     if outputs:
         write_manifest("simulate", params, outputs)

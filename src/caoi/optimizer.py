@@ -101,6 +101,17 @@ class SweepRow(NamedTuple):
     month: int | None = None
 
 
+# Rows built, or formatted for a CSV file, at a time; a block holds a few MB.
+BLOCK_ROWS = 1 << 12
+
+
+def row_blocks(n: int, start: int = 0):
+    """Consecutive slices of range(start, start + n), BLOCK_ROWS long or less."""
+    stop = start + n
+    for i in range(start, stop, BLOCK_ROWS):
+        yield slice(i, min(i + BLOCK_ROWS, stop))
+
+
 class SweepTable:
     """A sweep's cells as columns, in row order: month, then x, then model.
 
@@ -109,9 +120,10 @@ class SweepTable:
     float, as in sweep_months), and models, the discipline values.  The
     columns hold one read-only entry per cell: aoi, cf and lambda_bound in
     float64 (cf and lambda_bound are None when the sweep has no such
-    column), the masks infeasible (aoi = inf) and blank (cf and
-    lambda_bound read None), and binding, each cell's index into labels
-    ("none", the constraint's name, "infeasible").
+    column), the mask infeasible (aoi = inf) and binding, each cell's
+    index into labels ("none", the constraint's name, "infeasible").  A
+    table with a lambda_bound column reads cf and lambda_bound as None in
+    its infeasible cells (the mask blank); sweep_lambda's keeps its cf.
 
     len, indexing (an int gives a SweepRow, a slice a list of them) and
     iteration build rows on demand, each equal to the per-cell solve's row
@@ -119,10 +131,8 @@ class SweepTable:
     columns.
     """
 
-    _BLOCK = 1 << 12    # rows built at a time while iterating
-
-    def __init__(self, months, xs, models, aoi, cf, lambda_bound, infeasible, blank,
-                 binding, label: BindingConstraint):
+    def __init__(self, months, xs, models, aoi, cf, lambda_bound, infeasible, binding,
+                 label: BindingConstraint):
         self.months, self.models = tuple(months), tuple(models)
         self.xs = None if xs is None else tuple(xs)
         self.labels = ("none", label.value, "infeasible")
@@ -130,20 +140,29 @@ class SweepTable:
         self.aoi = _column(aoi, float, shape)
         self.cf, self.lambda_bound = (None if v is None else _column(v, float, shape)
                                       for v in (cf, lambda_bound))
-        self.infeasible, self.blank = (_column(v, bool, shape) for v in (infeasible, blank))
+        self.infeasible = _column(infeasible, bool, shape)
         self.binding = _column(np.where(infeasible, 2, binding), np.uint8, shape)
+        # The axes as object arrays, which an index array reads in C.
+        self._axes = tuple(np.fromiter(v, dtype=object, count=len(v)) for v in
+                           (self.months, self.xs or (), self.models, self.labels))
 
     def __len__(self) -> int:
         return len(self.aoi)
 
     def __repr__(self) -> str:
         return (f"<SweepTable of {len(self)} rows: {len(self.months)} months x "
-                f"{self._points} points x {len(self.models)} models>")
+                f"{self.points} points x {len(self.models)} models>")
 
     @property
-    def _points(self) -> int:
+    def points(self) -> int:
         """Grid points per month."""
         return 1 if self.xs is None else len(self.xs)
+
+    @property
+    def blank(self):
+        """The mask of cells whose cf and lambda_bound read None, or None
+        when no cell's do."""
+        return None if self.lambda_bound is None else self.infeasible
 
     def __getitem__(self, key):
         if isinstance(key, slice):
@@ -154,28 +173,29 @@ class SweepTable:
         return self._rows(np.array([i % len(self)]))[0]
 
     def __iter__(self):
-        for start in range(0, len(self), self._BLOCK):
-            yield from self._rows(np.arange(start, min(start + self._BLOCK, len(self))))
+        for cells in row_blocks(len(self)):
+            yield from self._rows(np.arange(cells.start, cells.stop))
 
     def _blank(self, column, cells):
         """column's values at cells as Python floats, None where blank."""
         if column is None:
             return repeat(None)
+        if self.blank is None:
+            return column[cells].tolist()
         values = column[cells].astype(object)
         values[self.blank[cells]] = None
         return values.tolist()
 
     def _rows(self, cells) -> list:
         """The SweepRows of the cells at the given row indices."""
+        months_o, xs_o, models_o, labels_o = self._axes
         point, model = np.divmod(cells, len(self.models))
-        month, x = np.divmod(point, self._points)
-        months = list(map(self.months.__getitem__, month.tolist()))
-        xs = (list(map(float, months)) if self.xs is None
-              else map(self.xs.__getitem__, x.tolist()))
-        columns = zip(xs, map(self.models.__getitem__, model.tolist()),
-                      self.aoi[cells].tolist(), self._blank(self.cf, cells),
-                      self._blank(self.lambda_bound, cells),
-                      map(self.labels.__getitem__, self.binding[cells].tolist()), months)
+        month, x = np.divmod(point, self.points)
+        months = months_o[month].tolist()
+        xs = list(map(float, months)) if self.xs is None else xs_o[x].tolist()
+        columns = zip(xs, models_o[model].tolist(), self.aoi[cells].tolist(),
+                      self._blank(self.cf, cells), self._blank(self.lambda_bound, cells),
+                      labels_o[self.binding[cells]].tolist(), months)
         # tuple.__new__ is what SweepRow._make calls, minus a Python frame per row.
         return list(map(tuple.__new__, repeat(SweepRow), columns))
 
@@ -417,26 +437,27 @@ def sweep_lambda(mu: float, lambda_grid, disciplines=BOTH_DISCIPLINES,
         cap = np.where(_fcfs_mask(disciplines) & (lam >= mu), math.nan, math.inf)
     aoi, cf, binding, infeasible = _pick_rates(disciplines, mode, cap, lam, mu, emission)
     return SweepTable([None], lam.ravel().tolist(), [d.value for d in disciplines], aoi, cf,
-                      None, infeasible, False, binding, BindingConstraint.NONE)
+                      None, infeasible, binding, BindingConstraint.NONE)
 
 
 def _sweep(months, xs, disciplines, mode, eps, cap, mu, emission, label) -> SweepTable:
     """The table of a solved sweep over months x grid points.
 
-    months and xs label the two axes.  cap, mu and the slot_grams factors
-    in emission broadcast to months x grid points.  Where the cap is slack
-    the rate is _free_rho * mu, as in _pick_rate.
+    months and xs label the two axes (xs as in SweepTable).  cap holds
+    months x grid points, and mu and the slot_grams factors in emission
+    broadcast to it.  Where the cap is slack the rate is _free_rho * mu,
+    as in _pick_rate.
     """
     def per_discipline(v):
         return np.asarray(v, dtype=float)[..., None]
 
     mu = per_discipline(mu)
-    cap = per_discipline(np.broadcast_to(cap, (len(months), len(xs))))
+    cap = per_discipline(cap)
     rho = np.array([_free_rho(d, eps) for d in disciplines])
     aoi, cf, binding, infeasible = _pick_rates(
         disciplines, mode, cap, rho * mu, mu, tuple(map(per_discipline, emission)))
     return SweepTable(months, xs, [d.value for d in disciplines], aoi, cf, cap, infeasible,
-                      infeasible, binding, label)
+                      binding, label)
 
 
 def _months(profile: CiProfile) -> list:
@@ -475,6 +496,7 @@ def sweep_cf_budget(mu: float, k_grid, profile: CiProfile, energy: EnergyModel,
     e_kwh = energy.e_p_kwh()
     with np.errstate(over="ignore"):       # inf, silently, as on the scalar path
         cap = kappa_cap(ks, tn, ci, e_kwh, success_prob_a)
+    cap = np.broadcast_to(cap, (len(ci), len(ks)))      # a = 0 gives a scalar inf
     return _sweep(months, ks.tolist(), tuple(disciplines), mode, eps, cap, mu,
                   (ci, e_kwh, success_prob_a, tn), BindingConstraint.CF_BUDGET)
 
@@ -487,10 +509,8 @@ def sweep_months(constraint: ConstraintSet, profile: CiProfile, energy: EnergyMo
 
     The one-point surface of sweep_surface, with each row's x its month.
     """
-    table = sweep_surface(problem, [(None, constraint)], profile, energy, disciplines,
-                          mode, mu, eps)
-    table.xs = None
-    return table
+    return _surface(problem, [(None, constraint)], False, profile, energy, disciplines,
+                    mode, mu, eps)
 
 
 def sweep_surface(problem: str, grid, profile: CiProfile, energy: EnergyModel,
@@ -503,6 +523,13 @@ def sweep_surface(problem: str, grid, profile: CiProfile, energy: EnergyModel,
     in grams, an SNR floor in dB), the constraint is what gets solved.
     Rows run month by month, then along the grid, then over disciplines.
     """
+    return _surface(problem, grid, True, profile, energy, disciplines, mode, mu, eps)
+
+
+def _surface(problem, grid, label_x, profile, energy, disciplines, mode, mu,
+             eps) -> SweepTable:
+    """sweep_surface's table, whose x labels are the grid's if label_x,
+    else each row's month (xs None, as in SweepTable)."""
     months = _months(profile)
     if problem not in _MONTH_PROBLEMS:
         raise DomainError(f"problem must be 'power' or 'qos', got {problem!r}")
@@ -515,6 +542,7 @@ def sweep_surface(problem: str, grid, profile: CiProfile, energy: EnergyModel,
     ci = np.array([v for _, v in months])[:, None]
     with np.errstate(over="ignore"):       # inf, silently, as on the scalar path
         cap = energy_cap(budget, ci, e_kwh, tn)
-    return _sweep([m for m, _ in months], [x for x, _ in grid], tuple(disciplines),
-                  mode, eps, cap, np.array([m for _, m in points]), (ci, e_kwh, a, tn),
+    xs = [x for x, _ in grid] if label_x else None
+    return _sweep([m for m, _ in months], xs, tuple(disciplines), mode, eps, cap,
+                  np.array([m for _, m in points]), (ci, e_kwh, a, tn),
                   _MONTH_PROBLEMS[problem])

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from caoi import cidata, cli
+from caoi import cidata, cli, optimizer
 from caoi.carbon import EnergyModel
 from caoi.dessim import SimConfig, run
 from caoi.queueing import Discipline, QueueSpec
@@ -286,11 +286,11 @@ class TestSimulate:
         body = json.loads(out.read_text())
         assert len(erows) - 1 == int(body["completions"])
 
-    @pytest.mark.parametrize("block_rows", [cli._BLOCK_ROWS, 7])
+    @pytest.mark.parametrize("block_rows", [optimizer.BLOCK_ROWS, 7])
     def test_slot_and_event_bytes_are_the_row_loop(self, tmp_path, monkeypatch, block_rows):
         # Drained arrival-charged work ends past the horizon, so the counts
         # span more slots than the ledger, whose missing slots read 0.
-        monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(optimizer, "BLOCK_ROWS", block_rows)
         slots, events = tmp_path / "slots.csv", tmp_path / "events.csv"
         assert cli.main(["simulate", "--model", "mm1", "--lambda", "0.95", "--mu", "1",
                          "--horizon", "500", "--slot", "1", "--seed", "5", "--drain",

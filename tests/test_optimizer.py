@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from caoi import cli
+from caoi import cli, optimizer
 from caoi.carbon import CiProfile, ConstraintSet, EnergyModel, avg_cf
 from caoi.cidata import builtin_profile_si2024
 from caoi.errors import CaoiError, DomainError, Infeasible, MissingConstraint
@@ -741,7 +741,7 @@ class TestSweepTable:
         assert_rows_equal(list(table), expected)
         # Rows are built in blocks while iterating: a block edge inside the
         # table changes nothing.
-        monkeypatch.setattr(type(table), "_BLOCK", 5)
+        monkeypatch.setattr(optimizer, "BLOCK_ROWS", 5)
         assert_rows_equal(list(table), expected)
         assert {r.binding for r in table} == {"infeasible", "power"}
 
@@ -765,7 +765,7 @@ class TestSweepTable:
     def test_lambda_table_keeps_cf_in_infeasible_cells(self):
         c = ConstraintSet(budget_k=math.inf, horizon_tn=3600.0)
         table = sweep_lambda(1.0, [0.5, 1.0], profile=BUILTIN, energy=ENERGY, constraint=c)
-        assert table.lambda_bound is None and not table.blank.any()
+        assert table.lambda_bound is None and table.blank is None
         assert table[2].binding == "infeasible" and table[2].cf == table[3].cf > 0
         assert_rows_equal(table[:], per_point(1.0, [0.5, 1.0], BOTH_DISCIPLINES, "exact",
                                               BUILTIN, c))
@@ -805,25 +805,29 @@ class TestSweepTable:
         rows = [fmt(str(m), x, model, aoi, b) for m, x, model, aoi, _, _, b in expected]
         want = self.csv_bytes(cli.SWEEP_HEADER, rows)
         # Blocks of 4 rows end inside a month, and one of the 3 x 2 cells of each.
-        for block_rows in (cli._BLOCK_ROWS, 4):
-            monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
+        for block_rows in (optimizer.BLOCK_ROWS, 4):
+            monkeypatch.setattr(optimizer, "BLOCK_ROWS", block_rows)
             out = tmp_path / f"surface{block_rows}.csv"
             assert cli.main(["sweep", "--surface", "k", "--k-grid", "5e-324:5e-4:3",
                              "--tn", "1e12", "--ci", "builtin", "--out", str(out)]) == 0
             assert out.read_bytes() == want
 
-    @pytest.mark.parametrize("columns", [
-        (["1", "2"], ["a,b", "c"]),
-        (["1", "2"], ['say "x"', "c"]),
-        (["1", "2"], ["two\nlines", "c\r"]),
-        (["", "x"],),
-        (["", ""], ["", ""]),
-    ])
-    def test_write_csv_writes_what_csv_writer_writes(self, tmp_path, columns):
-        out = tmp_path / "t.csv"
-        cli.write_csv(str(out), ("h",) * len(columns), [columns, columns])
-        rows = list(zip(*columns))
-        assert out.read_bytes() == self.csv_bytes(("h",) * len(columns), rows + rows)
+    def test_month_table_csv_bytes(self, tmp_path, monkeypatch):
+        # A sweep_months table has no x labels: the CLI's column writer
+        # writes each row's month as a float, as its rows read.
+        c = ConstraintSet(budget_k=5e-4, horizon_tn=3600.0, power_cap=1.0)
+        table = sweep_months(c, BUILTIN, ENERGY, mode="paper", problem="power")
+        cells = [(m, float(m), ci, c) for m, ci in enumerate(BUILTIN.values, start=1)]
+        expected = per_cell(cells, lambda c, ci, disc: ref.solve_power_constrained(
+            c, ci, ENERGY, disc, mode="paper"))
+        rows = [fmt(str(m), x, model, aoi, b) for m, x, model, aoi, _, _, b in expected]
+        assert rows[0][1] == "1" and rows[-1][:2] == ("12", "12")
+        for block_rows in (optimizer.BLOCK_ROWS, 3):
+            monkeypatch.setattr(optimizer, "BLOCK_ROWS", block_rows)
+            out = tmp_path / f"months{block_rows}.csv"
+            cli.write_csv(str(out), cli.SWEEP_HEADER,
+                          cli._table_blocks(table, cli.SWEEP_HEADER))
+            assert out.read_bytes() == self.csv_bytes(cli.SWEEP_HEADER, rows)
 
 
 def outcome(solve, *args):
