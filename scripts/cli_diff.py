@@ -108,6 +108,12 @@ def commands() -> list:
                            "--out", "sweep_snr_csv.csv"]),
         ("sweep-three-periods", ["sweep", "--surface", "k", "--k-grid", "4e-4:8e-4:3",
                                  "--ci", "profile.csv", "--out", "sweep_three.csv"]),
+        # CSVs written in more than one 4096-row block: 4800 and 5000 rows.
+        ("sweep-k-blocks", ["sweep", "--surface", "k", "--k-grid", "1e-6:1e-3:200",
+                            "--ci", "builtin", "--out", "sweep_k_blocks.csv"]),
+        ("analyze-lambda-blocks", ["analyze", "--model", "both", "--mu", "1",
+                                   "--lambda-grid", "0.01:0.99:2500", "--ci", "builtin",
+                                   "--out", "lambda_blocks.csv"]),
     ]
     for mode in ("exact", "paper"):
         cmds += [

@@ -220,24 +220,18 @@ def write_csv(path: str, header, blocks) -> None:
 
 
 def _table_blocks(table: SweepTable, header):
-    """The CSV columns of table named in header, a block of row_blocks at
-    a time within each month.
+    """The CSV columns of table named in header, a block of row_blocks at a time.
 
-    Each distinct x is formatted once, and every float goes through
-    fmt_float's rule; a table without x labels (xs None) writes each
-    row's month as a float.
+    Each month, x and model is formatted once, and every float goes
+    through fmt_float's rule.
     """
-    d, n = len(table.models), table.points * len(table.models)    # n rows a month
-    labels = None if table.xs is None else [
-        text for text in map(fmt_float, table.xs) for _ in range(d)]
-    models = list(table.models) * table.points
-    for k, month in enumerate(table.months):
-        xs = [fmt_float(float(month))] * d if labels is None else labels
-        for cells in row_blocks(n, k * n):
-            rows = slice(cells.start - k * n, cells.stop - k * n)
-            fixed = {"month": repeat(str(month)), "x": xs[rows], "model": models[rows]}
-            yield [fixed[name] if name in fixed else _cell_column(table, name, cells)
-                   for name in header]
+    axes = [np.array(v, dtype=object) for v in (list(map(str, table.months)),
+                                                list(map(fmt_float, table.xs)), table.models)]
+    for cells in row_blocks(len(table)):
+        fixed = {name: text[i].tolist() for name, text, i in zip(
+            ("month", "x", "model"), axes, table.cell_axes(np.arange(cells.start, cells.stop)))}
+        yield [fixed[name] if name in fixed else _cell_column(table, name, cells)
+               for name in header]
 
 
 def _cell_column(table: SweepTable, name: str, cells: slice):
@@ -383,6 +377,10 @@ def run_optimize(params: dict, out_dir=None) -> int:
 # ---------------------------------------------------------------- simulate
 
 def run_simulate(params: dict, out_dir=None) -> None:
+    # As in run_optimize: the preemptive kernel never reads the buffer.
+    if params["model"] == "mm1star" and params["buffer"] is not None:
+        raise ValidationError("--buffer does not apply to --model mm1star: "
+                              "preemption keeps one packet in the system")
     out_path, slots_path, events_path = (
         _redirect(params[key], out_dir) for key in ("out", "slots_out", "events_out"))
     discipline = _disciplines(params["model"])[0]

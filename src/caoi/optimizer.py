@@ -13,12 +13,13 @@ age is the same in both.
 The solve_* functions work on one cell, on plain floats.  The sweeps
 (sweep_lambda, sweep_cf_budget, sweep_months, sweep_surface) evaluate
 all their cells at once on float64 arrays in _pick_rates, the array form
-of _pick_rate, and return a SweepTable of those arrays, whose SweepRows
-are built only when read.  Both paths use the same free rate (_free_rho)
-and unchecked formulas (queueing.mm1_age and mm1_star_age,
-carbon.kappa_cap, energy_cap and slot_grams), whose operations round the
-same on floats and arrays, so a sweep's rows equal a loop of per-cell
-solves bit for bit, with an Infeasible solve as an aoi = inf row.  The
+of _pick_rate, and return a SweepTable of those arrays, laid out months
+x grid points x disciplines, whose SweepRows are built only when read.
+Both paths use the same free rate (_free_rho) and unchecked formulas
+(queueing.mm1_age and mm1_star_age, carbon.kappa_cap, energy_cap and
+slot_grams), whose operations round the same on floats and arrays, so a
+sweep's rows equal a loop of per-cell solves bit for bit, with an
+Infeasible solve as an aoi = inf row.  The
 power and qos solvers and sweep_surface share one point's checks in
 _month_point, which a sweep runs once per point, on floats.
 
@@ -92,7 +93,7 @@ class OptimizationResult:
 class SweepRow(NamedTuple):
     """One grid point of a sweep, in long format (one row per model)."""
 
-    x: float
+    x: float | None                 # None in a month sweep
     model: str
     aoi: float                      # inf marks an infeasible grid point
     cf: float | None
@@ -105,25 +106,24 @@ class SweepRow(NamedTuple):
 BLOCK_ROWS = 1 << 12
 
 
-def row_blocks(n: int, start: int = 0):
-    """Consecutive slices of range(start, start + n), BLOCK_ROWS long or less."""
-    stop = start + n
-    for i in range(start, stop, BLOCK_ROWS):
-        yield slice(i, min(i + BLOCK_ROWS, stop))
+def row_blocks(n: int):
+    """Consecutive slices of range(n), BLOCK_ROWS long or less."""
+    for i in range(0, n, BLOCK_ROWS):
+        yield slice(i, min(i + BLOCK_ROWS, n))
 
 
 class SweepTable:
     """A sweep's cells as columns, in row order: month, then x, then model.
 
-    The axes are months (a single None when the sweep solves the profile
-    mean), xs, the x labels (None when each row's x is its month as a
-    float, as in sweep_months), and models, the discipline values.  The
-    columns hold one read-only entry per cell: aoi, cf and lambda_bound in
-    float64 (cf and lambda_bound are None when the sweep has no such
-    column), the mask infeasible (aoi = inf) and binding, each cell's
-    index into labels ("none", the constraint's name, "infeasible").  A
-    table with a lambda_bound column reads cf and lambda_bound as None in
-    its infeasible cells (the mask blank); sweep_lambda's keeps its cf.
+    The axes are months, xs and models (the discipline values); a sweep
+    over the profile mean has months (None,), and a month sweep xs
+    (None,).  The columns hold one read-only entry per cell: aoi, cf and
+    lambda_bound in float64 (cf and lambda_bound are None when the sweep
+    has no such column), the mask infeasible (aoi = inf) and binding,
+    each cell's index into labels ("none", the constraint's name,
+    "infeasible").  A table with a lambda_bound column reads cf and
+    lambda_bound as None in its infeasible cells (the mask blank);
+    sweep_lambda's keeps its cf.
 
     len, indexing (an int gives a SweepRow, a slice a list of them) and
     iteration build rows on demand, each equal to the per-cell solve's row
@@ -133,8 +133,7 @@ class SweepTable:
 
     def __init__(self, months, xs, models, aoi, cf, lambda_bound, infeasible, binding,
                  label: BindingConstraint):
-        self.months, self.models = tuple(months), tuple(models)
-        self.xs = None if xs is None else tuple(xs)
+        self.months, self.xs, self.models = tuple(months), tuple(xs), tuple(models)
         self.labels = ("none", label.value, "infeasible")
         shape = np.shape(aoi)
         self.aoi = _column(aoi, float, shape)
@@ -144,25 +143,26 @@ class SweepTable:
         self.binding = _column(np.where(infeasible, 2, binding), np.uint8, shape)
         # The axes as object arrays, which an index array reads in C.
         self._axes = tuple(np.fromiter(v, dtype=object, count=len(v)) for v in
-                           (self.months, self.xs or (), self.models, self.labels))
+                           (self.months, self.xs, self.models, self.labels))
 
     def __len__(self) -> int:
         return len(self.aoi)
 
     def __repr__(self) -> str:
         return (f"<SweepTable of {len(self)} rows: {len(self.months)} months x "
-                f"{self.points} points x {len(self.models)} models>")
-
-    @property
-    def points(self) -> int:
-        """Grid points per month."""
-        return 1 if self.xs is None else len(self.xs)
+                f"{len(self.xs)} points x {len(self.models)} models>")
 
     @property
     def blank(self):
         """The mask of cells whose cf and lambda_bound read None, or None
         when no cell's do."""
         return None if self.lambda_bound is None else self.infeasible
+
+    def cell_axes(self, cells):
+        """The month, x and model indices of the cells at the given row indices."""
+        point, model = np.divmod(cells, len(self.models))
+        month, x = np.divmod(point, len(self.xs))
+        return month, x, model
 
     def __getitem__(self, key):
         if isinstance(key, slice):
@@ -188,14 +188,11 @@ class SweepTable:
 
     def _rows(self, cells) -> list:
         """The SweepRows of the cells at the given row indices."""
+        month, x, model = self.cell_axes(cells)
         months_o, xs_o, models_o, labels_o = self._axes
-        point, model = np.divmod(cells, len(self.models))
-        month, x = np.divmod(point, self.points)
-        months = months_o[month].tolist()
-        xs = list(map(float, months)) if self.xs is None else xs_o[x].tolist()
-        columns = zip(xs, models_o[model].tolist(), self.aoi[cells].tolist(),
+        columns = zip(xs_o[x].tolist(), models_o[model].tolist(), self.aoi[cells].tolist(),
                       self._blank(self.cf, cells), self._blank(self.lambda_bound, cells),
-                      labels_o[self.binding[cells]].tolist(), months)
+                      labels_o[self.binding[cells]].tolist(), months_o[month].tolist())
         # tuple.__new__ is what SweepRow._make calls, minus a Python frame per row.
         return list(map(tuple.__new__, repeat(SweepRow), columns))
 
@@ -443,7 +440,7 @@ def sweep_lambda(mu: float, lambda_grid, disciplines=BOTH_DISCIPLINES,
 def _sweep(months, xs, disciplines, mode, eps, cap, mu, emission, label) -> SweepTable:
     """The table of a solved sweep over months x grid points.
 
-    months and xs label the two axes (xs as in SweepTable).  cap holds
+    months and xs label the two axes, as in SweepTable.  cap holds
     months x grid points, and mu and the slot_grams factors in emission
     broadcast to it.  Where the cap is slack the rate is _free_rho * mu,
     as in _pick_rate.
@@ -507,10 +504,10 @@ def sweep_months(constraint: ConstraintSet, profile: CiProfile, energy: EnergyMo
                  eps: SaturationEpsilon = DEFAULT_EPS) -> SweepTable:
     """Solve one constrained problem per calendar month of a 12-step profile.
 
-    The one-point surface of sweep_surface, with each row's x its month.
+    The one-point surface of sweep_surface, whose x is None.
     """
-    return _surface(problem, [(None, constraint)], False, profile, energy, disciplines,
-                    mode, mu, eps)
+    return sweep_surface(problem, [(None, constraint)], profile, energy, disciplines, mode,
+                         mu, eps)
 
 
 def sweep_surface(problem: str, grid, profile: CiProfile, energy: EnergyModel,
@@ -523,17 +520,12 @@ def sweep_surface(problem: str, grid, profile: CiProfile, energy: EnergyModel,
     in grams, an SNR floor in dB), the constraint is what gets solved.
     Rows run month by month, then along the grid, then over disciplines.
     """
-    return _surface(problem, grid, True, profile, energy, disciplines, mode, mu, eps)
-
-
-def _surface(problem, grid, label_x, profile, energy, disciplines, mode, mu,
-             eps) -> SweepTable:
-    """sweep_surface's table, whose x labels are the grid's if label_x,
-    else each row's month (xs None, as in SweepTable)."""
     months = _months(profile)
     if problem not in _MONTH_PROBLEMS:
         raise DomainError(f"problem must be 'power' or 'qos', got {problem!r}")
     grid = list(grid)
+    if not grid:
+        raise DomainError("grid must not be empty")
     constraints = [c for _, c in grid]
     points = [_month_point(problem, c, energy, mu, mode) for c in constraints]
     e_kwh = np.array([e for e, _ in points])
@@ -542,7 +534,6 @@ def _surface(problem, grid, label_x, profile, energy, disciplines, mode, mu,
     ci = np.array([v for _, v in months])[:, None]
     with np.errstate(over="ignore"):       # inf, silently, as on the scalar path
         cap = energy_cap(budget, ci, e_kwh, tn)
-    xs = [x for x, _ in grid] if label_x else None
-    return _sweep([m for m, _ in months], xs, tuple(disciplines), mode, eps, cap,
-                  np.array([m for _, m in points]), (ci, e_kwh, a, tn),
+    return _sweep([m for m, _ in months], [x for x, _ in grid], tuple(disciplines), mode,
+                  eps, cap, np.array([m for _, m in points]), (ci, e_kwh, a, tn),
                   _MONTH_PROBLEMS[problem])

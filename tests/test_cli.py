@@ -347,6 +347,23 @@ class TestSimulate:
         assert body["empirical_a"] < 1
         assert body["closed_form_aoi_s"] is None
 
+    def test_buffer_with_mm1star_exits_2(self, tmp_path, capsys):
+        # Once exited 0 and recorded a buffer the preemptive kernel never read.
+        argv = ["simulate", "--model", "mm1star", "--lambda", "1", "--mu", "1",
+                "--horizon", "100", "--seed", "1", "--ci-value", "198",
+                "--out", str(tmp_path / "sim.json")]
+        assert cli.main([*argv, "--buffer", "5"]) == 2
+        assert "--buffer does not apply to --model mm1star" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+        assert cli.main([*argv, "--buffer", "inf"]) == 0
+        manifest = tmp_path / "sim.json.manifest.json"
+        body = json.loads(manifest.read_text())
+        body["params"]["buffer"] = 5
+        manifest.write_text(json.dumps(body))
+        assert cli.main(["replay", str(manifest), "--out-dir", str(tmp_path / "redo")]) == 2
+        assert "--buffer does not apply" in capsys.readouterr().err
+        assert not any((tmp_path / "redo").iterdir())
+
     def test_oversized_slot_grid_exits_2(self, tmp_path, capsys):
         # 10^12 slots: rejected by the config check before any allocation.
         code = cli.main(["simulate", "--model", "mm1", "--lambda", "0.5", "--mu", "1",

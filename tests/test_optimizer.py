@@ -333,6 +333,14 @@ class TestSweeps:
         with pytest.raises(MissingConstraint, match=solver):
             sweep_surface(problem, [(1.0, c)], builtin, ENERGY)
 
+    def test_empty_surface_grid_raises_like_the_other_sweeps(self, builtin):
+        for sweep in (lambda: sweep_lambda(1.0, []),
+                      lambda: sweep_cf_budget(1.0, [], builtin, ENERGY, 3600.0),
+                      lambda: sweep_surface("power", [], builtin, ENERGY),
+                      lambda: sweep_surface("qos", iter(()), builtin, ENERGY)):
+            with pytest.raises(DomainError, match="^grid must not be empty$"):
+                sweep()
+
     def test_month_sweep_needs_full_year(self):
         c = ConstraintSet(budget_k=5e-4, horizon_tn=3600.0, power_cap=1.0)
         with pytest.raises(DomainError):
@@ -502,7 +510,7 @@ class TestOneSweepLoop:
         else:
             def solve(c, ci, disc):
                 return ref.solve_qos_constrained(c, ci, ENERGY, disc, mode="paper")
-        cells = [(m, float(m), ci, constraint)
+        cells = [(m, None, ci, constraint)
                  for m, ci in enumerate(builtin.values, start=1)]
         assert fmt_sweep_rows(rows) == [fmt(*r) for r in per_cell(cells, solve)]
 
@@ -651,7 +659,7 @@ class TestArrayEngine:
         assert_rows_equal(rows, per_cell(cells, solve, disciplines))
         rows = sweep_months(constraints[0], profile, ENERGY, disciplines, mode, problem,
                             mu, eps)
-        cells = [(m, float(m), ci, constraints[0])
+        cells = [(m, None, ci, constraints[0])
                  for m, ci in enumerate(profile.values, start=1)]
         assert_rows_equal(rows, per_cell(cells, solve, disciplines))
 
@@ -669,7 +677,7 @@ class TestArrayEngine:
         with pytest.raises(DomainError, match="service rate"):
             sweep_cf_budget(mu, k_grid, BUILTIN, ENERGY, 1e12, (LCFS,), "paper")
         c = ConstraintSet(budget_k=5e-4, horizon_tn=3600.0, power_cap=1.0)
-        cells = [(m, float(m), ci, c) for m, ci in enumerate(BUILTIN.values, start=1)]
+        cells = [(m, None, ci, c) for m, ci in enumerate(BUILTIN.values, start=1)]
         with pytest.raises(DomainError, match="service rate"):
             per_cell(cells, self.month_solver("power", "paper", mu, SaturationEpsilon()),
                      (LCFS,))
@@ -693,7 +701,7 @@ class TestArrayEngine:
         rows = sweep_months(c, BUILTIN, ENERGY, (LCFS,), "exact", "power", mu, eps)
         assert rows[0].binding == "none" and rows[0].lambda_bound == cap
         solve = self.month_solver("power", "exact", mu, eps)
-        cells = [(m, float(m), ci, c) for m, ci in enumerate(BUILTIN.values, start=1)]
+        cells = [(m, None, ci, c) for m, ci in enumerate(BUILTIN.values, start=1)]
         assert_rows_equal(rows, per_cell(cells, solve, (LCFS,)))
 
 
@@ -755,12 +763,13 @@ class TestSweepTable:
         assert [table.labels[b] for b in table.binding] == [r[6] for r in expected]
         assert table.blank.tolist() == table.infeasible.tolist()
 
-    def test_sweep_months_x_is_the_month(self):
+    def test_sweep_months_x_is_none(self):
         c = ConstraintSet(budget_k=5e-4, horizon_tn=3600.0, power_cap=1.0)
         table = sweep_months(c, BUILTIN, ENERGY, mode="paper", problem="power")
-        assert table.xs is None
-        for row in (*table, table[-1]):
-            assert type(row.x) is float and row.x == float(row.month)
+        assert table.months == tuple(range(1, 13)) and table.xs == (None,)
+        assert repr(table) == "<SweepTable of 24 rows: 12 months x 1 points x 2 models>"
+        assert [row.month for row in table] == [m for m in range(1, 13) for _ in "ab"]
+        assert all(row.x is None for row in (*table, table[-1]))
 
     def test_lambda_table_keeps_cf_in_infeasible_cells(self):
         c = ConstraintSet(budget_k=math.inf, horizon_tn=3600.0)
@@ -813,15 +822,15 @@ class TestSweepTable:
             assert out.read_bytes() == want
 
     def test_month_table_csv_bytes(self, tmp_path, monkeypatch):
-        # A sweep_months table has no x labels: the CLI's column writer
-        # writes each row's month as a float, as its rows read.
+        # A sweep_months table's x is None: the CLI's column writer leaves
+        # the x field empty, as fmt_float writes None.
         c = ConstraintSet(budget_k=5e-4, horizon_tn=3600.0, power_cap=1.0)
         table = sweep_months(c, BUILTIN, ENERGY, mode="paper", problem="power")
-        cells = [(m, float(m), ci, c) for m, ci in enumerate(BUILTIN.values, start=1)]
+        cells = [(m, None, ci, c) for m, ci in enumerate(BUILTIN.values, start=1)]
         expected = per_cell(cells, lambda c, ci, disc: ref.solve_power_constrained(
             c, ci, ENERGY, disc, mode="paper"))
         rows = [fmt(str(m), x, model, aoi, b) for m, x, model, aoi, _, _, b in expected]
-        assert rows[0][1] == "1" and rows[-1][:2] == ("12", "12")
+        assert rows[0][:2] == ("1", "") and rows[-1][:2] == ("12", "")
         for block_rows in (optimizer.BLOCK_ROWS, 3):
             monkeypatch.setattr(optimizer, "BLOCK_ROWS", block_rows)
             out = tmp_path / f"months{block_rows}.csv"

@@ -1,0 +1,58 @@
+"""Both figure scripts at small sizes: make_sweep_datasets.py and
+validate_against_simulation.py, loaded by path as CI runs them."""
+
+import csv
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from caoi import builtin_profile_si2024
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load(name: str):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def read_csv(path: Path) -> list:
+    with open(path, newline="") as handle:
+        return list(csv.reader(handle))
+
+
+def test_sweep_datasets(tmp_path):
+    load("make_sweep_datasets").main(["--out-dir", str(tmp_path)])
+    tables = {name: read_csv(tmp_path / name) for name in (
+        "lambda_sweep.csv", "budget_sweep.csv", "snr_sweep.csv", "month_power.csv")}
+    # 98 rates, 12 months x 60 budgets, 12 months x 41 floors, 12 months; 2 models each.
+    expected = {
+        "lambda_sweep.csv": (["lambda", "model", "aoi_s", "cf_g", "binding"], 196),
+        "budget_sweep.csv": (["month", "budget_g", "model", "aoi_s", "binding"], 1440),
+        "snr_sweep.csv": (["month", "snr_db", "model", "aoi_s", "binding"], 984),
+        "month_power.csv": (["month", "model", "aoi_s", "binding"], 24),
+    }
+    assert {name: (rows[0], len(rows) - 1) for name, rows in tables.items()} == expected
+    # Under a binding 1 W cap the paper-mode preemptive age scales with the
+    # month's intensity, so November/May is the CI ratio.
+    age = {int(month): float(aoi) for month, model, aoi, binding
+           in tables["month_power.csv"][1:] if model == "mm1star"}
+    values = builtin_profile_si2024().values
+    assert age[11] / age[5] == pytest.approx(values[10] / values[4], rel=1e-12)
+
+
+def test_validation_at_a_small_size(tmp_path):
+    script = load("validate_against_simulation")
+    out = tmp_path / "validation.csv"
+    argv = ["--rho", "0.3", "0.5", "--arrivals", "2e4", "--reps", "3", "--out", str(out)]
+    assert script.main(argv) == 0
+    rows = read_csv(out)
+    assert rows[0] == ["model", "rho", "closed_form_aoi_s", "simulated_aoi_s",
+                       "ci95_halfwidth_s", "rel_dev"]
+    assert [tuple(r[:2]) for r in rows[1:]] == [
+        (model, rho) for model in ("mm1", "mm1star") for rho in ("0.29999999999999999", "0.5")]
+    # A tolerance no finite sample meets fails every cell.
+    assert script.main([*argv, "--tol", "0"]) == 1
