@@ -22,9 +22,17 @@ slot outputs do not depend on it, but the age integral is summed chunk
 by chunk, so another size changes the last digits of the mean age.
 A kernel yields each chunk's uncut sample path, and `run` alone applies
 the horizon: without drain, nothing is delivered after it, and work in
-service at the horizon is charged only up to it.  Emissions use the
+service at the horizon is charged only up to it.  Each generator in the
+chain drops its arrays once its step is used, and the busy intervals are
+built only for service-time charging, so a run of 2**20 arrivals charged
+at arrival peaks near five chunk arrays (tracemalloc).  Emissions use the
 profile's own arrays (CiProfile.values_at, integral_to), and the slot
 grams go into the CarbonLedger as float64 arrays.
+
+`replicate` runs its replications concurrently, on the calling thread
+and one helper thread per further usable core, and gives the outputs of
+a sequential loop bit for bit whatever the core count; each concurrent
+replication adds about one run's working set to the peak memory.
 
 Randomness: the seed feeds a SeedSequence whose first spawned child
 drives interarrival draws and whose second drives service draws.  The
@@ -37,6 +45,8 @@ generated at u is delivered.  Statistics cover [warmup, horizon] only.
 """
 
 import math
+import os
+import threading
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, replace
@@ -147,7 +157,12 @@ class SimulationTrace:
 
 @dataclass
 class ReplicationSummary:
-    """Aggregate over independent replications (seed, seed+1, ...)."""
+    """Aggregate over independent replications (seed, seed+1, ...).
+
+    traces[r] is the replication seeded seed + r, and the means and the
+    halfwidth are summed in that order, so they do not depend on how
+    many replications ran at once.
+    """
 
     mean_aoi: float
     ci95_halfwidth: float | None    # None for one replication
@@ -167,67 +182,83 @@ def _arrival_chunks(rng: np.random.Generator, lam: float, horizon: float):
         a = rng.exponential(1.0 / lam, size=_CHUNK)
         a[0] += t
         np.cumsum(a, out=a)
-        if a[-1] < horizon:
-            yield a
-            t = float(a[-1])
-            continue
-        end = int(np.searchsorted(a, horizon))
-        if end:
-            yield a[:end]
-        return
+        if a[-1] >= horizon:
+            end = int(np.searchsorted(a, horizon))
+            if end:
+                yield a[:end]
+            return
+        t = float(a[-1])
+        yield a
+        del a           # before the next chunk is drawn
 
 
 class _Out(NamedTuple):
-    """One kernel step, uncut at the horizon: deliveries, busy intervals up
-    to their natural end, and charged arrivals."""
+    """One kernel step, uncut at the horizon: deliveries, charged arrivals
+    and the busy intervals up to their natural end.  Only service-time
+    charging reads the busy intervals, so the kernels build them only when
+    asked and a step of the other modes holds two arrays fewer."""
 
     d: np.ndarray               # delivery times, ascending
     u: np.ndarray               # generation times of those deliveries
-    busy_start: np.ndarray
-    busy_end: np.ndarray        # ascending; every delivery is one of them
-    admitted: np.ndarray        # arrival times charged in arrival mode
+    admitted: np.ndarray        # arrival times charged in arrival mode, ascending
+    busy_start: np.ndarray | None = None
+    busy_end: np.ndarray | None = None      # ascending; every delivery is one of them
     preemptions: int = 0
     drops: int = 0
 
 
-def _fcfs(chunks, rng_service, mu):
+def _fcfs(chunks, rng_service, mu, busy):
     """Unbounded FCFS: d_i = S_i + max_{j<=i} (a_j - S_{j-1}), where S is
-    the running service sum.  S and the running max carry across chunks."""
+    the running service sum.  S and the running max carry across chunks.
+
+    The offsets become the departures in place and, for service-time
+    charging, the service draws become the busy starts.
+    """
     total, peak = 0.0, -math.inf
     for a in chunks:
         s = rng_service.exponential(1.0 / mu, size=len(a))
         run_sum = s.copy()
         run_sum[0] += total
         np.cumsum(run_sum, out=run_sum)
-        offsets = a - (run_sum - s)
-        offsets[0] = max(offsets[0], peak)
-        np.maximum.accumulate(offsets, out=offsets)
-        total, peak = float(run_sum[-1]), float(offsets[-1])
-        d = run_sum + offsets
-        yield _Out(d, a, d - s, d, a)
+        d = np.subtract(run_sum, s)     # S_{i-1}
+        np.subtract(a, d, out=d)        # the offsets
+        d[0] = max(d[0], peak)
+        np.maximum.accumulate(d, out=d)
+        total, peak = float(run_sum[-1]), float(d[-1])
+        d += run_sum
+        del run_sum
+        s = np.subtract(d, s, out=s) if busy else None
+        yield _Out(d, a, a, s, d if busy else None)
+        del a, s, d     # before the next chunk is drawn
 
 
-def _lcfs(chunks, rng_service, mu):
+def _lcfs(chunks, rng_service, mu, busy):
     """Preemptive LCFS: a packet completes iff a + s beats the next arrival.
-    The last arrival of each chunk waits for the next chunk's first."""
+    The last arrival of each chunk waits for the next chunk's first, but
+    every arrival is charged in its own chunk's step."""
 
-    def settle(a, s, next_a):
-        c = a + s
+    def settle(a, c, next_a, admitted):
         completed = c < next_a      # else preempted at the next arrival
-        return _Out(c[completed], a[completed], a, np.minimum(c, next_a), a,
-                    preemptions=len(a) - int(completed.sum()))
+        d = c[completed]
+        return _Out(d, a[completed], admitted, a if busy else None,
+                    np.minimum(c, next_a, out=c) if busy else None,
+                    preemptions=len(a) - len(d))
 
-    held_a = held_s = np.empty(0)
+    held_a = held_c = np.empty(0)
     for a in chunks:
-        s = rng_service.exponential(1.0 / mu, size=len(a))
-        a = np.concatenate((held_a, a))
-        s = np.concatenate((held_s, s))
-        held_a, held_s = a[-1:].copy(), s[-1:].copy()
-        yield settle(a[:-1], s[:-1], a[1:])
-    yield settle(held_a, held_s, np.full(len(held_a), math.inf))
+        c = rng_service.exponential(1.0 / mu, size=len(a))
+        c += a                      # completion if not preempted
+        joined = np.concatenate((held_a, a))
+        c = np.concatenate((held_c, c))
+        held_a, held_c = joined[-1:].copy(), c[-1:].copy()
+        out = settle(joined[:-1], c[:-1], joined[1:], a)
+        del joined, c
+        yield out
+        del a, out      # before the next chunk is drawn
+    yield settle(held_a, held_c, np.full(len(held_a), math.inf), held_a[:0])
 
 
-def _fcfs_finite(chunks, rng_service, mu, capacity):
+def _fcfs_finite(chunks, rng_service, mu, busy, capacity):
     """FCFS with room for `capacity` packets, the one in service included.
 
     An arrival finds in the system the admitted packets that depart after
@@ -259,7 +290,9 @@ def _fcfs_finite(chunks, rng_service, mu, capacity):
             deps.append(last)
         admitted = np.array(admitted, dtype=float)
         d = np.array(deps, dtype=float)
-        yield _Out(d, admitted, np.array(starts, dtype=float), d, admitted, drops=drops)
+        yield _Out(d, admitted, admitted, np.array(starts, dtype=float) if busy else None,
+                   d if busy else None, drops=drops)
+        del a, admitted, starts, deps, d    # before the next chunk is drawn
 
 
 class _AgeIntegral:
@@ -280,14 +313,19 @@ class _AgeIntegral:
             self.anchor = float(u[i0 - 1])
         if i1 <= i0:
             return
+        # The area of each step, (t1 - t0) * (0.5 * (t0 + t1) - anchor),
+        # in two buffers.
         t1 = d[i0:i1]
-        t0 = np.empty_like(t1)
-        t0[0] = self.t
-        t0[1:] = t1[:-1]
-        anchors = np.empty_like(t1)
-        anchors[0] = self.anchor
-        anchors[1:] = u[i0:i1 - 1]
-        self.area += float(np.sum((t1 - t0) * (0.5 * (t0 + t1) - anchors)))
+        mid = np.empty_like(t1)
+        mid[0] = self.t
+        mid[1:] = t1[:-1]
+        width = np.subtract(t1, mid)
+        mid += t1
+        mid *= 0.5
+        mid[0] -= self.anchor
+        mid[1:] -= u[i0:i1 - 1]
+        width *= mid
+        self.area += float(np.sum(width))
         self.t = float(t1[-1])
         self.anchor = float(u[i1 - 1])
 
@@ -308,10 +346,13 @@ class _SlotSums:
         self.horizon = horizon
         self.sums = np.zeros(n_slots, dtype)
 
-    def add(self, times: np.ndarray, weights) -> None:
+    def add(self, times: np.ndarray, weights=None) -> None:
+        """Add weights at times, or count the times when weights is None."""
         if not len(times):
             return
-        idx = np.floor(times / self.slot).astype(np.int64)
+        # Times are non-negative, so the cast's truncation is the floor.
+        idx = np.divide(times, self.slot, out=np.empty(len(times), np.int64),
+                        casting="unsafe")
         top = int(idx.max())
         if top >= self.n_slots:
             idx[(times <= self.horizon) & (idx >= self.n_slots)] = self.n_slots - 1
@@ -319,8 +360,14 @@ class _SlotSums:
         grow = top + 1 - len(self.sums)
         if grow > 0:
             self.sums = np.concatenate((self.sums, np.zeros(grow, self.sums.dtype)))
-        # add.at adds in event order, so no slot sum depends on the chunk size.
-        np.add.at(self.sums, idx, weights)
+        if weights is None:
+            lo = int(idx.min())
+            idx -= lo
+            counts = np.bincount(idx)
+            self.sums[lo:lo + len(counts)] += counts
+        else:
+            # add.at adds in event order, so no slot sum depends on the chunk size.
+            np.add.at(self.sums, idx, weights)
 
 
 def run(config: SimConfig, profile: CiProfile, energy: EnergyModel) -> SimulationTrace:
@@ -351,13 +398,15 @@ def run(config: SimConfig, profile: CiProfile, energy: EnergyModel) -> Simulatio
             if config.keep_events:
                 drawn.append(a)
             yield a
+            del a       # before the next chunk is drawn
 
+    busy = config.cf_mode is CfMode.SERVICE_TIME_CHARGED
     if spec.discipline is Discipline.LCFS_PREEMPTIVE:
-        steps = _lcfs(arrival_stream(), rng_service, spec.mu)
+        steps = _lcfs(arrival_stream(), rng_service, spec.mu, busy)
     elif config.buffer is None:
-        steps = _fcfs(arrival_stream(), rng_service, spec.mu)
+        steps = _fcfs(arrival_stream(), rng_service, spec.mu, busy)
     else:
-        steps = _fcfs_finite(arrival_stream(), rng_service, spec.mu, config.buffer)
+        steps = _fcfs_finite(arrival_stream(), rng_service, spec.mu, busy, config.buffer)
 
     slot = config.effective_slot
     n_slots = slot_count(horizon, slot)
@@ -368,15 +417,18 @@ def run(config: SimConfig, profile: CiProfile, energy: EnergyModel) -> Simulatio
     completions = preemptions = drops = 0
     delivered = []              # (d, u) per step, kept for keep_events only
     for out in steps:
-        if not config.drain and len(out.busy_end) and out.busy_end[-1] > horizon:
+        last = out.busy_end if busy else out.d
+        if not config.drain and len(last) and last[-1] > horizon:
             # Nothing is delivered after the horizon, and work then in service
             # is charged up to it; work that would start later never starts.
             keep = out.d <= horizon
-            busy = out.busy_start < horizon
-            out = out._replace(d=out.d[keep], u=out.u[keep], busy_start=out.busy_start[busy],
-                               busy_end=np.minimum(out.busy_end[busy], horizon))
+            out = out._replace(d=out.d[keep], u=out.u[keep])
+            if busy:
+                started = out.busy_start < horizon
+                out = out._replace(busy_start=out.busy_start[started],
+                                   busy_end=np.minimum(out.busy_end[started], horizon))
         age.add(out.d, out.u)
-        counts.add(out.d, 1)
+        counts.add(out.d)
         if config.cf_mode is CfMode.ARRIVAL_CHARGED:
             grams.add(out.admitted, profile.values_at(out.admitted) * ep_kwh)
         elif config.cf_mode is CfMode.COMPLETION_CHARGED:
@@ -389,6 +441,7 @@ def run(config: SimConfig, profile: CiProfile, energy: EnergyModel) -> Simulatio
         drops += out.drops
         if config.keep_events:
             delivered.append((out.d, out.u))
+        del out, last   # before the next chunk is drawn
 
     time_avg, final_age = age.result()
     ledger = CarbonLedger((np.arange(len(grams.sums)) + 1) * slot, grams.sums)
@@ -437,9 +490,25 @@ def _t975(df: int) -> float:
     return _T975[bisect_right(_T975_DF, df) - 1][1]
 
 
+def _usable_cores() -> int:
+    """The cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def replicate(config: SimConfig, profile: CiProfile, energy: EnergyModel,
               n_reps: int) -> ReplicationSummary:
     """Run n_reps >= 1 independent replications seeded seed, seed+1, ...
+
+    The replications run concurrently: the calling thread and up to one
+    helper thread per further usable core take them in index order, and
+    each trace is stored at its index, so every output is the one a
+    sequential loop gives, whatever the core count.  numpy releases the
+    GIL in the draws and kernels, and each concurrent replication adds
+    about one run's working set to the peak memory.  If a replication
+    fails, no further one starts, and the error of the lowest failing
+    index is raised once every started replication has ended.
 
     The 95% halfwidth is the Student-t interval t(0.975, n-1) * s / sqrt(n),
     and None for one replication, which has no spread to measure.
@@ -448,10 +517,38 @@ def replicate(config: SimConfig, profile: CiProfile, energy: EnergyModel,
     """
     if n_reps < 1:
         raise DomainError(f"need at least 1 replication, got {n_reps}")
-    traces = []
-    for r in range(n_reps):
-        rep = replace(config, seed=config.seed + r, keep_events=config.keep_events and r == 0)
-        traces.append(run(rep, profile, energy))
+    traces = [None] * n_reps
+    errors = {}
+    pending = iter(range(n_reps))
+    lock = threading.Lock()
+
+    def work():
+        while True:
+            with lock:
+                r = None if errors else next(pending, None)
+            if r is None:
+                return
+            rep = replace(config, seed=config.seed + r, keep_events=config.keep_events and r == 0)
+            try:
+                traces[r] = run(rep, profile, energy)
+            except BaseException as exc:
+                with lock:
+                    errors[r] = exc
+                return
+
+    # The calling thread takes a share itself: each thread's allocator
+    # arena keeps its own high-water mark, so a thread costs memory.
+    helpers = [threading.Thread(target=work, daemon=True)
+               for _ in range(min(n_reps, _usable_cores()) - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        work()
+    finally:
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[min(errors)]
     aois = [t.time_avg_aoi for t in traces]
     mean = sum(aois) / n_reps
     half = None

@@ -1,7 +1,11 @@
 import math
+import sys
+import threading
+import time
 import tracemalloc
 from bisect import bisect_right
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -440,9 +444,12 @@ class TestReplicate:
             assert trace.delivery_times is None
             assert trace.delivery_gen_times is None
 
-    def test_extra_replications_hold_no_events(self):
+    def test_extra_replications_hold_no_events(self, monkeypatch):
         # With 2e5 arrivals per replication, five replications peak less
-        # than half of one run's event arrays above two replications.
+        # than half of one run's event arrays above two replications.  One
+        # core runs them one at a time, so the peaks differ by held events
+        # only, not by which runs happened to overlap.
+        monkeypatch.setattr(dessim, "_usable_cores", lambda: 1)
         c = cfg(Discipline.FCFS_MM1, 0.5, 1.0, 4e5, 71, keep_events=True)
         peaks = []
         tracemalloc.start()
@@ -472,6 +479,113 @@ class TestReplicate:
             with pytest.raises(DomainError):
                 replicate(c, FLAT, ENERGY, n_reps)
 
+
+def sequential(config, profile, n_reps):
+    """The replications of `replicate`, run one after another."""
+    return [run(replace(config, seed=config.seed + r,
+                        keep_events=config.keep_events and r == 0), profile, ENERGY)
+            for r in range(n_reps)]
+
+
+class TestConcurrentReplicate:
+    """replicate runs its replications on up to one thread per usable core;
+    its output is the sequential loop's, whatever the core count."""
+
+    @pytest.mark.parametrize("drain", [False, True])
+    @pytest.mark.parametrize("mode", list(CfMode))
+    @pytest.mark.parametrize("kernel", ["fcfs", "lcfs", "buffer2"])
+    def test_equals_the_sequential_loop(self, monkeypatch, kernel, mode, drain):
+        discipline, buffer, lam = KERNELS[kernel]
+        c = cfg(discipline, lam, 1.0, 3000.0 / lam, 80, slot_length=30.0 / lam,
+                cf_mode=mode, buffer=buffer, drain=drain, keep_events=True)
+        expected = sequential(c, STEPS, 5)
+        for cores in (1, 4):
+            monkeypatch.setattr(dessim, "_usable_cores", lambda: cores)
+            for n_reps in (1, 2, 3, 5):
+                summary = replicate(c, STEPS, ENERGY, n_reps)
+                assert len(summary.traces) == n_reps
+                for trace, want in zip(summary.traces, expected):
+                    assert_same_trace(trace, want)
+                aois = [t.time_avg_aoi for t in expected[:n_reps]]
+                mean = sum(aois) / n_reps
+                assert summary.mean_aoi == mean
+                assert summary.mean_a == sum(t.empirical_a for t in expected[:n_reps]) / n_reps
+                assert summary.mean_cf_g == sum(t.ledger.total
+                                                for t in expected[:n_reps]) / n_reps
+                if n_reps == 1:
+                    assert summary.ci95_halfwidth is None
+                else:
+                    var = sum((x - mean) ** 2 for x in aois) / (n_reps - 1)
+                    assert summary.ci95_halfwidth == _t975(n_reps - 1) * math.sqrt(var / n_reps)
+
+    def test_each_replication_runs_once_at_its_index(self, monkeypatch):
+        # More threads than cores and a short switch interval, so a lost or
+        # repeated hand-out of an index would show.
+        started = []
+        lock = threading.Lock()
+
+        def fake(config, profile, energy):
+            with lock:
+                started.append(config.seed)
+            return SimpleNamespace(time_avg_aoi=float(config.seed), empirical_a=1.0,
+                                   ledger=SimpleNamespace(total=0.0))
+
+        monkeypatch.setattr(dessim, "run", fake)
+        monkeypatch.setattr(dessim, "_usable_cores", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            summary = replicate(cfg(Discipline.FCFS_MM1, 0.5, 1.0, 100.0, 0), FLAT, ENERGY, 500)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(started) == list(range(500))
+        assert [t.time_avg_aoi for t in summary.traces] == list(range(500))
+
+    @staticmethod
+    def failing_run(fail, started, delays):
+        """A stand-in for run that records each seed, sleeps delays[seed]
+        seconds, and raises for the seeds in fail."""
+        lock = threading.Lock()
+
+        def fake(config, profile, energy):
+            with lock:
+                started.append(config.seed)
+            time.sleep(delays.get(config.seed, 0.0))
+            if config.seed in fail:
+                raise ValueError(config.seed)
+
+        return fake
+
+    @pytest.mark.parametrize("cores", [1, 2, 4])
+    def test_raises_the_lowest_failing_index(self, monkeypatch, cores):
+        # Where the replications overlap, seed 3 fails before seed 2; seed 2,
+        # which the sequential loop reaches first, is the one raised.
+        started = []
+        delays = {0: 0.05, 1: 0.05, 2: 0.1, 4: 0.05, 5: 0.05}
+        monkeypatch.setattr(dessim, "run", self.failing_run({2, 3}, started, delays))
+        monkeypatch.setattr(dessim, "_usable_cores", lambda: cores)
+        threads = threading.active_count()
+        c = cfg(Discipline.FCFS_MM1, 0.5, 1.0, 100.0, 0)
+        with pytest.raises(ValueError) as info:
+            replicate(c, FLAT, ENERGY, 6)
+        assert info.value.args == (2,)
+        assert threading.active_count() == threads
+        assert {0, 1, 2} <= set(started) <= {0, 1, 2, 3}
+
+    def test_no_replication_starts_after_a_failure(self, monkeypatch):
+        # Seed 0 fails at once; the other thread ends the replication it
+        # took and takes no other.
+        started = []
+        delays = {r: 0.05 for r in range(1, 40)}
+        monkeypatch.setattr(dessim, "run", self.failing_run({0}, started, delays))
+        monkeypatch.setattr(dessim, "_usable_cores", lambda: 2)
+        threads = threading.active_count()
+        c = cfg(Discipline.FCFS_MM1, 0.5, 1.0, 100.0, 0)
+        with pytest.raises(ValueError) as info:
+            replicate(c, FLAT, ENERGY, 40)
+        assert info.value.args == (0,)
+        assert threading.active_count() == threads
+        assert set(started) <= {0, 1}
 
 STEPS = CiProfile(((0.0, 100.0), (1000.0, 400.0), (2500.0, 250.0)), 1e5)
 KERNELS = {
@@ -559,6 +673,19 @@ class TestChunkSeams:
             tracemalloc.stop()
         assert max(peaks) < 16e6
         assert abs(peaks[1] - peaks[0]) < 1e6
+
+    @pytest.mark.parametrize("discipline", list(Discipline))
+    def test_working_set_of_one_run(self, discipline):
+        # A run of 2**20 arrivals holds at most nine chunk arrays at once,
+        # so a replication running beside another adds little memory.
+        c = cfg(discipline, 0.5, 1.0, 2 ** 20 / 0.5, 66)
+        tracemalloc.start()
+        try:
+            run(c, FLAT, ENERGY)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 9 * dessim._CHUNK * 8
 
     def test_slot_ledger_is_held_as_arrays(self):
         # 10**6 slots: the trace holds the counts and the ledger's times,
