@@ -148,6 +148,18 @@ def commands() -> list:
             "--seed", "6", "--reps", reps, "--cf-mode", cf_mode, "--buffer", buffer,
             "--ci", "profile.csv", "--out", f"sim_cut_{stem}.json",
             "--slots-out", f"slots_cut_{stem}.csv", "--events-out", f"events_cut_{stem}.csv"]))
+    cmds += [
+        # A buffer that never fills, with the busy starts the kernel derives.
+        ("simulate-huge-buffer", [
+            "simulate", "--model", "mm1", "--lambda", "1.2", "--mu", "1", "--horizon", "5000",
+            "--seed", "8", "--cf-mode", "service_time",
+            "--buffer", "1000000000000000000000000000000", "--ci", "profile.csv",
+            "--out", "sim_huge.json", "--slots-out", "slots_huge.csv",
+            "--events-out", "events_huge.csv"]),
+        ("simulate-negative-seed", [
+            "simulate", "--model", "mm1", "--lambda", "0.5", "--mu", "1", "--horizon", "100",
+            "--seed", "-1", "--ci-value", "198", "--out", "sim_negative_seed.json"]),
+    ]
     return cmds
 
 

@@ -5,7 +5,8 @@ of a heap-based loop: for FCFS the departure times follow the Lindley
 recursion d_i = max(a_i, d_{i-1}) + s_i, and for preemptive LCFS a packet
 completes exactly when its service draw finishes before the next arrival.
 A finite buffer admits an arrival only while fewer than `buffer` earlier
-packets are still in the system, and an admitted packet then follows the
+packets are still in the system, that is, unless the buffer-th last
+admitted departure is after it, and an admitted packet then follows the
 same recursion.  This is the same sample path a conventional event loop
 would produce.
 
@@ -14,7 +15,7 @@ of arrivals and their service times, runs the discipline's kernel on it,
 and adds the chunk's share of the age integral, the slot counts and the
 slot emissions before it draws the next.  Each kernel carries its state
 across chunks (the FCFS service sum and Lindley max, the LCFS arrival
-whose successor is not drawn yet, the departures still in a finite
+whose successor is not drawn yet, the recent departures of a finite
 buffer), so memory does not grow with the number of arrivals, except
 that `keep_events` keeps every arrival and delivery.  The chunk size is
 part of the seeded sample-path contract: arrival, service, delivery and
@@ -46,11 +47,13 @@ generated at u is delivered.  Statistics cover [warmup, horizon] only.
 
 import math
 import os
+import sys
 import threading
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -61,6 +64,7 @@ from .queueing import Discipline, QueueSpec
 
 _CHUNK = 1 << 16                # arrivals per chunk; see the module docstring
 _MAX_EVENT_ARRIVALS = 10 ** 7   # keep_events cap on expected arrivals, lam * horizon
+_MAX_REPS = 10 ** 4             # replicate's cap on replications; see replicate
 
 
 class CfMode(Enum):
@@ -90,6 +94,7 @@ class SimConfig:
     still cover [warmup, horizon] but counts and the ledger include the
     drained work.
 
+    seed is a non-negative integer, as numpy's SeedSequence takes.
     Memory grows with the run only through the slot grid and keep_events,
     so both are capped before anything is allocated: at most 10**7 slots,
     and with keep_events at most 10**7 expected arrivals (lam * horizon).
@@ -106,6 +111,8 @@ class SimConfig:
     keep_events: bool = False
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not (math.isfinite(self.horizon) and self.horizon > 0):
             raise ConfigError(f"horizon must be positive and finite, got {self.horizon}")
         if self.warmup is not None and not (0 <= self.warmup < self.horizon):
@@ -261,38 +268,35 @@ def _lcfs(chunks, rng_service, mu, busy):
 def _fcfs_finite(chunks, rng_service, mu, busy, capacity):
     """FCFS with room for `capacity` packets, the one in service included.
 
-    An arrival finds in the system the admitted packets that depart after
-    it (a departure at the same instant leaves first).  If there are fewer
-    than capacity, it is admitted, starts at max(a, d_prev) and departs
-    at start + s.  The departures still in the system carry across chunks,
-    and service draws are taken in _CHUNK blocks as admissions use them.
+    Packets depart in admission order, so an arrival at t is dropped iff
+    the capacity-th last admitted departure is after t (one at the same
+    instant leaves first).  `recent` holds the last capacity departures,
+    less any before the chunk's first arrival.  An admitted packet starts
+    at max(t, last) and departs s later, s drawn in _CHUNK blocks as needed.
     """
-    system = deque()            # departures of the packets in the system
+    recent = deque(maxlen=min(capacity, sys.maxsize))
+    service = chain.from_iterable(rng_service.exponential(1.0 / mu, size=_CHUNK).tolist()
+                                  for _ in repeat(None))
     last = -math.inf            # departure of the last admitted packet
-    pool, k = [], 0
     for a in chunks:
-        admitted, starts, deps = [], [], []
-        drops = 0
+        first = last
+        while recent and recent[0] <= a[0]:
+            recent.popleft()
+        admitted, deps = [], []
         for t in a.tolist():
-            while system and system[0] <= t:
-                system.popleft()
-            if len(system) >= capacity:
-                drops += 1
+            if len(recent) == capacity and recent[0] > t:
                 continue
-            if k == len(pool):
-                pool, k = rng_service.exponential(1.0 / mu, size=_CHUNK).tolist(), 0
-            start = last if last > t else t
-            last = start + pool[k]
-            k += 1
-            system.append(last)
+            last = (last if last > t else t) + next(service)
+            recent.append(last)
             admitted.append(t)
-            starts.append(start)
             deps.append(last)
         admitted = np.array(admitted, dtype=float)
         d = np.array(deps, dtype=float)
-        yield _Out(d, admitted, admitted, np.array(starts, dtype=float) if busy else None,
-                   d if busy else None, drops=drops)
-        del a, admitted, starts, deps, d    # before the next chunk is drawn
+        del deps
+        starts = np.maximum(admitted, np.append(first, d[:-1])) if busy else None
+        yield _Out(d, admitted, admitted, starts, d if busy else None,
+                   drops=len(a) - len(d))
+        del a, admitted, starts, d  # before the next chunk is drawn
 
 
 class _AgeIntegral:
@@ -513,10 +517,20 @@ def replicate(config: SimConfig, profile: CiProfile, energy: EnergyModel,
     The 95% halfwidth is the Student-t interval t(0.975, n-1) * s / sqrt(n),
     and None for one replication, which has no spread to measure.
     keep_events applies to the first replication only: traces[1:] carry no
-    events, so their memory does not grow with the run.
+    events, so their memory does not grow with the run.  Every trace keeps
+    its slot arrays, so n_reps is capped before anything is allocated: at
+    most 10**4 replications, and at most 10**7 slots over all of them
+    (n_reps times the run's slot count).  A summary that kept per-run
+    scalars instead of traces would lift the second cap.
     """
     if n_reps < 1:
         raise DomainError(f"need at least 1 replication, got {n_reps}")
+    if n_reps > _MAX_REPS:
+        raise DomainError(f"{n_reps} replications exceed the cap of {_MAX_REPS}")
+    slots = n_reps * slot_count(config.horizon, config.effective_slot)
+    if slots > MAX_SLOTS:
+        raise DomainError(f"{n_reps} replications keep {slots} slots, over the cap of "
+                          f"{MAX_SLOTS}; use fewer replications or a longer slot")
     traces = [None] * n_reps
     errors = {}
     pending = iter(range(n_reps))

@@ -49,7 +49,6 @@ from .carbon import (
     energy_cap,
     joules_to_kwh,
     kappa_cap,
-    lambda_kappa,
     min_rate_for_snr,
     slot_grams,
 )
@@ -252,7 +251,8 @@ def solve_cf_constrained(mu: float, constraint: ConstraintSet, profile: CiProfil
     The rate cap comes from the long-term mean intensity of the profile;
     the reported cf is the expected slot emission at the chosen rate.
     """
-    bound = lambda_kappa(constraint, profile, energy)
+    bound = kappa_cap(constraint.budget_k, constraint.horizon_tn, profile.long_term_average,
+                      energy.e_p_kwh(), constraint.success_prob_a)
     _check_mode(mode)
     lam, mu_star, aoi, binding = _pick_rate(discipline, mu, bound, mode, eps, "fixed")
     cf = slot_grams(profile.long_term_average, energy.e_p_kwh(),

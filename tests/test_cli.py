@@ -334,6 +334,28 @@ class TestSimulate:
         assert err == f"error: need at least 1 replication, got {reps}\n"
         assert not any(tmp_path.iterdir())
 
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        # numpy's SeedSequence once ended this in a traceback with exit 1.
+        code = cli.main(["simulate", "--model", "mm1", "--lambda", "0.5", "--mu", "1",
+                         "--horizon", "100", "--seed", "-1", "--ci-value", "198",
+                         "--out", str(tmp_path / "sim.json"),
+                         "--slots-out", str(tmp_path / "slots.csv")])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: seed must be a non-negative integer, got -1\n"
+        assert not any(tmp_path.iterdir())
+
+    def test_reps_over_the_cap_exits_2(self, tmp_path, capsys):
+        code = cli.main(["simulate", "--model", "mm1", "--lambda", "0.5", "--mu", "1",
+                         "--horizon", "100", "--slot", "100", "--reps", "10001",
+                         "--ci-value", "198", "--out", str(tmp_path / "sim.json")])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: 10001 replications exceed the cap of 10000\n"
+        assert not any(tmp_path.iterdir())
+
     def test_unstable_fcfs_exits_2(self):
         res = caoi("simulate", "--model", "mm1", "--lambda", "2", "--mu", "1",
                    "--horizon", "1000", "--seed", "1")
@@ -629,6 +651,13 @@ class TestReplayChecks:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: need at least 1 replication, got 0\n"
+        assert not any((tmp_path / "redo").iterdir())
+
+    def test_manifest_with_a_negative_seed_exits_2(self, tmp_path, capsys, bodies):
+        assert self.replay(tmp_path, self.edited(bodies, "simulate", seed=-1)) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: seed must be a non-negative integer, got -1\n"
         assert not any((tmp_path / "redo").iterdir())
 
     def test_unedited_manifests_replay(self, tmp_path, bodies):

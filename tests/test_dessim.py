@@ -130,6 +130,13 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             cfg(Discipline.FCFS_MM1, 0.5, 1.0, 100.0, 0, buffer=0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.0, "1", None])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        # numpy's SeedSequence raised ValueError or TypeError for these
+        # from inside run.
+        with pytest.raises(ConfigError, match="seed"):
+            cfg(Discipline.FCFS_MM1, 0.5, 1.0, 100.0, seed)
+
     def test_defaults(self):
         c = cfg(Discipline.FCFS_MM1, 0.5, 1.0, 1000.0, 0)
         assert c.effective_warmup == 10.0
@@ -479,6 +486,37 @@ class TestReplicate:
             with pytest.raises(DomainError):
                 replicate(c, FLAT, ENERGY, n_reps)
 
+    @staticmethod
+    def stub_run(started):
+        def fake(config, profile, energy):
+            started.append(config.seed)
+            return SimpleNamespace(time_avg_aoi=1.0, empirical_a=1.0,
+                                   ledger=SimpleNamespace(total=0.0))
+        return fake
+
+    def test_replications_are_capped_before_any_starts(self, monkeypatch):
+        # Each trace keeps its slot arrays, so both caps hold before a run.
+        started = []
+        monkeypatch.setattr(dessim, "run", self.stub_run(started))
+        one_slot = cfg(Discipline.FCFS_MM1, 0.5, 1.0, 100.0, 0, slot_length=100.0)
+        with pytest.raises(DomainError, match="10001 replications exceed the cap of 10000"):
+            replicate(one_slot, FLAT, ENERGY, 10 ** 4 + 1)
+        # One run of 6 * 10**6 slots is allowed, two are not.
+        wide = cfg(Discipline.FCFS_MM1, 0.5, 1.0, 6e6, 0, slot_length=1.0)
+        with pytest.raises(DomainError, match="keep 12000000 slots, over the cap of 10000000"):
+            replicate(wide, FLAT, ENERGY, 2)
+        assert started == []
+
+    def test_replications_up_to_the_caps_run(self, monkeypatch):
+        started = []
+        monkeypatch.setattr(dessim, "run", self.stub_run(started))
+        # 10**4 replications of 1000 slots: both caps exactly.
+        c = cfg(Discipline.FCFS_MM1, 0.5, 1.0, 100.0, 0)
+        assert len(replicate(c, FLAT, ENERGY, 10 ** 4).traces) == 10 ** 4
+        wide = cfg(Discipline.FCFS_MM1, 0.5, 1.0, 2.5e6, 0, slot_length=1.0)
+        assert len(replicate(wide, FLAT, ENERGY, 4).traces) == 4
+        assert sorted(started) == sorted([*range(10 ** 4), *range(4)])
+
 
 def sequential(config, profile, n_reps):
     """The replications of `replicate`, run one after another."""
@@ -660,15 +698,20 @@ class TestChunkSeams:
                     cf_mode=CfMode.SERVICE_TIME_CHARGED, keep_events=True)
             assert_matches_reference(c, FLAT)
 
-    def test_memory_does_not_grow_with_arrivals(self):
+    @pytest.mark.parametrize("buffer", [None, 10, 10 ** 30])
+    def test_memory_does_not_grow_with_arrivals(self, buffer):
+        # A buffer far beyond the run never fills, and the finite kernel
+        # must not keep a departure per admitted packet to find that out.
         peaks = []
         tracemalloc.start()
         try:
             for n in (2e5, 2e6):
-                c = cfg(Discipline.FCFS_MM1, 0.5, 1.0, n / 0.5, 64)
+                c = cfg(Discipline.FCFS_MM1, 0.5, 1.0, n / 0.5, 64, buffer=buffer)
                 tracemalloc.reset_peak()
-                run(c, FLAT, ENERGY)
+                trace = run(c, FLAT, ENERGY)
                 peaks.append(tracemalloc.get_traced_memory()[1])
+                if buffer == 10 ** 30:
+                    assert trace.drops == 0
         finally:
             tracemalloc.stop()
         assert max(peaks) < 16e6
