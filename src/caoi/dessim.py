@@ -87,8 +87,8 @@ class CfMode(Enum):
 class SimConfig:
     """One simulation run.
 
-    buffer is the system capacity including the packet in service; None
-    means unbounded.  The preemptive discipline holds at most one packet
+    buffer is the system capacity including the packet in service, an
+    integer >= 1; None means unbounded.  The preemptive discipline holds at most one packet
     by construction, so buffer is ignored there.  drain lets the server
     finish admitted work after arrivals stop at the horizon; statistics
     still cover [warmup, horizon] but counts and the ledger include the
@@ -124,8 +124,9 @@ class SimConfig:
         if n > MAX_SLOTS:
             raise ConfigError(f"{self.horizon / slot:.6g} slots exceed the cap of {MAX_SLOTS}; "
                               "use a longer slot")
-        if self.buffer is not None and self.buffer < 1:
-            raise ConfigError(f"buffer capacity must be >= 1, got {self.buffer}")
+        if self.buffer is not None and not (isinstance(self.buffer, (int, np.integer))
+                                            and self.buffer >= 1):
+            raise ConfigError(f"buffer capacity must be an integer >= 1, got {self.buffer!r}")
         expected = self.spec.lam * self.horizon
         if self.keep_events and expected > _MAX_EVENT_ARRIVALS:
             raise ConfigError(

@@ -130,6 +130,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             cfg(Discipline.FCFS_MM1, 0.5, 1.0, 100.0, 0, buffer=0)
 
+    @pytest.mark.parametrize("buffer", [10.0, 2.5, math.inf, math.nan])
+    def test_buffer_must_be_an_integer(self, buffer):
+        # The kernel sizes a deque by the capacity, which takes an int only.
+        with pytest.raises(ConfigError, match="integer"):
+            cfg(Discipline.FCFS_MM1, 0.5, 1.0, 100.0, 0, buffer=buffer)
+
     @pytest.mark.parametrize("seed", [-1, 1.0, "1", None])
     def test_seed_must_be_a_non_negative_integer(self, seed):
         # numpy's SeedSequence raised ValueError or TypeError for these
