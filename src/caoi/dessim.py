@@ -87,14 +87,14 @@ class CfMode(Enum):
 class SimConfig:
     """One simulation run.
 
-    buffer is the system capacity including the packet in service, an
-    integer >= 1; None means unbounded.  The preemptive discipline holds at most one packet
-    by construction, so buffer is ignored there.  drain lets the server
-    finish admitted work after arrivals stop at the horizon; statistics
-    still cover [warmup, horizon] but counts and the ledger include the
-    drained work.
+    seed is a non-negative integer, as numpy's SeedSequence takes.  buffer
+    is the system capacity including the packet in service, an integer
+    >= 1; None means unbounded.  The preemptive discipline holds at most
+    one packet by construction, so buffer is ignored there.  drain lets
+    the server finish admitted work after arrivals stop at the horizon;
+    statistics still cover [warmup, horizon] but counts and the ledger
+    include the drained work.
 
-    seed is a non-negative integer, as numpy's SeedSequence takes.
     Memory grows with the run only through the slot grid and keep_events,
     so both are capped before anything is allocated: at most 10**7 slots,
     and with keep_events at most 10**7 expected arrivals (lam * horizon).
