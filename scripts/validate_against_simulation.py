@@ -15,6 +15,7 @@ import sys
 
 from caoi.carbon import CiProfile, EnergyModel
 from caoi.dessim import SimConfig, replicate
+from caoi.errors import CaoiError
 from caoi.queueing import (
     Discipline,
     QueueSpec,
@@ -45,29 +46,37 @@ def main(argv=None):
 
     energy = EnergyModel()
     rows = []
+    # Every cell runs before the table is printed, so bad input exits 2
+    # with one error line and no partial table.
+    try:
+        for name, (discipline, closed_form) in MODELS.items():
+            for rho in args.rho:
+                spec = QueueSpec(discipline, rho * args.mu, args.mu)
+                horizon = math.ceil(args.arrivals / spec.lam)
+                profile = CiProfile.constant(198.0, 2.0 * horizon)
+                config = SimConfig(spec=spec, horizon=float(horizon),
+                                   seed=args.seed,
+                                   slot_length=horizon / 1000.0)
+                summary = replicate(config, profile, energy, args.reps)
+                closed = closed_form(spec)
+                rel = abs(summary.mean_aoi - closed) / closed
+                rows.append((name, rho, closed, summary.mean_aoi,
+                             summary.ci95_halfwidth, rel))
+    except CaoiError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
     failures = 0
     print(f"{'model':8} {'rho':>6} {'closed':>10} {'simulated':>10} "
           f"{'ci95':>8} {'rel_dev':>8}")
-    for name, (discipline, closed_form) in MODELS.items():
-        for rho in args.rho:
-            spec = QueueSpec(discipline, rho * args.mu, args.mu)
-            horizon = math.ceil(args.arrivals / spec.lam)
-            profile = CiProfile.constant(198.0, 2.0 * horizon)
-            config = SimConfig(spec=spec, horizon=float(horizon),
-                               seed=args.seed,
-                               slot_length=horizon / 1000.0)
-            summary = replicate(config, profile, energy, args.reps)
-            closed = closed_form(spec)
-            rel = abs(summary.mean_aoi - closed) / closed
-            bad = rel > args.tol
-            failures += bad
-            flag = "  FAIL" if bad else ""
-            half = summary.ci95_halfwidth       # None for one replication
-            half_text = "-" if half is None else f"{half:.4f}"
-            print(f"{name:8} {rho:6.3f} {closed:10.4f} "
-                  f"{summary.mean_aoi:10.4f} {half_text:>8} "
-                  f"{rel:8.5f}{flag}")
-            rows.append((name, rho, closed, summary.mean_aoi, half, rel))
+    for name, rho, closed, mean, half, rel in rows:
+        bad = rel > args.tol
+        failures += bad
+        flag = "  FAIL" if bad else ""
+        half_text = "-" if half is None else f"{half:.4f}"   # None for one replication
+        print(f"{name:8} {rho:6.3f} {closed:10.4f} "
+              f"{mean:10.4f} {half_text:>8} "
+              f"{rel:8.5f}{flag}")
 
     if args.out:
         with open(args.out, "w", newline="") as handle:

@@ -133,6 +133,22 @@ class CiProfile:
         i = np.searchsorted(self._t, t, side="right") - 1
         return self._prefix[i] + self._xi[i] * (t - self._t[i])
 
+    def step_slices(self, t):
+        """Split ascending times t >= 0 by step: yield (lo, hi, start, xi,
+        integral to start) for each step that holds t[lo:hi], in order.
+
+        A caller evaluates values_at or integral_to over t with one slice
+        fill per step and no index per time; steps that hold no time are
+        skipped, and the final step takes every time past the horizon.
+        """
+        n, final = len(t), len(self._t) - 1
+        lo = 0
+        while lo < n:
+            j = int(np.searchsorted(self._t, t[lo], side="right")) - 1
+            hi = n if j == final else lo + int(np.searchsorted(t[lo:], self._t[j + 1]))
+            yield lo, hi, float(self._t[j]), float(self._xi[j]), float(self._prefix[j])
+            lo = hi
+
     def value_at(self, tau: float) -> float:
         if tau < 0:
             raise DomainError(f"time must be non-negative, got {tau}")

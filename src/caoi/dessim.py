@@ -23,17 +23,25 @@ slot outputs do not depend on it, but the age integral is summed chunk
 by chunk, so another size changes the last digits of the mean age.
 A kernel yields each chunk's uncut sample path, and `run` alone applies
 the horizon: without drain, nothing is delivered after it, and work in
-service at the horizon is charged only up to it.  Each generator in the
-chain drops its arrays once its step is used, and the busy intervals are
-built only for service-time charging, so a run of 2**20 arrivals charged
-at arrival peaks near five chunk arrays (tracemalloc).  Emissions use the
-profile's own arrays (CiProfile.values_at, integral_to), and the slot
-grams go into the CarbonLedger as float64 arrays.
+service at the horizon is charged only up to it.
+
+A run owns its chunk buffers: the arrival stream, each kernel and the
+age, charge and slot stages allocate their chunk-sized arrays once per
+run and write every chunk into them with out=, so a chunk allocates
+none but LCFS's index of completed packets.  A run of 2**20 arrivals
+peaks below nine chunk arrays in every cf mode (tracemalloc: 3.8 MB for
+FCFS, 4.5 MB for LCFS).  A kernel yields views that the next chunk
+overwrites, and keep_events copies them.  Every stage's times ascend,
+so the horizon cut is a slice, a chunk's slot sums take one weighted
+bincount plus an in-order cumsum onto the slot carried from the chunk
+before, and the charges are filled one profile step at a time
+(CiProfile.step_slices), equal bit for bit to CiProfile.values_at and
+integral_to.  The slot grams go into the CarbonLedger as float64 arrays.
 
 `replicate` runs its replications concurrently, on the calling thread
 and one helper thread per further usable core, and gives the outputs of
 a sequential loop bit for bit whatever the core count; each concurrent
-replication adds about one run's working set to the peak memory.
+replication adds its run's chunk buffers to the peak memory.
 
 Randomness: the seed feeds a SeedSequence whose first spawned child
 drives interarrival draws and whose second drives service draws.  The
@@ -179,37 +187,46 @@ class ReplicationSummary:
     traces: list
 
 
+def _exponential(rng: np.random.Generator, scale: float, out: np.ndarray) -> np.ndarray:
+    """rng.exponential(scale, len(out)), drawn into out: the same stream,
+    bit for bit, since numpy scales each standard draw by scale."""
+    rng.standard_exponential(out=out)
+    out *= scale
+    return out
+
+
 def _arrival_chunks(rng: np.random.Generator, lam: float, horizon: float):
     """Yield the arrival times below the horizon, _CHUNK draws at a time.
 
-    Each chunk's running sum starts from the last time of the chunk
-    before, so the times equal one running sum over all the gaps.
+    Each chunk t is a view of one buffer, valid until the next is drawn:
+    t[1:] holds the chunk's arrivals and t[0] the last arrival before
+    them (0 before the first chunk).  The running sum starts from t[0],
+    so the times equal one running sum over all the gaps.
     """
-    t = 0.0
+    buf = np.zeros(_CHUNK + 1)
     while True:
-        a = rng.exponential(1.0 / lam, size=_CHUNK)
-        a[0] += t
-        np.cumsum(a, out=a)
-        if a[-1] >= horizon:
-            end = int(np.searchsorted(a, horizon))
+        _exponential(rng, 1.0 / lam, buf[1:])
+        np.cumsum(buf, out=buf)
+        if buf[-1] >= horizon:
+            end = int(np.searchsorted(buf[1:], horizon))
             if end:
-                yield a[:end]
+                yield buf[:end + 1]
             return
-        t = float(a[-1])
-        yield a
-        del a           # before the next chunk is drawn
+        yield buf
+        buf[0] = buf[-1]
 
 
 class _Out(NamedTuple):
     """One kernel step, uncut at the horizon: deliveries, charged arrivals
-    and the busy intervals up to their natural end.  Only service-time
-    charging reads the busy intervals, so the kernels build them only when
-    asked and a step of the other modes holds two arrays fewer."""
+    and the busy intervals up to their natural end, as views of the
+    kernel's buffers that the next step overwrites.  Only service-time
+    charging reads the busy intervals, so the kernels build them only
+    when asked."""
 
     d: np.ndarray               # delivery times, ascending
     u: np.ndarray               # generation times of those deliveries
     admitted: np.ndarray        # arrival times charged in arrival mode, ascending
-    busy_start: np.ndarray | None = None
+    busy_start: np.ndarray | None = None    # ascending
     busy_end: np.ndarray | None = None      # ascending; every delivery is one of them
     preemptions: int = 0
     drops: int = 0
@@ -219,51 +236,57 @@ def _fcfs(chunks, rng_service, mu, busy):
     """Unbounded FCFS: d_i = S_i + max_{j<=i} (a_j - S_{j-1}), where S is
     the running service sum.  S and the running max carry across chunks.
 
-    The offsets become the departures in place and, for service-time
-    charging, the service draws become the busy starts.
+    s[0] and run_sum[0] hold the service sum before the chunk, so one
+    cumsum gives S; for service-time charging the service draws become
+    the busy starts.
     """
-    total, peak = 0.0, -math.inf
-    for a in chunks:
-        s = rng_service.exponential(1.0 / mu, size=len(a))
-        run_sum = s.copy()
-        run_sum[0] += total
-        np.cumsum(run_sum, out=run_sum)
-        d = np.subtract(run_sum, s)     # S_{i-1}
-        np.subtract(a, d, out=d)        # the offsets
-        d[0] = max(d[0], peak)
-        np.maximum.accumulate(d, out=d)
-        total, peak = float(run_sum[-1]), float(d[-1])
-        d += run_sum
-        del run_sum
-        s = np.subtract(d, s, out=s) if busy else None
-        yield _Out(d, a, a, s, d if busy else None)
-        del a, s, d     # before the next chunk is drawn
+    s, run_sum, d = np.empty(_CHUNK + 1), np.empty(_CHUNK + 1), np.empty(_CHUNK)
+    s[0], peak = 0.0, -math.inf
+    for t in chunks:
+        a = t[1:]
+        n = len(a)
+        draws = _exponential(rng_service, 1.0 / mu, s[1:n + 1])
+        total = np.cumsum(s[:n + 1], out=run_sum[:n + 1])[1:]     # S_i
+        dn = np.subtract(total, draws, out=d[:n])      # S_{i-1}
+        np.subtract(a, dn, out=dn)                      # the offsets
+        dn[0] = max(dn[0], peak)
+        np.maximum.accumulate(dn, out=dn)
+        peak = float(dn[-1])
+        dn += total
+        s[0] = total[-1]
+        starts = np.subtract(dn, draws, out=draws) if busy else None
+        yield _Out(dn, a, a, starts, dn if busy else None)
 
 
 def _lcfs(chunks, rng_service, mu, busy):
     """Preemptive LCFS: a packet completes iff a + s beats the next arrival.
-    The last arrival of each chunk waits for the next chunk's first, but
-    every arrival is charged in its own chunk's step."""
 
-    def settle(a, c, next_a, admitted):
-        completed = c < next_a      # else preempted at the next arrival
-        d = c[completed]
-        return _Out(d, a[completed], admitted, a if busy else None,
-                    np.minimum(c, next_a, out=c) if busy else None,
-                    preemptions=len(a) - len(d))
-
-    held_a = held_c = np.empty(0)
-    for a in chunks:
-        c = rng_service.exponential(1.0 / mu, size=len(a))
-        c += a                      # completion if not preempted
-        joined = np.concatenate((held_a, a))
-        c = np.concatenate((held_c, c))
-        held_a, held_c = joined[-1:].copy(), c[-1:].copy()
-        out = settle(joined[:-1], c[:-1], joined[1:], a)
-        del joined, c
-        yield out
-        del a, out      # before the next chunk is drawn
-    yield settle(held_a, held_c, np.full(len(held_a), math.inf), held_a[:0])
+    c[i] is the completion, if not preempted, of the packet that arrived
+    at t[i], so the packets t[:-1] settle against their successors t[1:]
+    in place; the chunk's last arrival waits in t[0] and c[0] for the
+    next chunk's first.  Every arrival is charged in its own chunk's step.
+    """
+    c, ok = np.empty(_CHUNK + 1), np.empty(_CHUNK, bool)
+    d, u = np.empty(_CHUNK), np.empty(_CHUNK)
+    lo, held = 1, None              # before the first chunk, t[0] is no packet
+    for t in chunks:
+        n = len(t) - 1
+        _exponential(rng_service, 1.0 / mu, c[1:n + 1])
+        c[1:n + 1] += t[1:]
+        # Else preempted.  np.compress(out=) would copy through two
+        # temporaries; one index array serves both takes, and mode "clip"
+        # writes straight into out.
+        done = np.flatnonzero(np.less(c[lo:n], t[lo + 1:], out=ok[lo:n]))
+        m = len(done)
+        np.take(c[lo:n], done, out=d[:m], mode="clip")
+        np.take(t[lo:n], done, out=u[:m], mode="clip")
+        yield _Out(d[:m], u[:m], t[1:], t[lo:n] if busy else None,
+                   np.minimum(c[lo:n], t[lo + 1:], out=c[lo:n]) if busy else None,
+                   preemptions=n - lo - m)
+        c[0], held, lo = c[n], t[n], 0
+    if held is not None:            # the last arrival, with no successor
+        d[0], u[0] = c[0], held
+        yield _Out(d[:1], u[:1], t[:0], u[:1] if busy else None, d[:1] if busy else None)
 
 
 def _fcfs_finite(chunks, rng_service, mu, busy, capacity):
@@ -274,30 +297,36 @@ def _fcfs_finite(chunks, rng_service, mu, busy, capacity):
     instant leaves first).  `recent` holds the last capacity departures,
     less any before the chunk's first arrival.  An admitted packet starts
     at max(t, last) and departs s later, s drawn in _CHUNK blocks as needed.
+    deps[0] holds the last departure before the chunk, so deps[:-1] are
+    the departures before each admitted packet.
     """
+    draws, admitted, deps = np.empty(_CHUNK), np.empty(_CHUNK), np.empty(_CHUNK + 1)
+    starts = np.empty(_CHUNK) if busy else None
     recent = deque(maxlen=min(capacity, sys.maxsize))
-    service = chain.from_iterable(rng_service.exponential(1.0 / mu, size=_CHUNK).tolist()
+    service = chain.from_iterable(_exponential(rng_service, 1.0 / mu, draws).tolist()
                                   for _ in repeat(None))
     last = -math.inf            # departure of the last admitted packet
-    for a in chunks:
-        first = last
+    for t in chunks:
+        a = t[1:]
+        deps[0] = last
         while recent and recent[0] <= a[0]:
             recent.popleft()
-        admitted, deps = [], []
-        for t in a.tolist():
-            if len(recent) == capacity and recent[0] > t:
+        times, ends = [], []
+        for x in a.tolist():
+            if len(recent) == capacity and recent[0] > x:
                 continue
-            last = (last if last > t else t) + next(service)
+            last = (last if last > x else x) + next(service)
             recent.append(last)
-            admitted.append(t)
-            deps.append(last)
-        admitted = np.array(admitted, dtype=float)
-        d = np.array(deps, dtype=float)
-        del deps
-        starts = np.maximum(admitted, np.append(first, d[:-1])) if busy else None
-        yield _Out(d, admitted, admitted, starts, d if busy else None,
-                   drops=len(a) - len(d))
-        del a, admitted, starts, d  # before the next chunk is drawn
+            times.append(x)
+            ends.append(last)
+        m = len(ends)
+        admitted[:m], deps[1:m + 1] = times, ends
+        del times, ends         # before the chunk's later stages run
+        d = deps[1:m + 1]
+        if busy:
+            np.maximum(admitted[:m], deps[:m], out=starts[:m])
+        yield _Out(d, admitted[:m], admitted[:m], starts[:m] if busy else None,
+                   d if busy else None, drops=len(a) - m)
 
 
 class _AgeIntegral:
@@ -311,20 +340,21 @@ class _AgeIntegral:
         self.anchor = 0.0       # origin of the last delivery, or 0
         self.area = 0.0
 
-    def add(self, d: np.ndarray, u: np.ndarray) -> None:
+    def add(self, d: np.ndarray, u: np.ndarray, mid: np.ndarray, width: np.ndarray) -> None:
+        """Add the deliveries d, u, using mid and width, at least as long,
+        as scratch."""
         i0 = int(np.searchsorted(d, self.warmup, side="right"))
         i1 = int(np.searchsorted(d, self.horizon, side="right"))
         if i0 > 0:
             self.anchor = float(u[i0 - 1])
         if i1 <= i0:
             return
-        # The area of each step, (t1 - t0) * (0.5 * (t0 + t1) - anchor),
-        # in two buffers.
+        # The area of each step, (t1 - t0) * (0.5 * (t0 + t1) - anchor).
         t1 = d[i0:i1]
-        mid = np.empty_like(t1)
+        mid = mid[:len(t1)]
         mid[0] = self.t
         mid[1:] = t1[:-1]
-        width = np.subtract(t1, mid)
+        width = np.subtract(t1, mid, out=width[:len(t1)])
         mid += t1
         mid *= 0.5
         mid[0] -= self.anchor
@@ -343,7 +373,15 @@ class _AgeIntegral:
 
 class _SlotSums:
     """Per-slot sums over right-open slots.  The final in-horizon slot is
-    closed at the horizon, and drained events past it extend the grid."""
+    closed at the horizon, and drained events past it extend the grid.
+
+    Events arrive in ascending time, so each add's slot indices ascend and
+    every slot past its first is still empty: those slots take one
+    bincount (or, for counts, searchsorted edges), and the first, which
+    may carry a sum from the add before, one in-order cumsum onto it.
+    Each slot's sum is thus added in event order, as np.add.at would, and
+    does not depend on the chunk size.
+    """
 
     def __init__(self, slot: float, n_slots: int, horizon: float, dtype):
         self.slot = slot
@@ -351,28 +389,52 @@ class _SlotSums:
         self.horizon = horizon
         self.sums = np.zeros(n_slots, dtype)
 
-    def add(self, times: np.ndarray, weights=None) -> None:
-        """Add weights at times, or count the times when weights is None."""
-        if not len(times):
+    def add(self, times: np.ndarray, idx: np.ndarray, weights=None) -> None:
+        """Add weights at ascending times, or count the times when weights
+        is None.  idx, at least as long as times, is int64 scratch; the
+        weights are overwritten."""
+        n = len(times)
+        if not n:
             return
         # Times are non-negative, so the cast's truncation is the floor.
-        idx = np.divide(times, self.slot, out=np.empty(len(times), np.int64),
-                        casting="unsafe")
-        top = int(idx.max())
-        if top >= self.n_slots:
-            idx[(times <= self.horizon) & (idx >= self.n_slots)] = self.n_slots - 1
-            top = int(idx.max())
+        idx = np.divide(times, self.slot, out=idx[:n], casting="unsafe")
+        if idx[-1] >= self.n_slots:
+            end = int(np.searchsorted(times, self.horizon, side="right"))
+            np.minimum(idx[:end], self.n_slots - 1, out=idx[:end])
+        lo, top = int(idx[0]), int(idx[-1])
         grow = top + 1 - len(self.sums)
         if grow > 0:
             self.sums = np.concatenate((self.sums, np.zeros(grow, self.sums.dtype)))
         if weights is None:
-            lo = int(idx.min())
-            idx -= lo
-            counts = np.bincount(idx)
-            self.sums[lo:lo + len(counts)] += counts
-        else:
-            # add.at adds in event order, so no slot sum depends on the chunk size.
-            np.add.at(self.sums, idx, weights)
+            # ends[j]: the events up to slot lo + j, so slot lo + j holds
+            # ends[j] - ends[j - 1] of them.
+            ends = np.searchsorted(idx, np.arange(lo, top + 1), side="right")
+            self.sums[lo:top + 1] += ends
+            self.sums[lo + 1:top + 1] -= ends[:-1]
+            return
+        first = int(np.searchsorted(idx, lo, side="right"))
+        weights[0] += self.sums[lo]
+        self.sums[lo] = np.cumsum(weights[:first], out=weights[:first])[-1]
+        if first < n:
+            rest = idx[first:]
+            rest -= lo + 1
+            self.sums[lo + 1:top + 1] += np.bincount(rest, weights=weights[first:n])
+
+
+def _charge_values(profile: CiProfile, t: np.ndarray, scale: float, out: np.ndarray):
+    """profile.values_at(t) * scale for ascending t, into out[:len(t)]."""
+    for lo, hi, _, xi, _ in profile.step_slices(t):
+        out[lo:hi] = xi * scale
+    return out[:len(t)]
+
+
+def _charge_integrals(profile: CiProfile, t: np.ndarray, out: np.ndarray):
+    """profile.integral_to(t) for ascending t, into out[:len(t)]."""
+    for lo, hi, start, xi, prefix in profile.step_slices(t):
+        seg = np.subtract(t[lo:hi], start, out=out[lo:hi])
+        seg *= xi
+        seg += prefix
+    return out[:len(t)]
 
 
 def run(config: SimConfig, profile: CiProfile, energy: EnergyModel) -> SimulationTrace:
@@ -394,16 +456,15 @@ def run(config: SimConfig, profile: CiProfile, energy: EnergyModel) -> Simulatio
     rng_service = np.random.default_rng(svc_ss)
     horizon = config.horizon
     arrivals = 0
-    drawn = []                  # arrival chunks, kept for keep_events only
+    drawn = []                  # copies of the arrival chunks, for keep_events only
 
     def arrival_stream():
         nonlocal arrivals
-        for a in _arrival_chunks(rng_arrival, spec.lam, horizon):
-            arrivals += len(a)
+        for t in _arrival_chunks(rng_arrival, spec.lam, horizon):
+            arrivals += len(t) - 1
             if config.keep_events:
-                drawn.append(a)
-            yield a
-            del a       # before the next chunk is drawn
+                drawn.append(t[1:].copy())
+            yield t
 
     busy = config.cf_mode is CfMode.SERVICE_TIME_CHARGED
     if spec.discipline is Discipline.LCFS_PREEMPTIVE:
@@ -419,34 +480,39 @@ def run(config: SimConfig, profile: CiProfile, energy: EnergyModel) -> Simulatio
     counts = _SlotSums(slot, n_slots, horizon, np.int64)
     grams = _SlotSums(slot, n_slots, horizon, np.float64)
     ep_kwh = energy.e_p_kwh()
+    # Scratch of the age integral, the charges and the slot indices.
+    weights, scratch, idx = np.empty(_CHUNK), np.empty(_CHUNK), np.empty(_CHUNK, np.int64)
     completions = preemptions = drops = 0
-    delivered = []              # (d, u) per step, kept for keep_events only
+    delivered = []              # copies of (d, u) per step, for keep_events only
     for out in steps:
         last = out.busy_end if busy else out.d
         if not config.drain and len(last) and last[-1] > horizon:
             # Nothing is delivered after the horizon, and work then in service
             # is charged up to it; work that would start later never starts.
-            keep = out.d <= horizon
-            out = out._replace(d=out.d[keep], u=out.u[keep])
+            # The times ascend, so each cut keeps a leading slice.
+            kept = int(np.searchsorted(out.d, horizon, side="right"))
+            out = out._replace(d=out.d[:kept], u=out.u[:kept])
             if busy:
-                started = out.busy_start < horizon
-                out = out._replace(busy_start=out.busy_start[started],
-                                   busy_end=np.minimum(out.busy_end[started], horizon))
-        age.add(out.d, out.u)
-        counts.add(out.d)
-        if config.cf_mode is CfMode.ARRIVAL_CHARGED:
-            grams.add(out.admitted, profile.values_at(out.admitted) * ep_kwh)
-        elif config.cf_mode is CfMode.COMPLETION_CHARGED:
-            grams.add(out.d, profile.values_at(out.d) * ep_kwh)
+                started = int(np.searchsorted(out.busy_start, horizon))
+                end = out.busy_end[:started]
+                out = out._replace(busy_start=out.busy_start[:started],
+                                   busy_end=np.minimum(end, horizon, out=end))
+        age.add(out.d, out.u, weights, scratch)
+        counts.add(out.d, idx)
+        if busy:
+            times = out.busy_end
+            charge = _charge_integrals(profile, times, weights)
+            charge -= _charge_integrals(profile, out.busy_start, scratch)
+            charge *= energy.p_t / J_PER_KWH
         else:
-            burned = profile.integral_to(out.busy_end) - profile.integral_to(out.busy_start)
-            grams.add(out.busy_end, burned * (energy.p_t / J_PER_KWH))
+            times = out.admitted if config.cf_mode is CfMode.ARRIVAL_CHARGED else out.d
+            charge = _charge_values(profile, times, ep_kwh, weights)
+        grams.add(times, idx, charge)
         completions += len(out.d)
         preemptions += out.preemptions
         drops += out.drops
         if config.keep_events:
-            delivered.append((out.d, out.u))
-        del out, last   # before the next chunk is drawn
+            delivered.append((out.d.copy(), out.u.copy()))
 
     time_avg, final_age = age.result()
     ledger = CarbonLedger((np.arange(len(grams.sums)) + 1) * slot, grams.sums)
@@ -510,8 +576,9 @@ def replicate(config: SimConfig, profile: CiProfile, energy: EnergyModel,
     helper thread per further usable core take them in index order, and
     each trace is stored at its index, so every output is the one a
     sequential loop gives, whatever the core count.  numpy releases the
-    GIL in the draws and kernels, and each concurrent replication adds
-    about one run's working set to the peak memory.  If a replication
+    GIL in the draws, the kernels and the slot sums, and each concurrent
+    replication adds its run's chunk buffers, under nine chunk arrays
+    (4.7 MB), to the peak memory.  If a replication
     fails, no further one starts, and the error of the lowest failing
     index is raised once every started replication has ended.
 

@@ -50,7 +50,8 @@ def replay_streams(lam, mu, horizon, seed):
     """Re-derive the exact arrival times and service stream of a run."""
     ss = np.random.SeedSequence(seed)
     arr_ss, svc_ss = ss.spawn(2)
-    a = np.concatenate(list(_arrival_chunks(np.random.default_rng(arr_ss), lam, horizon)))
+    chunks = _arrival_chunks(np.random.default_rng(arr_ss), lam, horizon)
+    a = np.concatenate([np.empty(0)] + [t[1:].copy() for t in chunks])
     rng_service = np.random.default_rng(svc_ss)
     return a, rng_service
 
@@ -723,11 +724,12 @@ class TestChunkSeams:
         assert max(peaks) < 16e6
         assert abs(peaks[1] - peaks[0]) < 1e6
 
+    @pytest.mark.parametrize("mode", list(CfMode))
     @pytest.mark.parametrize("discipline", list(Discipline))
-    def test_working_set_of_one_run(self, discipline):
+    def test_working_set_of_one_run(self, discipline, mode):
         # A run of 2**20 arrivals holds at most nine chunk arrays at once,
         # so a replication running beside another adds little memory.
-        c = cfg(discipline, 0.5, 1.0, 2 ** 20 / 0.5, 66)
+        c = cfg(discipline, 0.5, 1.0, 2 ** 20 / 0.5, 66, cf_mode=mode)
         tracemalloc.start()
         try:
             run(c, FLAT, ENERGY)
@@ -749,6 +751,110 @@ class TestChunkSeams:
             tracemalloc.stop()
         assert len(trace.ledger) == 10 ** 6
         assert held < 40e6
+
+
+def kernel_steps(kernel, lam, horizon, seed, busy):
+    """Copies of each step a kernel yields on the run's own streams."""
+    discipline, buffer, _ = KERNELS[kernel]
+    arr_ss, svc_ss = np.random.SeedSequence(seed).spawn(2)
+    chunks = dessim._arrival_chunks(np.random.default_rng(arr_ss), lam, horizon)
+    rng_service = np.random.default_rng(svc_ss)
+    if discipline is Discipline.LCFS_PREEMPTIVE:
+        steps = dessim._lcfs(chunks, rng_service, 1.0, busy)
+    elif buffer is None:
+        steps = dessim._fcfs(chunks, rng_service, 1.0, busy)
+    else:
+        steps = dessim._fcfs_finite(chunks, rng_service, 1.0, busy, buffer)
+    return [{k: v.copy() if isinstance(v, np.ndarray) else v
+             for k, v in out._asdict().items()} for out in steps]
+
+
+class TestRunOwnedBuffers:
+    """The pieces `run` builds its chunk stages from, each against the
+    numpy call it replaces."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1])
+    @pytest.mark.parametrize("scale", [1.0, 1 / 0.3, 1 / 0.9, 1 / 1.5, 2.5e-7, 3e5])
+    def test_draws_equal_generator_exponential(self, seed, scale):
+        expected = np.random.default_rng(seed).exponential(scale, 1000)
+        rng = np.random.default_rng(seed)
+        got = np.empty(1000)
+        for lo, hi in ((0, 1), (1, 8), (8, 8), (8, 500), (500, 1000)):     # seams
+            dessim._exponential(rng, scale, got[lo:hi])
+        assert np.array_equal(got, expected)
+
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), rho=st.floats(0.2, 0.95))
+    @pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
+    @pytest.mark.parametrize("kernel", ["fcfs", "lcfs", "buffer2"])
+    def test_kernel_times_ascend_across_chunks(self, chunk, kernel, seed, rho):
+        # The slot sums and the horizon cut need d, admitted and busy_end
+        # non-decreasing over the whole run, seams included.
+        arrivals = 3 * chunk + 50 if chunk < 100 else 2.2 * chunk
+        saved = dessim._CHUNK
+        dessim._CHUNK = chunk
+        try:
+            steps = kernel_steps(kernel, rho, arrivals / rho, seed, busy=True)
+        finally:
+            dessim._CHUNK = saved
+        assert len(steps) > 2
+        for name in ("d", "admitted", "busy_end"):
+            times = np.concatenate([step[name] for step in steps])
+            assert np.all(np.diff(times) >= 0), name
+
+    @settings(max_examples=60, deadline=None)
+    @given(gaps=st.lists(st.floats(0.0, 0.3), min_size=1, max_size=80),
+           cuts=st.lists(st.integers(0, 80), max_size=6),
+           weights=st.lists(st.floats(0.0, 1e3), min_size=80, max_size=80),
+           n_slots=st.integers(1, 40), slot=st.sampled_from([0.1, 0.25, 1 / 3]),
+           at_horizon=st.booleans())
+    def test_slot_sums_equal_add_at_and_bincount(self, gaps, cuts, weights, n_slots, slot,
+                                                 at_horizon):
+        # Times ascend past the horizon (drained growth) and may hit it
+        # exactly (the clamp); cuts split slots across adds (a carried
+        # first slot).  Sums follow event order, so they are bit-equal.
+        horizon = n_slots * slot
+        times = np.cumsum(gaps)
+        if at_horizon:
+            times = np.sort(np.append(times, horizon))
+        w = np.array(weights[:len(times)])
+        idx = np.floor(times / slot).astype(np.int64)
+        idx[(times <= horizon) & (idx >= n_slots)] = n_slots - 1
+        size = max(n_slots, int(idx.max()) + 1)
+        grams = np.zeros(size)
+        np.add.at(grams, idx, w)
+        counts = np.bincount(idx, minlength=size)
+        got_counts = dessim._SlotSums(slot, n_slots, horizon, np.int64)
+        got_grams = dessim._SlotSums(slot, n_slots, horizon, np.float64)
+        scratch = np.empty(len(times), np.int64)
+        edges = [0, *sorted(c for c in cuts if c < len(times)), len(times)]
+        for lo, hi in zip(edges, edges[1:]):
+            got_counts.add(times[lo:hi], scratch)
+            got_grams.add(times[lo:hi], scratch, w[lo:hi].copy())
+        assert got_counts.sums.dtype == np.int64
+        assert np.array_equal(got_counts.sums, counts)
+        assert np.array_equal(got_grams.sums, grams)
+
+    @settings(max_examples=60, deadline=None)
+    @given(widths=st.lists(st.floats(0.01, 5.0), min_size=1, max_size=40),
+           values=st.lists(st.floats(1.0, 900.0), min_size=40, max_size=40),
+           points=st.lists(st.floats(0.0, 1.2), max_size=200),
+           on_starts=st.booleans(), scale=st.floats(1e-9, 1e3))
+    def test_step_lookups_equal_values_at_and_integral_to(self, widths, values, points,
+                                                          on_starts, scale):
+        # Many steps per call, times on step starts and past the horizon.
+        starts = np.concatenate(([0.0], np.cumsum(widths)[:-1]))
+        horizon = float(np.sum(widths))
+        profile = CiProfile(tuple(zip(starts.tolist(), values)), horizon)
+        t = np.array(points) * horizon
+        if on_starts:
+            t = np.concatenate((t, starts))
+        t = np.sort(t)
+        out = np.full(len(t) + 3, np.nan)
+        got = dessim._charge_values(profile, t, scale, out)
+        assert np.array_equal(got, profile.values_at(t) * scale)
+        got = dessim._charge_integrals(profile, t, out)
+        assert np.array_equal(got, profile.integral_to(t))
 
 
 class TestFiniteBufferOracle:

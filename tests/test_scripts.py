@@ -56,3 +56,14 @@ def test_validation_at_a_small_size(tmp_path):
         (model, rho) for model in ("mm1", "mm1star") for rho in ("0.29999999999999999", "0.5")]
     # A tolerance no finite sample meets fails every cell.
     assert script.main([*argv, "--tol", "0"]) == 1
+
+
+@pytest.mark.parametrize("bad", [["--seed", "-1"], ["--reps", "10001"], ["--rho", "1.5"]])
+def test_validation_refuses_bad_input_before_the_table(capsys, bad):
+    # A negative seed, too many replications and an unstable FCFS cell each
+    # exit 2 with one error line, as the CLI does, and print no table.
+    argv = ["--rho", "0.5", "--arrivals", "100", "--reps", "1", *bad]
+    assert load("validate_against_simulation").main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
