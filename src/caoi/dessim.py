@@ -26,9 +26,9 @@ the horizon: without drain, nothing is delivered after it, and work in
 service at the horizon is charged only up to it.
 
 A run owns its chunk buffers: the arrival stream, each kernel and the
-age, charge and slot stages allocate their chunk-sized arrays once per
-run and write every chunk into them with out=, so a chunk allocates
-none but LCFS's index of completed packets.  A run of 2**20 arrivals
+age, charge and slot stages allocate their arrays once per run, sized
+by its first and longest chunk, and write every chunk into them with
+out=, so a chunk allocates none but LCFS's index of completed packets.  A run of 2**20 arrivals
 peaks below nine chunk arrays in every cf mode (tracemalloc: 3.8 MB for
 FCFS, 4.5 MB for LCFS).  A kernel yields views that the next chunk
 overwrites, and keep_events copies them.  Every stage's times ascend,
@@ -61,7 +61,7 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -232,7 +232,7 @@ class _Out(NamedTuple):
     drops: int = 0
 
 
-def _fcfs(chunks, rng_service, mu, busy):
+def _fcfs(chunks, rng_service, mu, busy, size):
     """Unbounded FCFS: d_i = S_i + max_{j<=i} (a_j - S_{j-1}), where S is
     the running service sum.  S and the running max carry across chunks.
 
@@ -240,7 +240,7 @@ def _fcfs(chunks, rng_service, mu, busy):
     cumsum gives S; for service-time charging the service draws become
     the busy starts.
     """
-    s, run_sum, d = np.empty(_CHUNK + 1), np.empty(_CHUNK + 1), np.empty(_CHUNK)
+    s, run_sum, d = np.empty(size + 1), np.empty(size + 1), np.empty(size)
     s[0], peak = 0.0, -math.inf
     for t in chunks:
         a = t[1:]
@@ -258,7 +258,7 @@ def _fcfs(chunks, rng_service, mu, busy):
         yield _Out(dn, a, a, starts, dn if busy else None)
 
 
-def _lcfs(chunks, rng_service, mu, busy):
+def _lcfs(chunks, rng_service, mu, busy, size):
     """Preemptive LCFS: a packet completes iff a + s beats the next arrival.
 
     c[i] is the completion, if not preempted, of the packet that arrived
@@ -266,8 +266,8 @@ def _lcfs(chunks, rng_service, mu, busy):
     in place; the chunk's last arrival waits in t[0] and c[0] for the
     next chunk's first.  Every arrival is charged in its own chunk's step.
     """
-    c, ok = np.empty(_CHUNK + 1), np.empty(_CHUNK, bool)
-    d, u = np.empty(_CHUNK), np.empty(_CHUNK)
+    c, ok = np.empty(size + 1), np.empty(size, bool)
+    d, u = np.empty(size), np.empty(size)
     lo, held = 1, None              # before the first chunk, t[0] is no packet
     for t in chunks:
         n = len(t) - 1
@@ -289,19 +289,19 @@ def _lcfs(chunks, rng_service, mu, busy):
         yield _Out(d[:1], u[:1], t[:0], u[:1] if busy else None, d[:1] if busy else None)
 
 
-def _fcfs_finite(chunks, rng_service, mu, busy, capacity):
+def _fcfs_finite(chunks, rng_service, mu, busy, size, capacity):
     """FCFS with room for `capacity` packets, the one in service included.
 
     Packets depart in admission order, so an arrival at t is dropped iff
     the capacity-th last admitted departure is after t (one at the same
     instant leaves first).  `recent` holds the last capacity departures,
     less any before the chunk's first arrival.  An admitted packet starts
-    at max(t, last) and departs s later, s drawn in _CHUNK blocks as needed.
+    at max(t, last) and departs s later, s drawn in blocks as needed.
     deps[0] holds the last departure before the chunk, so deps[:-1] are
     the departures before each admitted packet.
     """
-    draws, admitted, deps = np.empty(_CHUNK), np.empty(_CHUNK), np.empty(_CHUNK + 1)
-    starts = np.empty(_CHUNK) if busy else None
+    draws, admitted, deps = np.empty(size), np.empty(size), np.empty(size + 1)
+    starts = np.empty(size) if busy else None
     recent = deque(maxlen=min(capacity, sys.maxsize))
     service = chain.from_iterable(_exponential(rng_service, 1.0 / mu, draws).tolist()
                                   for _ in repeat(None))
@@ -466,13 +466,19 @@ def run(config: SimConfig, profile: CiProfile, energy: EnergyModel) -> Simulatio
                 drawn.append(t[1:].copy())
             yield t
 
+    # Every chunk but the last holds _CHUNK arrivals, so the first is the
+    # longest, and no step holds more packets: it sizes the run's buffers.
+    chunks = arrival_stream()
+    first = list(islice(chunks, 1))
+    size = arrivals
+    chunks = chain(first, chunks)
     busy = config.cf_mode is CfMode.SERVICE_TIME_CHARGED
     if spec.discipline is Discipline.LCFS_PREEMPTIVE:
-        steps = _lcfs(arrival_stream(), rng_service, spec.mu, busy)
+        steps = _lcfs(chunks, rng_service, spec.mu, busy, size)
     elif config.buffer is None:
-        steps = _fcfs(arrival_stream(), rng_service, spec.mu, busy)
+        steps = _fcfs(chunks, rng_service, spec.mu, busy, size)
     else:
-        steps = _fcfs_finite(arrival_stream(), rng_service, spec.mu, busy, config.buffer)
+        steps = _fcfs_finite(chunks, rng_service, spec.mu, busy, size, config.buffer)
 
     slot = config.effective_slot
     n_slots = slot_count(horizon, slot)
@@ -481,7 +487,7 @@ def run(config: SimConfig, profile: CiProfile, energy: EnergyModel) -> Simulatio
     grams = _SlotSums(slot, n_slots, horizon, np.float64)
     ep_kwh = energy.e_p_kwh()
     # Scratch of the age integral, the charges and the slot indices.
-    weights, scratch, idx = np.empty(_CHUNK), np.empty(_CHUNK), np.empty(_CHUNK, np.int64)
+    weights, scratch, idx = np.empty(size), np.empty(size), np.empty(size, np.int64)
     completions = preemptions = drops = 0
     delivered = []              # copies of (d, u) per step, for keep_events only
     for out in steps:

@@ -759,12 +759,13 @@ def kernel_steps(kernel, lam, horizon, seed, busy):
     arr_ss, svc_ss = np.random.SeedSequence(seed).spawn(2)
     chunks = dessim._arrival_chunks(np.random.default_rng(arr_ss), lam, horizon)
     rng_service = np.random.default_rng(svc_ss)
+    size = dessim._CHUNK
     if discipline is Discipline.LCFS_PREEMPTIVE:
-        steps = dessim._lcfs(chunks, rng_service, 1.0, busy)
+        steps = dessim._lcfs(chunks, rng_service, 1.0, busy, size)
     elif buffer is None:
-        steps = dessim._fcfs(chunks, rng_service, 1.0, busy)
+        steps = dessim._fcfs(chunks, rng_service, 1.0, busy, size)
     else:
-        steps = dessim._fcfs_finite(chunks, rng_service, 1.0, busy, buffer)
+        steps = dessim._fcfs_finite(chunks, rng_service, 1.0, busy, size, buffer)
     return [{k: v.copy() if isinstance(v, np.ndarray) else v
              for k, v in out._asdict().items()} for out in steps]
 
