@@ -296,7 +296,8 @@ def _fcfs_finite(chunks, rng_service, mu, busy, size, capacity):
     the capacity-th last admitted departure is after t (one at the same
     instant leaves first).  `recent` holds the last capacity departures,
     less any before the chunk's first arrival.  An admitted packet starts
-    at max(t, last) and departs s later, s drawn in blocks as needed.
+    at max(t, last) and departs s later, s drawn in blocks of size as
+    needed.
     deps[0] holds the last departure before the chunk, so deps[:-1] are
     the departures before each admitted packet.
     """
