@@ -124,30 +124,31 @@ class CiProfile:
     def values(self) -> tuple:
         return self._values
 
-    def values_at(self, t):
-        """xi in force at each time t >= 0, as float64."""
-        return self._xi[np.searchsorted(self._t, t, side="right") - 1]
+    # The lookups take with mode "wrap": the step indices are in range, and
+    # mode "raise" would write out= through a copy.
 
-    def integral_to(self, t):
-        """The integral of xi over [0, t] for each t >= 0, in g*s/kWh."""
-        i = np.searchsorted(self._t, t, side="right") - 1
-        return self._prefix[i] + self._xi[i] * (t - self._t[i])
+    def values_at(self, t, out=None):
+        """xi in force at each time t >= 0, as float64; written into out,
+        a float64 array as long as t, when given."""
+        return np.take(self._xi, self._steps(t), out=out, mode="wrap")
 
-    def step_slices(self, t):
-        """Split ascending times t >= 0 by step: yield (lo, hi, start, xi,
-        integral to start) for each step that holds t[lo:hi], in order.
+    def integral_to(self, t, out=None, scratch=None):
+        """The integral of xi over [0, t] for each t >= 0, in g*s/kWh.
 
-        A caller evaluates values_at or integral_to over t with one slice
-        fill per step and no index per time; steps that hold no time are
-        skipped, and the final step takes every time past the horizon.
+        Given out and scratch, float64 arrays as long as t, the integral is
+        written into out and scratch is overwritten; no float array is built.
         """
-        n, final = len(t), len(self._t) - 1
-        lo = 0
-        while lo < n:
-            j = int(np.searchsorted(self._t, t[lo], side="right")) - 1
-            hi = n if j == final else lo + int(np.searchsorted(t[lo:], self._t[j + 1]))
-            yield lo, hi, float(self._t[j]), float(self._xi[j]), float(self._prefix[j])
-            lo = hi
+        i = self._steps(t)
+        out = np.subtract(t, np.take(self._t, i, out=out, mode="wrap"), out=out)
+        out *= np.take(self._xi, i, out=scratch, mode="wrap")
+        out += np.take(self._prefix, i, out=scratch, mode="wrap")
+        return out
+
+    def _steps(self, t):
+        """The index of the step in force at each time t >= 0."""
+        i = np.searchsorted(self._t, t, side="right")
+        i -= 1
+        return i
 
     def value_at(self, tau: float) -> float:
         if tau < 0:

@@ -28,15 +28,17 @@ service at the horizon is charged only up to it.
 A run owns its chunk buffers: the arrival stream, each kernel and the
 age, charge and slot stages allocate their arrays once per run, sized
 by its first and longest chunk, and write every chunk into them with
-out=, so a chunk allocates none but LCFS's index of completed packets.  A run of 2**20 arrivals
-peaks below nine chunk arrays in every cf mode (tracemalloc: 3.8 MB for
-FCFS, 4.5 MB for LCFS).  A kernel yields views that the next chunk
-overwrites, and keep_events copies them.  Every stage's times ascend,
-so the horizon cut is a slice, a chunk's slot sums take one weighted
+out=.  A chunk allocates no float array; its int64 arrays are the step
+index of each profile lookup and LCFS's index of completed packets.  A
+run of 2**20 arrivals peaks below nine chunk arrays in every cf mode
+(tracemalloc: 4.2 MB for FCFS, 4.3 MB for LCFS, 4.1 to 4.7 MB with a
+buffer of 10).  A kernel yields views that the next chunk overwrites,
+and keep_events copies them.  Every stage's times ascend, so the
+horizon cut is a slice, and a chunk's slot sums take one weighted
 bincount plus an in-order cumsum onto the slot carried from the chunk
-before, and the charges are filled one profile step at a time
-(CiProfile.step_slices), equal bit for bit to CiProfile.values_at and
-integral_to.  The slot grams go into the CarbonLedger as float64 arrays.
+before.  The charges are CiProfile.values_at and integral_to written
+into the run's buffers.  The slot grams go into the CarbonLedger as
+float64 arrays.
 
 `replicate` runs its replications concurrently, on the calling thread
 and one helper thread per further usable core, and gives the outputs of
@@ -73,6 +75,7 @@ from .queueing import Discipline, QueueSpec
 _CHUNK = 1 << 16                # arrivals per chunk; see the module docstring
 _MAX_EVENT_ARRIVALS = 10 ** 7   # keep_events cap on expected arrivals, lam * horizon
 _MAX_REPS = 10 ** 4             # replicate's cap on replications; see replicate
+_BLOCK = 1 << 12                # arrivals per pass of the finite-buffer admission loop
 
 
 class CfMode(Enum):
@@ -280,6 +283,7 @@ def _lcfs(chunks, rng_service, mu, busy, size):
         m = len(done)
         np.take(c[lo:n], done, out=d[:m], mode="clip")
         np.take(t[lo:n], done, out=u[:m], mode="clip")
+        del done                # before the run's charge takes its own index
         yield _Out(d[:m], u[:m], t[1:], t[lo:n] if busy else None,
                    np.minimum(c[lo:n], t[lo + 1:], out=c[lo:n]) if busy else None,
                    preemptions=n - lo - m)
@@ -296,12 +300,13 @@ def _fcfs_finite(chunks, rng_service, mu, busy, size, capacity):
     the capacity-th last admitted departure is after t (one at the same
     instant leaves first).  `recent` holds the last capacity departures,
     less any before the chunk's first arrival.  An admitted packet starts
-    at max(t, last) and departs s later, s drawn in blocks of size as
-    needed.
+    at max(t, last) and departs s later.  The admission loop runs in
+    Python, over blocks of _BLOCK arrivals and service draws, so its lists
+    stay small beside the run's buffers.
     deps[0] holds the last departure before the chunk, so deps[:-1] are
     the departures before each admitted packet.
     """
-    draws, admitted, deps = np.empty(size), np.empty(size), np.empty(size + 1)
+    draws, admitted, deps = np.empty(min(size, _BLOCK)), np.empty(size), np.empty(size + 1)
     starts = np.empty(size) if busy else None
     recent = deque(maxlen=min(capacity, sys.maxsize))
     service = chain.from_iterable(_exponential(rng_service, 1.0 / mu, draws).tolist()
@@ -312,17 +317,19 @@ def _fcfs_finite(chunks, rng_service, mu, busy, size, capacity):
         deps[0] = last
         while recent and recent[0] <= a[0]:
             recent.popleft()
-        times, ends = [], []
-        for x in a.tolist():
-            if len(recent) == capacity and recent[0] > x:
-                continue
-            last = (last if last > x else x) + next(service)
-            recent.append(last)
-            times.append(x)
-            ends.append(last)
-        m = len(ends)
-        admitted[:m], deps[1:m + 1] = times, ends
-        del times, ends         # before the chunk's later stages run
+        m = 0
+        for lo in range(0, len(a), _BLOCK):
+            times, ends = [], []
+            for x in a[lo:lo + _BLOCK].tolist():
+                if len(recent) == capacity and recent[0] > x:
+                    continue
+                last = (last if last > x else x) + next(service)
+                recent.append(last)
+                times.append(x)
+                ends.append(last)
+            k = len(ends)
+            admitted[m:m + k], deps[m + 1:m + k + 1] = times, ends
+            m += k
         d = deps[1:m + 1]
         if busy:
             np.maximum(admitted[:m], deps[:m], out=starts[:m])
@@ -422,22 +429,6 @@ class _SlotSums:
             self.sums[lo + 1:top + 1] += np.bincount(rest, weights=weights[first:n])
 
 
-def _charge_values(profile: CiProfile, t: np.ndarray, scale: float, out: np.ndarray):
-    """profile.values_at(t) * scale for ascending t, into out[:len(t)]."""
-    for lo, hi, _, xi, _ in profile.step_slices(t):
-        out[lo:hi] = xi * scale
-    return out[:len(t)]
-
-
-def _charge_integrals(profile: CiProfile, t: np.ndarray, out: np.ndarray):
-    """profile.integral_to(t) for ascending t, into out[:len(t)]."""
-    for lo, hi, start, xi, prefix in profile.step_slices(t):
-        seg = np.subtract(t[lo:hi], start, out=out[lo:hi])
-        seg *= xi
-        seg += prefix
-    return out[:len(t)]
-
-
 def run(config: SimConfig, profile: CiProfile, energy: EnergyModel) -> SimulationTrace:
     """Simulate one seeded sample path and summarize it."""
     spec = config.spec
@@ -487,8 +478,11 @@ def run(config: SimConfig, profile: CiProfile, energy: EnergyModel) -> Simulatio
     counts = _SlotSums(slot, n_slots, horizon, np.int64)
     grams = _SlotSums(slot, n_slots, horizon, np.float64)
     ep_kwh = energy.e_p_kwh()
-    # Scratch of the age integral, the charges and the slot indices.
+    # Scratch of the age integral, the charges and the slot indices.  The
+    # slot indices are dead between the counts and the grams, so their
+    # bytes serve as the second integral's float scratch.
     weights, scratch, idx = np.empty(size), np.empty(size), np.empty(size, np.int64)
+    spare = idx.view(np.float64)
     completions = preemptions = drops = 0
     delivered = []              # copies of (d, u) per step, for keep_events only
     for out in steps:
@@ -508,12 +502,14 @@ def run(config: SimConfig, profile: CiProfile, energy: EnergyModel) -> Simulatio
         counts.add(out.d, idx)
         if busy:
             times = out.busy_end
-            charge = _charge_integrals(profile, times, weights)
-            charge -= _charge_integrals(profile, out.busy_start, scratch)
+            n = len(times)
+            charge = profile.integral_to(times, weights[:n], scratch[:n])
+            charge -= profile.integral_to(out.busy_start, scratch[:n], spare[:n])
             charge *= energy.p_t / J_PER_KWH
         else:
             times = out.admitted if config.cf_mode is CfMode.ARRIVAL_CHARGED else out.d
-            charge = _charge_values(profile, times, ep_kwh, weights)
+            charge = profile.values_at(times, weights[:len(times)])
+            charge *= ep_kwh
         grams.add(times, idx, charge)
         completions += len(out.d)
         preemptions += out.preemptions

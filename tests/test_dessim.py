@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from dessim_reference import reference_run
+from dessim_reference import _ProfileArrays, reference_run
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -840,10 +840,11 @@ class TestRunOwnedBuffers:
     @given(widths=st.lists(st.floats(0.01, 5.0), min_size=1, max_size=40),
            values=st.lists(st.floats(1.0, 900.0), min_size=40, max_size=40),
            points=st.lists(st.floats(0.0, 1.2), max_size=200),
-           on_starts=st.booleans(), scale=st.floats(1e-9, 1e3))
-    def test_step_lookups_equal_values_at_and_integral_to(self, widths, values, points,
-                                                          on_starts, scale):
-        # Many steps per call, times on step starts and past the horizon.
+           on_starts=st.booleans())
+    def test_lookups_into_buffers_equal_the_reference(self, widths, values, points,
+                                                      on_starts):
+        # Many steps per call, times on step starts and past the horizon;
+        # out and scratch are longer than the times, as a run's buffers are.
         starts = np.concatenate(([0.0], np.cumsum(widths)[:-1]))
         horizon = float(np.sum(widths))
         profile = CiProfile(tuple(zip(starts.tolist(), values)), horizon)
@@ -851,11 +852,34 @@ class TestRunOwnedBuffers:
         if on_starts:
             t = np.concatenate((t, starts))
         t = np.sort(t)
-        out = np.full(len(t) + 3, np.nan)
-        got = dessim._charge_values(profile, t, scale, out)
-        assert np.array_equal(got, profile.values_at(t) * scale)
-        got = dessim._charge_integrals(profile, t, out)
-        assert np.array_equal(got, profile.integral_to(t))
+        n = len(t)
+        reference = _ProfileArrays(profile)
+        out, scratch = np.full(n + 3, np.nan), np.full(n + 3, np.nan)
+        into = out[:n]
+        got = profile.values_at(t, into)
+        assert got is into
+        assert np.array_equal(got, reference.value_at(t))
+        got = profile.integral_to(t, into, scratch[:n])
+        assert got is into
+        assert np.array_equal(got, reference.integral_to(t))
+        assert np.isnan(out[n:]).all() and np.isnan(scratch[n:]).all()
+
+    def test_lookups_into_buffers_build_no_float_array(self):
+        # A chunk's lookup allocates its int64 step index and nothing else,
+        # however many steps the profile has.
+        n = dessim._CHUNK
+        starts = np.arange(n) * 2.0
+        profile = CiProfile(np.column_stack((starts, 100.0 + starts % 7)), 2.0 * n)
+        t = np.sort(np.random.default_rng(4).uniform(0.0, 2.2 * n, n))
+        out, scratch = np.empty(n), np.empty(n)
+        tracemalloc.start()
+        try:
+            profile.values_at(t, out)
+            profile.integral_to(t, out, scratch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * n * 8
 
 
 class TestFiniteBufferOracle:
