@@ -148,6 +148,18 @@ def commands() -> list:
             "--seed", "6", "--reps", reps, "--cf-mode", cf_mode, "--buffer", buffer,
             "--ci", "profile.csv", "--out", f"sim_cut_{stem}.json",
             "--slots-out", f"slots_cut_{stem}.csv", "--events-out", f"events_cut_{stem}.csv"]))
+    # With --drain: drained work can reach slots past the horizon that only
+    # the counts or only the grams reach, and the other reads 0 there.
+    for stem, model, lam, buffer, cf_mode in (
+            ("b5-completion", "mm1", "1.2", "5", "completion"),
+            ("fcfs-service", "mm1", "0.9", "inf", "service_time"),
+            ("lcfs-service", "mm1star", "1.2", "inf", "service_time"),
+            ("b2-arrival", "mm1", "3.0", "2", "arrival")):
+        cmds.append((f"simulate-drain-{stem}", [
+            "simulate", "--model", model, "--lambda", lam, "--mu", "1", "--horizon", "5000",
+            "--slot", "50", "--seed", "7", "--reps", "2", "--cf-mode", cf_mode, "--drain",
+            "--buffer", buffer, "--ci", "profile.csv", "--out", f"sim_drain_{stem}.json",
+            "--slots-out", f"slots_drain_{stem}.csv"]))
     cmds += [
         # A buffer that never fills, with the busy starts the kernel derives.
         ("simulate-huge-buffer", [

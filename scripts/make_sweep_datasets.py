@@ -16,9 +16,11 @@ import argparse
 import csv
 import math
 import os
+import sys
 
 from caoi.carbon import ConstraintSet, EnergyModel
 from caoi.cidata import builtin_profile_si2024
+from caoi.errors import CaoiError
 from caoi.optimizer import sweep_cf_budget, sweep_lambda, sweep_months, sweep_surface
 
 
@@ -32,16 +34,8 @@ def write_rows(path, header, rows):
     print(f"wrote {path}")
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out-dir", default="datasets")
-    parser.add_argument("--mu", type=float, default=40.0,
-                        help="service rate for the budget sweep")
-    parser.add_argument("--horizon", type=float, default=3600.0,
-                        help="accounting horizon t_N in seconds")
-    args = parser.parse_args(argv)
-    os.makedirs(args.out_dir, exist_ok=True)
-
+def build_tables(args) -> list:
+    """The four tables as (file name, header, rows), each built in full."""
     energy = EnergyModel()
     builtin = builtin_profile_si2024()
 
@@ -53,8 +47,7 @@ def main(argv=None):
             for r in sweep_lambda(1.0, lam_grid, mode="exact",
                                   profile=builtin, energy=energy,
                                   constraint=unconstrained)]
-    write_rows(os.path.join(args.out_dir, "lambda_sweep.csv"),
-               ["lambda", "model", "aoi_s", "cf_g", "binding"], rows)
+    tables = [("lambda_sweep.csv", ["lambda", "model", "aoi_s", "cf_g", "binding"], rows)]
 
     # 2. Age vs budget, one column per month. Non-increasing in the budget;
     #    FCFS goes flat once the budget stops binding.
@@ -63,8 +56,7 @@ def main(argv=None):
             for r in sweep_cf_budget(args.mu, k_grid, builtin, energy,
                                      args.horizon, mode="paper",
                                      per_month=True)]
-    write_rows(os.path.join(args.out_dir, "budget_sweep.csv"),
-               ["month", "budget_g", "model", "aoi_s", "binding"], rows)
+    tables.append(("budget_sweep.csv", ["month", "budget_g", "model", "aoi_s", "binding"], rows))
 
     # 3. Age vs SNR floor under a budget small enough that the minimum sits
     #    inside the grid for every month.
@@ -73,8 +65,7 @@ def main(argv=None):
             for db in range(-10, 31)]
     rows = [(r.month, r.x, r.model, r.aoi, r.binding)
             for r in sweep_surface("qos", grid, builtin, energy, mode="paper")]
-    write_rows(os.path.join(args.out_dir, "snr_sweep.csv"),
-               ["month", "snr_db", "model", "aoi_s", "binding"], rows)
+    tables.append(("snr_sweep.csv", ["month", "snr_db", "model", "aoi_s", "binding"], rows))
 
     # 4. Age by month when a 1 W cap binds: the curve is the CI profile
     #    rescaled, so November/May equals the CI ratio.
@@ -83,9 +74,30 @@ def main(argv=None):
     rows = [(r.month, r.model, r.aoi, r.binding)
             for r in sweep_months(capped, builtin, energy, mode="paper",
                                   problem="power")]
-    write_rows(os.path.join(args.out_dir, "month_power.csv"),
-               ["month", "model", "aoi_s", "binding"], rows)
+    tables.append(("month_power.csv", ["month", "model", "aoi_s", "binding"], rows))
+    return tables
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out-dir", default="datasets")
+    parser.add_argument("--mu", type=float, default=40.0,
+                        help="service rate for the budget sweep")
+    parser.add_argument("--horizon", type=float, default=3600.0,
+                        help="accounting horizon t_N in seconds")
+    args = parser.parse_args(argv)
+    # Every table is built before any file is written, so bad input exits 2
+    # with one error line and no partial output.
+    try:
+        tables = build_tables(args)
+    except CaoiError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    os.makedirs(args.out_dir, exist_ok=True)
+    for name, header, rows in tables:
+        write_rows(os.path.join(args.out_dir, name), header, rows)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

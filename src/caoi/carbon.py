@@ -225,41 +225,21 @@ class ConstraintSet:
 
 
 class CarbonLedger:
-    """Emission entries in time order: times and grams as read-only float64
-    copies, and the running total as their left-to-right np.cumsum."""
+    """Emissions per reporting slot, in grams: grams as a read-only float64
+    copy, and total as their left-to-right np.cumsum.  The first negative
+    or NaN entry is refused.  A trace's slot_length gives each slot's time."""
 
-    def __init__(self, times: Sequence[float], grams: Sequence[float]):
-        times = np.array(times, dtype=np.float64)
+    def __init__(self, grams: Sequence[float]):
         grams = np.array(grams, dtype=np.float64)
-        if len(times) != len(grams):
-            raise ValidationError("times and grams must have equal length")
-        bad_time = times <= 0
-        bad_time[1:] |= times[1:] < times[:-1]
-        bad = bad_time | (grams < 0)
+        bad = ~(grams >= 0)
         if bad.any():
-            i = int(bad.argmax())
-            if bad_time[i]:
-                raise ValidationError(
-                    f"entry times must be positive and ordered, got {float(times[i])}")
-            raise ValidationError(f"emissions must be non-negative, got {float(grams[i])}")
-        times.flags.writeable = grams.flags.writeable = False
-        self._running = np.cumsum(grams)
-        self.times = times
+            raise ValidationError(f"emissions must be non-negative, got {grams[bad.argmax()]}")
+        grams.flags.writeable = False
         self.grams = grams
+        self.total = float(np.cumsum(grams)[-1]) if len(grams) else 0.0
 
     def __len__(self) -> int:
-        return len(self.times)
-
-    @property
-    def total(self) -> float:
-        return float(self._running[-1]) if len(self._running) else 0.0
-
-    def cumulative(self, tau: float) -> float:
-        """Emissions recorded at or before tau; zero at tau = 0."""
-        if tau < 0:
-            raise DomainError(f"time must be non-negative, got {tau}")
-        idx = int(np.searchsorted(self.times, tau, side="right"))
-        return float(self._running[idx - 1]) if idx else 0.0
+        return len(self.grams)
 
 
 def _power_steps(power) -> np.ndarray:

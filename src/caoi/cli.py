@@ -441,15 +441,11 @@ def run_simulate(params: dict, out_dir=None) -> None:
 
     outputs = [] if out_path is None else [out_path]
     if slots_path is not None:
-        # The ledger can hold more slots than the counts, or fewer, when
-        # drained work ends past the horizon: the shorter is padded with 0.
         n_tx, grams = first.n_tx_per_slot, first.ledger.grams
-        n = max(len(n_tx), len(grams))
-        n_tx, grams = (np.concatenate((v, np.zeros(n - len(v), v.dtype))) for v in (n_tx, grams))
-        starts = np.arange(n) * first.slot_length
+        starts = np.arange(len(n_tx)) * first.slot_length
         write_csv(slots_path, SLOTS_HEADER, map(
             lambda cells: (fmt_floats(starts[cells]), list(map(str, n_tx[cells].tolist())),
-                           fmt_floats(grams[cells])), row_blocks(n)))
+                           fmt_floats(grams[cells])), row_blocks(len(n_tx))))
         outputs.append(slots_path)
     if events_path is not None:
         t, u = first.delivery_times, first.delivery_gen_times

@@ -37,8 +37,8 @@ and keep_events copies them.  Every stage's times ascend, so the
 horizon cut is a slice, and a chunk's slot sums take one weighted
 bincount plus an in-order cumsum onto the slot carried from the chunk
 before.  The charges are CiProfile.values_at and integral_to written
-into the run's buffers.  The slot grams go into the CarbonLedger as
-float64 arrays.
+into the run's buffers.  The slot counts and grams share one grid, and
+drained work extends it for both; the grams become the CarbonLedger.
 
 `replicate` runs its replications concurrently, on the calling thread
 and one helper thread per further usable core, and gives the outputs of
@@ -103,8 +103,8 @@ class SimConfig:
     >= 1; None means unbounded.  The preemptive discipline holds at most
     one packet by construction, so buffer is ignored there.  drain lets
     the server finish admitted work after arrivals stop at the horizon;
-    statistics still cover [warmup, horizon] but counts and the ledger
-    include the drained work.
+    statistics still cover [warmup, horizon] but the slot counts and grams
+    include the drained work, on one slot grid extended past the horizon.
 
     Memory grows with the run only through the slot grid and keep_events,
     so both are capped before anything is allocated: at most 10**7 slots,
@@ -156,7 +156,7 @@ class SimConfig:
 
 @dataclass
 class SimulationTrace:
-    """Summary of one run."""
+    """Summary of one run; n_tx_per_slot and ledger.grams share one slot grid."""
 
     time_avg_aoi: float
     final_age: float
@@ -380,8 +380,9 @@ class _AgeIntegral:
 
 
 class _SlotSums:
-    """Per-slot sums over right-open slots.  The final in-horizon slot is
-    closed at the horizon, and drained events past it extend the grid.
+    """Per-slot counts and grams on one grid of right-open slots.  The final
+    in-horizon slot is closed at the horizon; drained events past it extend
+    the grid of both, so a slot only one of them reaches reads 0 in the other.
 
     Events arrive in ascending time, so each add's slot indices ascend and
     every slot past its first is still empty: those slots take one
@@ -391,16 +392,17 @@ class _SlotSums:
     does not depend on the chunk size.
     """
 
-    def __init__(self, slot: float, n_slots: int, horizon: float, dtype):
+    def __init__(self, slot: float, n_slots: int, horizon: float):
         self.slot = slot
         self.n_slots = n_slots
         self.horizon = horizon
-        self.sums = np.zeros(n_slots, dtype)
+        self.counts = np.zeros(n_slots, np.int64)
+        self.grams = np.zeros(n_slots)
 
     def add(self, times: np.ndarray, idx: np.ndarray, weights=None) -> None:
-        """Add weights at ascending times, or count the times when weights
-        is None.  idx, at least as long as times, is int64 scratch; the
-        weights are overwritten."""
+        """Add weights at ascending times to the grams, or count the times
+        when weights is None.  idx, at least as long as times, is int64
+        scratch; the weights are overwritten."""
         n = len(times)
         if not n:
             return
@@ -410,23 +412,24 @@ class _SlotSums:
             end = int(np.searchsorted(times, self.horizon, side="right"))
             np.minimum(idx[:end], self.n_slots - 1, out=idx[:end])
         lo, top = int(idx[0]), int(idx[-1])
-        grow = top + 1 - len(self.sums)
+        grow = top + 1 - len(self.counts)
         if grow > 0:
-            self.sums = np.concatenate((self.sums, np.zeros(grow, self.sums.dtype)))
+            self.counts = np.concatenate((self.counts, np.zeros(grow, np.int64)))
+            self.grams = np.concatenate((self.grams, np.zeros(grow)))
         if weights is None:
             # ends[j]: the events up to slot lo + j, so slot lo + j holds
             # ends[j] - ends[j - 1] of them.
             ends = np.searchsorted(idx, np.arange(lo, top + 1), side="right")
-            self.sums[lo:top + 1] += ends
-            self.sums[lo + 1:top + 1] -= ends[:-1]
+            self.counts[lo:top + 1] += ends
+            self.counts[lo + 1:top + 1] -= ends[:-1]
             return
         first = int(np.searchsorted(idx, lo, side="right"))
-        weights[0] += self.sums[lo]
-        self.sums[lo] = np.cumsum(weights[:first], out=weights[:first])[-1]
+        weights[0] += self.grams[lo]
+        self.grams[lo] = np.cumsum(weights[:first], out=weights[:first])[-1]
         if first < n:
             rest = idx[first:]
             rest -= lo + 1
-            self.sums[lo + 1:top + 1] += np.bincount(rest, weights=weights[first:n])
+            self.grams[lo + 1:top + 1] += np.bincount(rest, weights=weights[first:n])
 
 
 def run(config: SimConfig, profile: CiProfile, energy: EnergyModel) -> SimulationTrace:
@@ -441,6 +444,10 @@ def run(config: SimConfig, profile: CiProfile, energy: EnergyModel) -> Simulatio
         raise ConfigError(
             f"FCFS with an unbounded buffer needs rho < 1, got rho={spec.rho:.6g}"
         )
+    busy = config.cf_mode is CfMode.SERVICE_TIME_CHARGED
+    if busy and not math.isfinite(profile.long_term_average):
+        raise ConfigError("service-time charging subtracts integrals of the carbon intensity, "
+                          f"which overflow over the profile horizon {profile.horizon}")
 
     ss = np.random.SeedSequence(config.seed)
     arr_ss, svc_ss = ss.spawn(2)
@@ -464,7 +471,6 @@ def run(config: SimConfig, profile: CiProfile, energy: EnergyModel) -> Simulatio
     first = list(islice(chunks, 1))
     size = arrivals
     chunks = chain(first, chunks)
-    busy = config.cf_mode is CfMode.SERVICE_TIME_CHARGED
     if spec.discipline is Discipline.LCFS_PREEMPTIVE:
         steps = _lcfs(chunks, rng_service, spec.mu, busy, size)
     elif config.buffer is None:
@@ -475,8 +481,7 @@ def run(config: SimConfig, profile: CiProfile, energy: EnergyModel) -> Simulatio
     slot = config.effective_slot
     n_slots = slot_count(horizon, slot)
     age = _AgeIntegral(config.effective_warmup, horizon)
-    counts = _SlotSums(slot, n_slots, horizon, np.int64)
-    grams = _SlotSums(slot, n_slots, horizon, np.float64)
+    slots = _SlotSums(slot, n_slots, horizon)
     ep_kwh = energy.e_p_kwh()
     # Scratch of the age integral, the charges and the slot indices.  The
     # slot indices are dead between the counts and the grams, so their
@@ -499,7 +504,7 @@ def run(config: SimConfig, profile: CiProfile, energy: EnergyModel) -> Simulatio
                 out = out._replace(busy_start=out.busy_start[:started],
                                    busy_end=np.minimum(end, horizon, out=end))
         age.add(out.d, out.u, weights, scratch)
-        counts.add(out.d, idx)
+        slots.add(out.d, idx)
         if busy:
             times = out.busy_end
             n = len(times)
@@ -510,7 +515,7 @@ def run(config: SimConfig, profile: CiProfile, energy: EnergyModel) -> Simulatio
             times = out.admitted if config.cf_mode is CfMode.ARRIVAL_CHARGED else out.d
             charge = profile.values_at(times, weights[:len(times)])
             charge *= ep_kwh
-        grams.add(times, idx, charge)
+        slots.add(times, idx, charge)
         completions += len(out.d)
         preemptions += out.preemptions
         drops += out.drops
@@ -518,7 +523,6 @@ def run(config: SimConfig, profile: CiProfile, energy: EnergyModel) -> Simulatio
             delivered.append((out.d.copy(), out.u.copy()))
 
     time_avg, final_age = age.result()
-    ledger = CarbonLedger((np.arange(len(grams.sums)) + 1) * slot, grams.sums)
     events = {}
     if config.keep_events:
         events = {
@@ -529,11 +533,11 @@ def run(config: SimConfig, profile: CiProfile, energy: EnergyModel) -> Simulatio
     return SimulationTrace(
         time_avg_aoi=time_avg,
         final_age=final_age,
-        n_tx_per_slot=counts.sums,
+        n_tx_per_slot=slots.counts,
         slot_length=slot,
         horizon=horizon,
         empirical_a=completions / arrivals if arrivals else 1.0,
-        ledger=ledger,
+        ledger=CarbonLedger(slots.grams),
         arrivals=arrivals,
         completions=completions,
         preemptions=preemptions,
@@ -594,6 +598,8 @@ def replicate(config: SimConfig, profile: CiProfile, energy: EnergyModel,
     (n_reps times the run's slot count).  A summary that kept per-run
     scalars instead of traces would lift the second cap.
     """
+    if not isinstance(n_reps, (int, np.integer)):
+        raise DomainError(f"the replication count must be an integer, got {n_reps!r}")
     if n_reps < 1:
         raise DomainError(f"need at least 1 replication, got {n_reps}")
     if n_reps > _MAX_REPS:

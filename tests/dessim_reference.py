@@ -137,8 +137,7 @@ def reference_run(config: SimConfig, profile: CiProfile,
         charge_g = (pa.integral_to(busy_end) - pa.integral_to(busy_start)) \
             * (energy.p_t / J_PER_KWH)
     slot_grams = _slot_bincount(charge_t, charge_g, slot, n_slots, config.horizon)
-    entry_times = (np.arange(len(slot_grams)) + 1) * slot
-    ledger = CarbonLedger(entry_times.tolist(), slot_grams.tolist())
+    ledger = CarbonLedger(slot_grams.tolist())
 
     arrivals = len(a)
     completions = len(d)

@@ -1,7 +1,6 @@
 import argparse
 import copy
 import csv
-import itertools
 import json
 import math
 import os
@@ -288,8 +287,8 @@ class TestSimulate:
 
     @pytest.mark.parametrize("block_rows", [optimizer.BLOCK_ROWS, 7])
     def test_slot_and_event_bytes_are_the_row_loop(self, tmp_path, monkeypatch, block_rows):
-        # Drained arrival-charged work ends past the horizon, so the counts
-        # span more slots than the ledger, whose missing slots read 0.
+        # Drained arrival-charged work ends past the horizon, so deliveries
+        # are counted in slots past it, where the ledger reads 0.
         monkeypatch.setattr(optimizer, "BLOCK_ROWS", block_rows)
         slots, events = tmp_path / "slots.csv", tmp_path / "events.csv"
         assert cli.main(["simulate", "--model", "mm1", "--lambda", "0.95", "--mu", "1",
@@ -299,9 +298,9 @@ class TestSimulate:
         config = SimConfig(QueueSpec(Discipline.FCFS_MM1, 0.95, 1.0), 500.0, seed=5,
                            slot_length=1.0, buffer=50, drain=True, keep_events=True)
         trace = run(config, cidata.builtin_profile_si2024(), EnergyModel())
-        assert len(trace.n_tx_per_slot) > len(trace.ledger.grams)
-        pairs = itertools.zip_longest(trace.n_tx_per_slot.tolist(),
-                                      trace.ledger.grams.tolist(), fillvalue=0)
+        assert len(trace.n_tx_per_slot) == len(trace.ledger.grams) > 500
+        assert not trace.ledger.grams[500:].any()
+        pairs = zip(trace.n_tx_per_slot.tolist(), trace.ledger.grams.tolist())
         expected = [cli.SLOTS_HEADER] + [
             (cli.fmt_float(i * 1.0), str(n), cli.fmt_float(g)) for i, (n, g) in enumerate(pairs)]
         assert slots.read_text() == "".join(",".join(r) + "\n" for r in expected)
@@ -333,6 +332,26 @@ class TestSimulate:
         assert out == ""
         assert err == f"error: need at least 1 replication, got {reps}\n"
         assert not any(tmp_path.iterdir())
+
+    def test_service_time_charging_with_an_overflowing_integral_exits_2(self, tmp_path,
+                                                                         capsys):
+        # Each busy interval's charge was inf - inf: the run warned twice and
+        # wrote a total of NaN.
+        argv = ["simulate", "--model", "mm1", "--lambda", "0.5", "--mu", "1",
+                "--horizon", "1000", "--ci-value", "1e308"]
+        code = cli.main(argv + ["--cf-mode", "service_time",
+                                "--out", str(tmp_path / "sim.json")])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: service-time charging subtracts integrals")
+        assert err.count("\n") == 1
+        assert not any(tmp_path.iterdir())
+        for mode in ("arrival", "completion"):
+            out = tmp_path / f"{mode}.json"
+            assert cli.main(argv + ["--cf-mode", mode, "--out", str(out)]) == 0
+            total = json.loads(out.read_text())["total_cf_g"]
+            assert math.isfinite(total) and total > 1e300
 
     def test_negative_seed_exits_2(self, tmp_path, capsys):
         # numpy's SeedSequence once ended this in a traceback with exit 1.

@@ -44,6 +44,18 @@ def test_sweep_datasets(tmp_path):
     assert age[11] / age[5] == pytest.approx(values[10] / values[4], rel=1e-12)
 
 
+@pytest.mark.parametrize("bad", [["--mu", "0"], ["--horizon", "-1"]])
+def test_sweep_datasets_refuse_bad_input_before_any_file(tmp_path, capsys, bad):
+    # --mu 0 once wrote lambda_sweep.csv before a traceback; --horizon -1
+    # ended in a traceback.
+    out_dir = tmp_path / "out"
+    assert load("make_sweep_datasets").main(["--out-dir", str(out_dir), *bad]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert not out_dir.exists()
+
+
 def test_validation_at_a_small_size(tmp_path):
     script = load("validate_against_simulation")
     out = tmp_path / "validation.csv"
