@@ -3,15 +3,16 @@
 
     python3 scripts/cli_diff.py --parent ../caoi-parent
 
-Runs a fixed list of `python -m caoi` commands with PYTHONPATH set to
-each checkout's src/, then replays every manifest the commands wrote.
+Runs a fixed list of `python -m caoi` commands and each checkout's own
+two scripts with PYTHONPATH set to its src/, then replays every
+manifest the commands wrote.
 `--parent .` compares the checkout with itself, so it fails when a
 command or a replay writes other bytes from one run to the next.
 Both sides run in the same work directory, one after the other, so the
 paths the CLI resolves (a CSV profile's, for one) are the same.  Every
 output file, and each command's stdout, stderr and exit code, is
-compared; each difference is printed, and the exit status is 1 if there
-is any.
+compared, as are each script's; each difference is printed, and the
+exit status is 1 if there is any.
 """
 
 import argparse
@@ -175,10 +176,21 @@ def commands() -> list:
     return cmds
 
 
-def run_side(checkout: Path, work: Path, log: Path) -> None:
-    """Every command, then a replay of every manifest, from checkout's src/ in work.
+# (label, argv) of the scripts in each checkout's scripts/, run after the
+# commands.  The validation cells are small: a script change that alters a
+# byte shows up, not whether the cells pass.
+SCRIPTS = [
+    ("script-datasets", ["make_sweep_datasets.py", "--out-dir", "datasets"]),
+    ("script-validation", ["validate_against_simulation.py", "--arrivals", "2e4",
+                           "--reps", "3", "--out", "validation.csv"]),
+]
 
-    Each command's exit code, stdout and stderr go to log as <label>.code,
+
+def run_side(checkout: Path, work: Path, log: Path) -> None:
+    """Every command and script, then a replay of every manifest, from
+    checkout's src/ in work.
+
+    Each run's exit code, stdout and stderr go to log as <label>.code,
     .stdout and .stderr; a replay's label is replay-<output name>.
     """
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
@@ -190,18 +202,20 @@ def run_side(checkout: Path, work: Path, log: Path) -> None:
     (work / "profile_cr.csv").write_bytes(PROFILE_CSV.replace("\n", "\r").encode())
 
     def run(label, argv):
-        proc = subprocess.run([sys.executable, "-m", "caoi", *argv], cwd=work, env=env,
-                              capture_output=True)
+        proc = subprocess.run([sys.executable, *argv], cwd=work, env=env, capture_output=True)
         stem = log / label
         Path(f"{stem}.code").write_text(f"{proc.returncode}\n")
         Path(f"{stem}.stdout").write_bytes(proc.stdout)
         Path(f"{stem}.stderr").write_bytes(proc.stderr)
 
     for label, argv in commands():
-        run(label, argv)
+        run(label, ["-m", "caoi", *argv])
+    for label, (script, *argv) in SCRIPTS:
+        run(label, [str(checkout / "scripts" / script), *argv])
     for manifest in sorted(work.glob("*.manifest.json")):
         name = manifest.name[:-len(".manifest.json")]
-        run(f"replay-{name}", ["replay", manifest.name, "--out-dir", f"replay/{name}"])
+        run(f"replay-{name}", ["-m", "caoi", "replay", manifest.name,
+                               "--out-dir", f"replay/{name}"])
 
 
 def files(tree: Path) -> dict:
@@ -244,7 +258,8 @@ def main(argv=None) -> int:
         n_files = len(files(tmp / "change"))
     for d in diffs:
         print(d)
-    print(f"{len(commands())} commands, {n_files} files compared, {len(diffs)} differ")
+    print(f"{len(commands())} commands, {len(SCRIPTS)} scripts, {n_files} files compared, "
+          f"{len(diffs)} differ")
     return 1 if diffs else 0
 
 

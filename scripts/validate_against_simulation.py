@@ -9,24 +9,14 @@ slow self-test.
 """
 
 import argparse
-import csv
 import math
 import sys
 
+from caoi import cli
 from caoi.carbon import CiProfile, EnergyModel
 from caoi.dessim import SimConfig, replicate
 from caoi.errors import CaoiError
-from caoi.queueing import (
-    Discipline,
-    QueueSpec,
-    avg_aoi_mm1,
-    avg_aoi_mm1_star,
-)
-
-MODELS = {
-    "mm1": (Discipline.FCFS_MM1, avg_aoi_mm1),
-    "mm1star": (Discipline.LCFS_PREEMPTIVE, avg_aoi_mm1_star),
-}
+from caoi.queueing import Discipline, QueueSpec, avg_aoi
 
 
 def main(argv=None):
@@ -49,7 +39,7 @@ def main(argv=None):
     # Every cell runs before the table is printed, so bad input exits 2
     # with one error line and no partial table.
     try:
-        for name, (discipline, closed_form) in MODELS.items():
+        for discipline in Discipline:
             for rho in args.rho:
                 spec = QueueSpec(discipline, rho * args.mu, args.mu)
                 horizon = math.ceil(args.arrivals / spec.lam)
@@ -58,9 +48,9 @@ def main(argv=None):
                                    seed=args.seed,
                                    slot_length=horizon / 1000.0)
                 summary = replicate(config, profile, energy, args.reps)
-                closed = closed_form(spec)
+                closed = avg_aoi(discipline, spec.lam, spec.mu)
                 rel = abs(summary.mean_aoi - closed) / closed
-                rows.append((name, rho, closed, summary.mean_aoi,
+                rows.append((discipline.value, rho, closed, summary.mean_aoi,
                              summary.ci95_halfwidth, rel))
     except CaoiError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -79,14 +69,10 @@ def main(argv=None):
               f"{rel:8.5f}{flag}")
 
     if args.out:
-        with open(args.out, "w", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["model", "rho", "closed_form_aoi_s",
-                             "simulated_aoi_s", "ci95_halfwidth_s",
-                             "rel_dev"])
-            for row in rows:
-                writer.writerow([row[0]] + ["" if v is None else f"{v:.17g}"
-                                            for v in row[1:]])
+        header = ("model", "rho", "closed_form_aoi_s", "simulated_aoi_s",
+                  "ci95_halfwidth_s", "rel_dev")
+        text = [[name, *map(cli.fmt_float, values)] for name, *values in rows]
+        cli.write_csv(args.out, header, [list(zip(*text))])
         print(f"wrote {args.out}")
 
     if failures:

@@ -231,12 +231,20 @@ class CarbonLedger:
 
     def __init__(self, grams: Sequence[float]):
         grams = np.array(grams, dtype=np.float64)
-        bad = ~(grams >= 0)
-        if bad.any():
+        # min propagates NaN and, unlike a mask, builds no temporary.
+        if len(grams) and not grams.min() >= 0:
+            bad = ~(grams >= 0)
             raise ValidationError(f"emissions must be non-negative, got {grams[bad.argmax()]}")
         grams.flags.writeable = False
         self.grams = grams
-        self.total = float(np.cumsum(grams)[-1]) if len(grams) else 0.0
+        # np.cumsum a block at a time behind the running total in slot 0: the same
+        # additions in order, with no full-length temporary.  -0.0 + x is x for any x.
+        scratch, total = np.empty((1 << 16) + 1), -0.0
+        for part in np.split(grams, range(1 << 16, len(grams), 1 << 16)):
+            block = scratch[:len(part) + 1]
+            block[0], block[1:] = total, part
+            total = np.cumsum(block, out=block)[-1]
+        self.total = float(total) if len(grams) else 0.0
 
     def __len__(self) -> int:
         return len(self.grams)

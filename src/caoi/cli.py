@@ -47,8 +47,7 @@ from .queueing import (
     Discipline,
     QueueSpec,
     SaturationEpsilon,
-    avg_aoi_mm1,
-    avg_aoi_mm1_star,
+    avg_aoi,
 )
 
 ENV_DEFAULT_CI = "CAOI_DEFAULT_CI"
@@ -219,11 +218,12 @@ def write_csv(path: str, header, blocks) -> None:
             fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
 
 
-def _table_blocks(table: SweepTable, header):
-    """The CSV columns of table named in header, a block of row_blocks at a time.
+def table_blocks(table: SweepTable, columns):
+    """The text of table's columns, a block of row_blocks at a time, for write_csv.
 
-    Each month, x and model is formatted once, and every float goes
-    through fmt_float's rule.
+    columns names each one: month, x, model, aoi_s, cf_g, lambda_bound or
+    binding.  Each month, x and model is formatted once, and every float
+    goes through fmt_float's rule.
     """
     axes = [np.array(v, dtype=object) for v in (list(map(str, table.months)),
                                                 list(map(fmt_float, table.xs)), table.models)]
@@ -231,7 +231,7 @@ def _table_blocks(table: SweepTable, header):
         fixed = {name: text[i].tolist() for name, text, i in zip(
             ("month", "x", "model"), axes, table.cell_axes(np.arange(cells.start, cells.stop)))}
         yield [fixed[name] if name in fixed else _cell_column(table, name, cells)
-               for name in header]
+               for name in columns]
 
 
 def _cell_column(table: SweepTable, name: str, cells: slice):
@@ -283,15 +283,15 @@ def run_analyze(params: dict, out_dir=None) -> None:
     if params["grid_kind"] == "lambda":
         constraint = ConstraintSet(budget_k=math.inf, horizon_tn=params["tn"],
                                    success_prob_a=params["a"])
-        table = sweep_lambda(params["mu"], params["grid"], disciplines,
-                             params["mode"], profile, energy, constraint)
+        table = sweep_lambda(params["mu"], params["grid"], disciplines, params["mode"],
+                             profile=profile, energy=energy, constraint=constraint)
     else:
         table = sweep_cf_budget(params["mu"], params["grid"], profile, energy,
                                 params["tn"], disciplines, params["mode"],
                                 params["a"], per_month=False, eps=eps)
     if table.infeasible.all():
         raise Infeasible("every grid point is infeasible")
-    write_csv(out_path, ANALYZE_HEADER, _table_blocks(table, ANALYZE_HEADER))
+    write_csv(out_path, ANALYZE_HEADER, table_blocks(table, ANALYZE_HEADER))
     write_manifest("analyze", params, [out_path])
 
 
@@ -403,13 +403,11 @@ def run_simulate(params: dict, out_dir=None) -> None:
     traces = summary.traces
     first = traces[0]
 
-    if discipline is Discipline.FCFS_MM1:
-        # The closed form models the unbounded queue; a buffer cap changes
-        # the system, so no reference value is reported there.
-        modeled = params["buffer"] is None and spec.rho < 1.0
-        closed = avg_aoi_mm1(spec) if modeled else None
-    else:
-        closed = avg_aoi_mm1_star(spec)
+    # The FCFS closed form models the unbounded queue; a buffer cap changes
+    # the system, so no reference value is reported there.
+    modeled = discipline is Discipline.LCFS_PREEMPTIVE or (
+        params["buffer"] is None and spec.rho < 1.0)
+    closed = avg_aoi(discipline, spec.lam, spec.mu) if modeled else None
     rel_dev = None if closed is None else abs(summary.mean_aoi - closed) / closed
 
     def mean(values):
@@ -494,7 +492,7 @@ def run_sweep(params: dict, out_dir=None) -> None:
                           SaturationEpsilon(params["eps"]))
     if table.infeasible.all():
         raise Infeasible("every grid cell is infeasible")
-    write_csv(out_path, SWEEP_HEADER, _table_blocks(table, SWEEP_HEADER))
+    write_csv(out_path, SWEEP_HEADER, table_blocks(table, SWEEP_HEADER))
     write_manifest("sweep", params, [out_path])
 
 

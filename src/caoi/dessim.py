@@ -508,9 +508,11 @@ def run(config: SimConfig, profile: CiProfile, energy: EnergyModel) -> Simulatio
         if busy:
             times = out.busy_end
             n = len(times)
-            charge = profile.integral_to(times, weights[:n], scratch[:n])
-            charge -= profile.integral_to(out.busy_start, scratch[:n], spare[:n])
-            charge *= energy.p_t / J_PER_KWH
+            # The last step goes on past the horizon: a drained charge can overflow.
+            with np.errstate(over="ignore", invalid="ignore"):
+                charge = profile.integral_to(times, weights[:n], scratch[:n])
+                charge -= profile.integral_to(out.busy_start, scratch[:n], spare[:n])
+                charge *= energy.p_t / J_PER_KWH
         else:
             times = out.admitted if config.cf_mode is CfMode.ARRIVAL_CHARGED else out.d
             charge = profile.values_at(times, weights[:len(times)])
@@ -522,6 +524,10 @@ def run(config: SimConfig, profile: CiProfile, energy: EnergyModel) -> Simulatio
         if config.keep_events:
             delivered.append((out.d.copy(), out.u.copy()))
 
+    # max propagates NaN, and builds no temporary.
+    if busy and not math.isfinite(slots.grams.max()):
+        raise ConfigError("service-time charging of drained work ran past the point where "
+                          "the integral of the carbon intensity overflows")
     time_avg, final_age = age.result()
     events = {}
     if config.keep_events:

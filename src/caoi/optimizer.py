@@ -56,10 +56,8 @@ from .errors import DomainError, Infeasible, MissingConstraint
 from .queueing import (
     DEFAULT_EPS,
     Discipline,
-    QueueSpec,
     SaturationEpsilon,
-    avg_aoi_mm1,
-    avg_aoi_mm1_star,
+    avg_aoi,
     mm1_age,
     mm1_star_age,
     optimal_utilization_mm1,
@@ -95,7 +93,7 @@ class SweepRow(NamedTuple):
     x: float | None                 # None in a month sweep
     model: str
     aoi: float                      # inf marks an infeasible grid point
-    cf: float | None
+    cf: float | None                # None only where lambda_bound is
     lambda_bound: float | None
     binding: str                    # none|cf_budget|power|qos|infeasible
     month: int | None = None
@@ -117,10 +115,10 @@ class SweepTable:
     The axes are months, xs and models (the discipline values); a sweep
     over the profile mean has months (None,), and a month sweep xs
     (None,).  The columns hold one read-only entry per cell: aoi, cf and
-    lambda_bound in float64 (cf and lambda_bound are None when the sweep
-    has no such column), the mask infeasible (aoi = inf) and binding,
-    each cell's index into labels ("none", the constraint's name,
-    "infeasible").  A table with a lambda_bound column reads cf and
+    lambda_bound in float64 (lambda_bound is None when the sweep has no
+    such column, as in sweep_lambda's), the mask infeasible (aoi = inf)
+    and binding, each cell's index into labels ("none", the constraint's
+    name, "infeasible").  A table with a lambda_bound column reads cf and
     lambda_bound as None in its infeasible cells (the mask blank);
     sweep_lambda's keeps its cf.
 
@@ -135,9 +133,8 @@ class SweepTable:
         self.months, self.xs, self.models = tuple(months), tuple(xs), tuple(models)
         self.labels = ("none", label.value, "infeasible")
         shape = np.shape(aoi)
-        self.aoi = _column(aoi, float, shape)
-        self.cf, self.lambda_bound = (None if v is None else _column(v, float, shape)
-                                      for v in (cf, lambda_bound))
+        self.aoi, self.cf = _column(aoi, float, shape), _column(cf, float, shape)
+        self.lambda_bound = None if lambda_bound is None else _column(lambda_bound, float, shape)
         self.infeasible = _column(infeasible, bool, shape)
         self.binding = _column(np.where(infeasible, 2, binding), np.uint8, shape)
         # The axes as object arrays, which an index array reads in C.
@@ -203,14 +200,6 @@ def _column(values, dtype, shape) -> np.ndarray:
     return column
 
 
-def _evaluate_aoi(discipline: Discipline, lam: float, mu: float, mode: str) -> float:
-    if discipline is Discipline.FCFS_MM1:
-        return avg_aoi_mm1(QueueSpec(discipline, lam, mu))
-    if mode == "paper":
-        return 2.0 / lam
-    return avg_aoi_mm1_star(QueueSpec(discipline, lam, mu))
-
-
 def _check_mode(mode: str) -> None:
     if mode not in ("paper", "exact"):
         raise DomainError(f"mode must be 'paper' or 'exact', got {mode!r}")
@@ -235,11 +224,11 @@ def _pick_rate(discipline: Discipline, mu: float, bound: float, mode: str,
         if bound == math.inf:
             raise Infeasible("an unbounded budget has no optimum under track_opt_rho")
         mu_star = bound / rho
-        return bound, mu_star, _evaluate_aoi(discipline, bound, mu_star, mode), True
+        return bound, mu_star, avg_aoi(discipline, bound, mu_star, mode), True
     lam_free = rho * mu
     binding = bound < lam_free
     lam = bound if binding else lam_free
-    return lam, mu, _evaluate_aoi(discipline, lam, mu, mode), binding
+    return lam, mu, avg_aoi(discipline, lam, mu, mode), binding
 
 
 def solve_cf_constrained(mu: float, constraint: ConstraintSet, profile: CiProfile,
@@ -362,16 +351,16 @@ def _fcfs_mask(disciplines):
     return np.array([d is Discipline.FCFS_MM1 for d in disciplines], dtype=bool)
 
 
-def _pick_rates(disciplines, mode: str, cap, lam_free, mu, emission=None):
+def _pick_rates(disciplines, mode: str, cap, lam_free, mu, emission):
     """_pick_rate under a fixed service rate, for many cells at once.
 
     cap, lam_free and mu broadcast to cells x disciplines, the last axis
     in the order of `disciplines`; lam_free is the rate taken where the
     cap is slack, and emission holds the (ci, e_kwh, a, tn) factors of
     slot_grams.  Returns float64 arrays of the age and the cf at lambda*
-    (None without emission) and the binding and infeasible masks.  A cap
-    that is not positive, or NaN, makes a cell infeasible, with age inf.
-    A service rate that is not positive raises, as in _pick_rate.
+    and the binding and infeasible masks.  A cap that is not positive, or
+    NaN, makes a cell infeasible, with age inf.  A service rate that is
+    not positive raises, as in _pick_rate.
     """
     cap, lam_free, mu = (np.asarray(v, dtype=float) for v in (cap, lam_free, mu))
     if not np.all(mu > 0):
@@ -395,36 +384,28 @@ def _pick_rates(disciplines, mode: str, cap, lam_free, mu, emission=None):
         aoi = np.where(infeasible, np.inf, np.where(fcfs, mm1_age(lam, mu), lcfs_age))
         lam, binding, infeasible = (np.broadcast_to(v, aoi.shape)
                                     for v in (lam, binding, infeasible))
-        cf = None
-        if emission is not None:
-            ci, e_kwh, a, tn = emission
-            cf = slot_grams(ci, e_kwh, a, lam, tn)
+        ci, e_kwh, a, tn = emission
+        cf = slot_grams(ci, e_kwh, a, lam, tn)
     return aoi, cf, binding, infeasible
 
 
 def sweep_lambda(mu: float, lambda_grid, disciplines=BOTH_DISCIPLINES,
-                 mode: str = "exact", profile: CiProfile | None = None,
-                 energy: EnergyModel | None = None,
-                 constraint: ConstraintSet | None = None) -> SweepTable:
+                 mode: str = "exact", *, profile: CiProfile, energy: EnergyModel,
+                 constraint: ConstraintSet) -> SweepTable:
     """Evaluate average age and slot emissions along an arrival-rate grid.
 
     FCFS grid points at or beyond the service rate are reported as
     explicit infeasible rows (aoi = inf) rather than skipped.  The cf
-    column needs profile, energy, and constraint; it is omitted (None)
-    when none is given, and some without the others raise DomainError.
-    A rate that is not positive and finite (None, NaN, inf) raises
-    DomainError for every discipline and mode.
+    column prices each rate at the profile mean, with the energy and the
+    constraint's success probability and slot length.  A rate that is not
+    positive and finite (None, NaN, inf) raises DomainError for every
+    discipline and mode.
     """
     lam = _check_grid(lambda_grid)[:, None]
     _check_mode(mode)
     disciplines = tuple(disciplines)
-    missing = [v is None for v in (profile, energy, constraint)]
-    if any(missing) and not all(missing):
-        raise DomainError("the cf column needs all of profile, energy and constraint")
-    emission = None
-    if not any(missing):
-        emission = (profile.long_term_average, energy.e_p_kwh(),
-                    constraint.success_prob_a, constraint.horizon_tn)
+    emission = (profile.long_term_average, energy.e_p_kwh(),
+                constraint.success_prob_a, constraint.horizon_tn)
     # The grid check passes NaN and inf, where no age or cf is defined.
     if not np.all((lam > 0) & np.isfinite(lam)):
         raise DomainError("arrival rates must be positive and finite")

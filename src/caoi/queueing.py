@@ -102,6 +102,16 @@ def avg_aoi_mm1_star(spec: QueueSpec) -> float:
     return mm1_star_age(spec.lam, spec.mu)
 
 
+def avg_aoi(discipline: Discipline, lam: float, mu: float, mode: str = "exact") -> float:
+    """Average age of either discipline: the near-saturation 2/lam, unchecked,
+    for preemptive LCFS in mode "paper", else the checked closed form."""
+    if discipline is Discipline.FCFS_MM1:
+        return avg_aoi_mm1(QueueSpec(discipline, lam, mu))
+    if mode == "paper":
+        return 2.0 / lam
+    return avg_aoi_mm1_star(QueueSpec(discipline, lam, mu))
+
+
 def optimal_utilization_mm1() -> float:
     """Utilization minimizing the FCFS average age, about 0.53101.
 
@@ -127,11 +137,8 @@ def constrained_aoi_mm1(mu: float, lambda_bound: float) -> ConstrainedAoi:
         raise DomainError(f"service rate must be positive and finite, got {mu}")
     if not (lambda_bound > 0):
         raise DomainError(f"lambda bound must be positive, got {lambda_bound}")
-    rho_opt = optimal_utilization_mm1()
-    lam_free = rho_opt * mu
-    if lambda_bound >= lam_free:
-        spec = QueueSpec(Discipline.FCFS_MM1, lam_free, mu)
-        return ConstrainedAoi(avg_aoi_mm1(spec), lam_free, False)
-    spec = QueueSpec(Discipline.FCFS_MM1, lambda_bound, mu)
-    return ConstrainedAoi(avg_aoi_mm1(spec), lambda_bound, True)
+    lam_free = optimal_utilization_mm1() * mu
+    binding = lambda_bound < lam_free
+    lam = lambda_bound if binding else lam_free
+    return ConstrainedAoi(avg_aoi_mm1(QueueSpec(Discipline.FCFS_MM1, lam, mu)), lam, binding)
 

@@ -44,7 +44,7 @@ def _check_mu_rule(mu_rule: str) -> None:
         raise DomainError(f"mu_rule must be one of {MU_RULES}, got {mu_rule!r}")
 
 
-def _evaluate_aoi(discipline: Discipline, lam: float, mu: float, mode: str) -> float:
+def _discipline_aoi(discipline: Discipline, lam: float, mu: float, mode: str) -> float:
     if discipline is Discipline.FCFS_MM1:
         return avg_aoi_mm1(QueueSpec(discipline, lam, mu))
     if mode == "paper":
@@ -80,14 +80,14 @@ def _pick_rate(discipline: Discipline, mu: float, bound: float, mode: str,
             mu_star = lam / optimal_utilization_mm1()
         else:
             mu_star = lam / (1.0 - eps.epsilon)
-        return lam, mu_star, _evaluate_aoi(discipline, lam, mu_star, mode), True
+        return lam, mu_star, _discipline_aoi(discipline, lam, mu_star, mode), True
     if discipline is Discipline.FCFS_MM1:
         res = constrained_aoi_mm1(mu, bound)
         return res.lambda_used, mu, res.aoi, res.binding
     lam_free = (1.0 - eps.epsilon) * mu
     binding = bound < lam_free
     lam = bound if binding else lam_free
-    return lam, mu, _evaluate_aoi(discipline, lam, mu, mode), binding
+    return lam, mu, _discipline_aoi(discipline, lam, mu, mode), binding
 
 
 def solve_cf_constrained(mu: float, constraint: ConstraintSet, profile: CiProfile,

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from bisect import bisect_right
 
 import numpy as np
@@ -294,6 +295,7 @@ class TestAvgCf:
 class TestCarbonLedger:
     def test_validation(self):
         assert CarbonLedger([]).total == 0.0
+        assert CarbonLedger([-0.0]).total.hex() == (-0.0).hex()     # as np.cumsum sums it
         for bad in (-0.1, -math.inf, math.nan):
             with pytest.raises(ValidationError):
                 CarbonLedger([bad])
@@ -317,6 +319,27 @@ class TestCarbonLedger:
         assert led.grams.tolist() == [0.1, 0.2]
         with pytest.raises(ValueError):
             led.grams[0] = 5.0
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1, 10 ** 6 + 3])
+    def test_total_is_one_cumsum_bit_for_bit(self, n):
+        # The total is summed a block of 2**16 at a time; the blocks' seams
+        # must not change one addition.  The values span 10 decades.
+        grams = 10.0 ** np.random.default_rng(n).uniform(-5.0, 5.0, n)
+        expected = float(np.cumsum(grams)[-1]) if n else 0.0
+        assert CarbonLedger(grams).total.hex() == expected.hex()
+
+    def test_total_builds_no_full_length_temporary(self):
+        # The ledger keeps an 8 MB copy of 10**6 entries; one full-length
+        # cumsum for the total took the peak to 17 MB.
+        grams = np.ones(10 ** 6)
+        tracemalloc.start()
+        try:
+            led = CarbonLedger(grams)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert led.total == 1e6
+        assert peak <= 10e6
 
     def test_first_bad_entry_is_reported(self):
         with pytest.raises(ValidationError, match="non-negative, got -0.5"):

@@ -353,6 +353,27 @@ class TestSimulate:
             total = json.loads(out.read_text())["total_cf_g"]
             assert math.isfinite(total) and total > 1e300
 
+    @pytest.mark.parametrize("buffer,seed", [("57", "13"), ("100", "1")])
+    def test_drained_service_time_charges_past_the_overflow_exit_2(self, tmp_path, capsys,
+                                                                    buffer, seed):
+        # Drained work past the point where the integral overflows was charged
+        # inf (exit 0, "total_cf_g": "inf") or NaN (two warnings, then an
+        # error that named no cause).
+        argv = ["simulate", "--model", "mm1", "--lambda", "3", "--mu", "1", "--horizon",
+                "1000", "--buffer", buffer, "--drain", "--ci-value", "1.7e305",
+                "--seed", seed]
+        code = cli.main(argv + ["--cf-mode", "service_time",
+                                "--out", str(tmp_path / "sim.json")])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: service-time charging of drained work ran past")
+        assert err.count("\n") == 1
+        assert not any(tmp_path.iterdir())
+        out = tmp_path / "arrival.json"
+        assert cli.main(argv + ["--cf-mode", "arrival", "--out", str(out)]) == 0
+        assert math.isfinite(json.loads(out.read_text())["total_cf_g"])
+
     def test_negative_seed_exits_2(self, tmp_path, capsys):
         # numpy's SeedSequence once ended this in a traceback with exit 1.
         code = cli.main(["simulate", "--model", "mm1", "--lambda", "0.5", "--mu", "1",

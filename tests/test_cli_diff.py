@@ -43,6 +43,7 @@ def test_every_kind_of_difference_is_reported(tmp_path):
 
 
 def test_command_labels_are_unique():
-    # Each label names a command's log files; a repeated one would overwrite them.
-    labels = [label for label, _ in cli_diff.commands()]
+    # Each label names a command's or a script's log files; a repeated one
+    # would overwrite them.
+    labels = [label for label, _ in cli_diff.commands() + cli_diff.SCRIPTS]
     assert len(labels) == len(set(labels))

@@ -173,6 +173,22 @@ class TestConfigValidation:
             total = run(replace(c, cf_mode=mode), huge, ENERGY).ledger.total
             assert math.isfinite(total) and total > 1e300
 
+    @pytest.mark.parametrize("buffer,seed", [(57, 13), (100, 1)])
+    def test_drained_service_time_charges_must_stay_finite(self, buffer, seed):
+        # The integral over the horizon is finite, but past it the final step
+        # goes on and overflows near 1057 s.  Drained work once ran past that
+        # point: with buffer 57 a busy interval across it was charged inf,
+        # and with buffer 100 later ones inf - inf, with RuntimeWarnings
+        # (errors in this suite) and then ValidationError for a NaN entry.
+        huge = CiProfile.constant(1.7e305, 1000.0)
+        c = cfg(Discipline.FCFS_MM1, 3.0, 1.0, 1000.0, seed, buffer=buffer, drain=True,
+                cf_mode=CfMode.SERVICE_TIME_CHARGED)
+        with pytest.raises(ConfigError, match="drained work ran past the point where "
+                                              "the integral of the carbon intensity overflows"):
+            run(c, huge, ENERGY)
+        total = run(replace(c, cf_mode=CfMode.ARRIVAL_CHARGED), huge, ENERGY).ledger.total
+        assert math.isfinite(total) and total > 1e297
+
 
 class TestSamplePathAgainstNaiveLoop:
     @pytest.mark.parametrize("lam,mu,seed", [(0.5, 1.0, 1), (0.9, 1.0, 2),
@@ -798,17 +814,20 @@ class TestChunkSeams:
 
     def test_slot_ledger_is_held_as_arrays(self):
         # 10**6 slots: the trace holds two arrays, the counts and the
-        # ledger's grams, 8 bytes per slot each.
+        # ledger's grams, 8 bytes per slot each.  On the way the run also
+        # holds the slot grams the ledger copies, and a full-length cumsum
+        # for the ledger's total once took its peak to 36 MB.
         c = cfg(Discipline.FCFS_MM1, 0.5, 1.0, 1e6, 65, slot_length=1.0,
                 cf_mode=CfMode.SERVICE_TIME_CHARGED)
         tracemalloc.start()
         try:
             trace = run(c, CiProfile.constant(150.0, 1e6), ENERGY)
-            held = tracemalloc.get_traced_memory()[0]
+            held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert len(trace.ledger) == 10 ** 6
         assert held < 20e6
+        assert peak <= 29e6
 
 
 def kernel_steps(kernel, lam, horizon, seed, busy):

@@ -54,6 +54,9 @@ def cf_constraint(bound, xi=198.0, tn=3600.0):
 
 
 FLAT198 = CiProfile.constant(198.0, 12 * 30 * 86400.0)
+# sweep_lambda's keyword-only inputs that price its rates.
+PRICING = dict(profile=FLAT198, energy=ENERGY,
+               constraint=ConstraintSet(budget_k=math.inf, horizon_tn=3600.0))
 
 
 class TestCfConstrained:
@@ -227,7 +230,7 @@ class TestQosConstrained:
 class TestSweeps:
     def test_lambda_sweep_shape(self):
         grid = [0.1 * i for i in range(1, 10)]
-        rows = sweep_lambda(1.0, grid)
+        rows = sweep_lambda(1.0, grid, **PRICING)
         assert len(rows) == 2 * len(grid)
         assert [r.x for r in rows[::2]] == grid
         fcfs = [r for r in rows if r.model == "mm1"]
@@ -236,7 +239,7 @@ class TestSweeps:
 
     def test_lcfs_exact_monotone_down_the_grid(self):
         grid = [0.1 * i for i in range(1, 10)]
-        rows = [r for r in sweep_lambda(1.0, grid) if r.model == "mm1star"]
+        rows = [r for r in sweep_lambda(1.0, grid, **PRICING) if r.model == "mm1star"]
         aois = [r.aoi for r in rows]
         assert aois == sorted(aois, reverse=True)
 
@@ -250,7 +253,7 @@ class TestSweeps:
         assert all(b > a for a, b in zip(cfs, cfs[1:]))
 
     def test_unstable_rows_marked_not_dropped(self):
-        rows = sweep_lambda(1.0, [0.5, 1.0, 1.5])
+        rows = sweep_lambda(1.0, [0.5, 1.0, 1.5], **PRICING)
         flagged = [r for r in rows if r.model == "mm1" and r.x >= 1.0]
         assert all(r.binding == "infeasible" and math.isinf(r.aoi)
                    for r in flagged)
@@ -258,36 +261,34 @@ class TestSweeps:
 
     def test_grid_must_increase(self):
         with pytest.raises(DomainError):
-            sweep_lambda(1.0, [0.5, 0.4])
+            sweep_lambda(1.0, [0.5, 0.4], **PRICING)
         with pytest.raises(DomainError):
-            sweep_lambda(1.0, [])
+            sweep_lambda(1.0, [], **PRICING)
 
-    @pytest.mark.parametrize("present", [(True, True, False), (True, False, True),
-                                         (False, True, True), (True, False, False)])
-    def test_lambda_sweep_needs_every_cf_argument_or_none(self, present):
-        args = (FLAT198, ENERGY, ConstraintSet(budget_k=math.inf, horizon_tn=3600.0))
-        kwargs = dict(zip(("profile", "energy", "constraint"),
-                          (a if p else None for a, p in zip(args, present))))
-        with pytest.raises(DomainError, match="cf column"):
-            sweep_lambda(1.0, [0.5], **kwargs)
+    @pytest.mark.parametrize("given", [(), ("profile",), ("energy", "constraint")])
+    def test_lambda_sweep_needs_its_pricing_inputs(self, given):
+        # Every table has a cf column: the three inputs are required, and
+        # by keyword only.
+        with pytest.raises(TypeError, match="required keyword-only"):
+            sweep_lambda(1.0, [0.5], **{key: PRICING[key] for key in given})
+        with pytest.raises(TypeError, match="positional"):
+            sweep_lambda(1.0, [0.5], BOTH_DISCIPLINES, "exact", *PRICING.values())
 
     def test_lambda_sweep_checks_the_mode(self):
         with pytest.raises(DomainError, match="mode must be"):
-            sweep_lambda(1.0, [0.5], mode="papr")
+            sweep_lambda(1.0, [0.5], mode="papr", **PRICING)
 
     @pytest.mark.parametrize("grid", [[None, 0.5], [math.nan, 0.5], [0.5, math.nan],
                                       [0.5, math.inf], [-1.0, 0.5], [0.0, 0.5]])
     def test_lambda_sweep_rejects_rates_not_positive_and_finite(self, grid):
         # The grid check passes NaN (and None, as NaN) and inf: paper-mode
         # LCFS alone once gave rows with aoi nan or 0.0 for them.
-        cf_args = (FLAT198, EnergyModel(), ConstraintSet(budget_k=math.inf, horizon_tn=3600.0))
         for disciplines in ((Discipline.LCFS_PREEMPTIVE,), (Discipline.FCFS_MM1,),
                             BOTH_DISCIPLINES):
             for mode in ("paper", "exact"):
-                for extra in ((), cf_args):
-                    with pytest.raises(DomainError,
-                                       match="arrival rates must be positive and finite"):
-                        sweep_lambda(1.0, grid, disciplines, mode, *extra)
+                with pytest.raises(DomainError,
+                                   match="arrival rates must be positive and finite"):
+                    sweep_lambda(1.0, grid, disciplines, mode, **PRICING)
 
     def test_budget_sweep_monotone_every_month(self, builtin):
         k_grid = [5e-4 + 5e-5 * i for i in range(11)]
@@ -334,7 +335,7 @@ class TestSweeps:
             sweep_surface(problem, [(1.0, c)], builtin, ENERGY)
 
     def test_empty_surface_grid_raises_like_the_other_sweeps(self, builtin):
-        for sweep in (lambda: sweep_lambda(1.0, []),
+        for sweep in (lambda: sweep_lambda(1.0, [], **PRICING),
                       lambda: sweep_cf_budget(1.0, [], builtin, ENERGY, 3600.0),
                       lambda: sweep_surface("power", [], builtin, ENERGY),
                       lambda: sweep_surface("qos", iter(()), builtin, ENERGY)):
@@ -531,12 +532,12 @@ BUILTIN = builtin_profile_si2024()
 FCFS, LCFS = BOTH_DISCIPLINES
 
 
-def per_point(mu, grid, disciplines, mode, profile=None, constraint=None):
+def per_point(mu, grid, disciplines, mode, profile, constraint):
     """The per-point loop sweep_lambda ran before its array engine, as its oracle."""
     rows = []
     for lam in grid:
         for disc in disciplines:
-            cf = None if profile is None else avg_cf(profile, ENERGY, lam, constraint)
+            cf = avg_cf(profile, ENERGY, lam, constraint)
             if disc is FCFS and lam >= mu:
                 rows.append((None, lam, disc.value, math.inf, cf, None, "infeasible"))
                 continue
@@ -596,14 +597,12 @@ class TestArrayEngine:
 
     @settings(max_examples=60, deadline=None)
     @given(mu=st.floats(0.05, 2.0), grid=increasing(st.floats(1e-3, 3.0), 40),
-           disciplines=ORDERS, mode=MODES, with_cf=st.booleans(), a=SUCCESS,
-           tn=SLOTS)
-    def test_sweep_lambda(self, mu, grid, disciplines, mode, with_cf, a, tn):
+           disciplines=ORDERS, mode=MODES, a=SUCCESS, tn=SLOTS)
+    def test_sweep_lambda(self, mu, grid, disciplines, mode, a, tn):
         c = ConstraintSet(budget_k=math.inf, horizon_tn=tn, success_prob_a=a)
-        profile = BUILTIN if with_cf else None
-        rows = sweep_lambda(mu, grid, disciplines, mode, profile,
-                            ENERGY if with_cf else None, c if with_cf else None)
-        assert_rows_equal(rows, per_point(mu, grid, disciplines, mode, profile, c))
+        rows = sweep_lambda(mu, grid, disciplines, mode, profile=BUILTIN, energy=ENERGY,
+                            constraint=c)
+        assert_rows_equal(rows, per_point(mu, grid, disciplines, mode, BUILTIN, c))
 
     @settings(max_examples=60, deadline=None)
     @given(mu=st.floats(0.5, 50.0), k_grid=increasing(BUDGETS), tn=SLOTS, a=SUCCESS,
@@ -686,7 +685,7 @@ class TestArrayEngine:
         for disciplines in ((LCFS,), (FCFS,)):
             for mode in ("paper", "exact"):
                 with pytest.raises(DomainError, match="service rate"):
-                    sweep_lambda(mu, [0.5, 1.0], disciplines, mode)
+                    sweep_lambda(mu, [0.5, 1.0], disciplines, mode, **PRICING)
 
     def test_tie_is_slack(self):
         # A service rate whose slack LCFS rate (1 - eps) mu equals the
@@ -835,7 +834,7 @@ class TestSweepTable:
             monkeypatch.setattr(optimizer, "BLOCK_ROWS", block_rows)
             out = tmp_path / f"months{block_rows}.csv"
             cli.write_csv(str(out), cli.SWEEP_HEADER,
-                          cli._table_blocks(table, cli.SWEEP_HEADER))
+                          cli.table_blocks(table, cli.SWEEP_HEADER))
             assert out.read_bytes() == self.csv_bytes(cli.SWEEP_HEADER, rows)
 
 

@@ -18,6 +18,7 @@ from caoi.queueing import (
     Discipline,
     QueueSpec,
     SaturationEpsilon,
+    avg_aoi,
     avg_aoi_mm1,
     avg_aoi_mm1_star,
     constrained_aoi_mm1,
@@ -79,6 +80,28 @@ class TestClosedForms:
     def test_mm1_underflowing_rho_is_unbounded(self):
         # A subnormal rate far below mu makes rho underflow to 0.
         assert avg_aoi_mm1(fcfs(5e-324, 8333.0)) == math.inf
+
+    @pytest.mark.parametrize("rho", [0.3, 1.5])
+    @pytest.mark.parametrize("mode", ["exact", "paper"])
+    @pytest.mark.parametrize("discipline", list(Discipline))
+    def test_avg_aoi_is_the_formula_it_dispatches_to(self, discipline, mode, rho):
+        # Paper-mode LCFS is 2/lam; FCFS is the same in both modes.
+        lam, mu = rho * 2.0, 2.0
+        if discipline is LCFS:
+            formula = (lambda: 2.0 / lam) if mode == "paper" else (
+                lambda: avg_aoi_mm1_star(lcfs(lam, mu)))
+        else:
+            formula = lambda: avg_aoi_mm1(fcfs(lam, mu))
+
+        def outcome(f):
+            try:
+                return f()
+            except DomainError as exc:
+                return f"DomainError: {exc}"
+
+        expected = outcome(formula)
+        assert outcome(lambda: avg_aoi(discipline, lam, mu, mode)) == expected
+        assert isinstance(expected, str) == (discipline is not LCFS and rho > 1)
 
     def test_mm1_star_finite_past_saturation(self):
         assert avg_aoi_mm1_star(lcfs(3.0)) == pytest.approx(1 + 1 / 3, rel=1e-15)
