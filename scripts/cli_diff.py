@@ -5,7 +5,8 @@
 
 Runs a fixed list of `python -m caoi` commands and each checkout's own
 two scripts with PYTHONPATH set to its src/, then replays every
-manifest the commands wrote.
+manifest the commands wrote, and two hand-made ones that no command
+could write, which a replay must refuse.
 `--parent .` compares the checkout with itself, so it fails when a
 command or a replay writes other bytes from one run to the next.
 Both sides run in the same work directory, one after the other, so the
@@ -17,6 +18,7 @@ exit status is 1 if there is any.
 
 import argparse
 import difflib
+import json
 import os
 import shutil
 import subprocess
@@ -176,6 +178,27 @@ def commands() -> list:
     return cmds
 
 
+# Manifests no command writes, by output name: a k grid that decreases,
+# and a constant CI for analyze, which has no --ci-value.  A replay of
+# either must exit 2 and write nothing.
+REFUSED = {
+    "refused_k_grid.csv": ("sweep", {
+        "surface": "k", "model": "both", "mode": "paper", "k_grid": [8e-4, 4e-4, 5e-4],
+        "snr_grid_db": None, "budget_k": None, "p_max": 1.0, "mu": None, "tn": 3600.0,
+        "eps": 1e-3, "a": 1.0, "ci": {"kind": "builtin"}}),
+    "refused_constant_ci.csv": ("analyze", {
+        "model": "both", "mu": 1.0, "grid_kind": "lambda", "grid": [0.1, 0.5, 0.9],
+        "mode": "exact", "tn": 3600.0, "a": 1.0, "eps": 1e-3,
+        "ci": {"kind": "constant", "value": 50.0}}),
+}
+
+
+def refused_manifest(name: str) -> str:
+    command, params = REFUSED[name]
+    return json.dumps({"tool": "caoi", "command": command, "params": dict(params, out=name),
+                       "outputs": [name]}, indent=2)
+
+
 # (label, argv) of the scripts in each checkout's scripts/, run after the
 # commands.  The validation cells are small: a script change that alters a
 # byte shows up, not whether the cells pass.
@@ -200,6 +223,8 @@ def run_side(checkout: Path, work: Path, log: Path) -> None:
     (work / "profile.csv").write_text(PROFILE_CSV)
     (work / "year.csv").write_text(YEAR_CSV)
     (work / "profile_cr.csv").write_bytes(PROFILE_CSV.replace("\n", "\r").encode())
+    for name in REFUSED:
+        (work / f"{name}.manifest.json").write_text(refused_manifest(name))
 
     def run(label, argv):
         proc = subprocess.run([sys.executable, *argv], cwd=work, env=env, capture_output=True)

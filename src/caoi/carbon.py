@@ -382,8 +382,8 @@ def lambda_qos_max(constraint: ConstraintSet, month_ci: float,
     """Budget-feasible rate cap when transmitting at the SNR-floor power.
 
     The minimal transmit power meeting the floor is snr_min * sigma^2 /
-    |h|^2.  t_p_override substitutes the transmission time implied by a
-    rate other than the nominal one (used by the QoS-coupled optimizer).
+    |h|^2.  t_p_override substitutes another rate's transmission time;
+    the optimizer's QoS cap calls energy_cap on its link instead.
     """
     if constraint.snr_min is None:
         raise MissingConstraint("lambda_qos_max needs constraint.snr_min")

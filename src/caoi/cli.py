@@ -148,11 +148,13 @@ def resolve_ci_spec(ci_arg, ci_value) -> dict:
             "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
 
 
-def _is_ci_spec(spec) -> bool:
-    """Whether spec has one of the three forms resolve_ci_spec writes."""
+def _is_ci_spec(spec, constant: bool) -> bool:
+    """Whether spec has one of the forms resolve_ci_spec writes, the
+    constant one only if the command has --ci-value."""
     fields = {"builtin": {}, "constant": {"value": float}, "file": {"path": str, "sha256": str}}
     kind = spec.get("kind") if isinstance(spec, dict) else None
-    return isinstance(kind, str) and kind in fields and spec.keys() == {"kind", *fields[kind]} \
+    return isinstance(kind, str) and kind in fields and (constant or kind != "constant") \
+        and spec.keys() == {"kind", *fields[kind]} \
         and all(type(spec[key]) is t for key, t in fields[kind].items())
 
 
@@ -528,9 +530,13 @@ def _producible(action: argparse.Action, value) -> bool:
         return action.default is None and not action.required
     if action.choices is not None:
         return isinstance(value, str) and value in action.choices
-    if action.type is parse_grid:
-        return (isinstance(value, list) and 1 <= len(value) <= MAX_GRID_POINTS
-                and all(type(x) is float for x in value))
+    if action.type is parse_grid:       # the grid that its ends and length spell
+        try:
+            return (isinstance(value, list) and len(value) >= 1
+                    and all(type(x) is float for x in value)
+                    and parse_grid(f"{value[0]!r}:{value[-1]!r}:{len(value)}") == value)
+        except argparse.ArgumentTypeError:
+            return False
     # A flag without a type parses to a str, a store_true flag (nargs 0) to a bool.
     parsed = {float: float, parse_budget: float, int: int, parse_buffer: int}
     return type(value) is (bool if action.nargs == 0 else parsed.get(action.type, str))
@@ -554,7 +560,7 @@ def read_manifest(path: str, parser: argparse.ArgumentParser):
     actions = {a.dest: a for a in subparsers.choices[command]._actions}
     for key in keys:
         value = params[key]
-        if not (_is_ci_spec(value) if key == "ci"
+        if not (_is_ci_spec(value, "ci_value" in actions) if key == "ci"
                 else key not in actions or _producible(actions[key], value)):
             raise ValidationError(f"manifest param {key} = {reprlib.repr(value)} "
                                   f"is not a value caoi {command} writes")

@@ -17,24 +17,25 @@ slot emissions before it draws the next.  Each kernel carries its state
 across chunks (the FCFS service sum and Lindley max, the LCFS arrival
 whose successor is not drawn yet, the recent departures of a finite
 buffer), so memory does not grow with the number of arrivals, except
-that `keep_events` keeps every arrival and delivery.  The chunk size is
-part of the seeded sample-path contract: arrival, service, delivery and
-slot outputs do not depend on it, but the age integral is summed chunk
-by chunk, so another size changes the last digits of the mean age.
+that `keep_events` keeps every delivery.  The chunk size is part of the
+seeded sample-path contract: arrival, service, delivery and slot
+outputs do not depend on it, but the age integral is summed chunk by
+chunk, so another size changes the last digits of the mean age.
 A kernel yields each chunk's uncut sample path, and `run` alone applies
 the horizon: without drain, nothing is delivered after it, and work in
 service at the horizon is charged only up to it.
 
 A run owns its chunk buffers: the arrival stream, each kernel and the
-age, charge and slot stages allocate their arrays once per run, sized
-by its first and longest chunk, and write every chunk into them with
-out=.  A chunk allocates no float array; its int64 arrays are the step
-index of each profile lookup and LCFS's index of completed packets.  A
-run of 2**20 arrivals peaks below nine chunk arrays in every cf mode
+age, charge and slot stages allocate their arrays once per run, one
+chunk long, and write every chunk into them with out=; a short run
+leaves most of each unwritten, and those pages never become resident.
+A chunk allocates no float array; its int64 arrays are the step index
+of each profile lookup and LCFS's index of completed packets.  A run of
+2**20 arrivals peaks below nine chunk arrays in every cf mode
 (tracemalloc: 4.2 MB for FCFS, 4.3 MB for LCFS, 4.1 to 4.7 MB with a
 buffer of 10).  A kernel yields views that the next chunk overwrites,
-and keep_events copies them.  Every stage's times ascend, so the
-horizon cut is a slice, and a chunk's slot sums take one weighted
+and keep_events copies the deliveries.  Every stage's times ascend, so
+the horizon cut is a slice, and a chunk's slot sums take one weighted
 bincount plus an in-order cumsum onto the slot carried from the chunk
 before.  The charges are CiProfile.values_at and integral_to written
 into the run's buffers.  The slot counts and grams share one grid, and
@@ -63,7 +64,7 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -107,8 +108,9 @@ class SimConfig:
     include the drained work, on one slot grid extended past the horizon.
 
     Memory grows with the run only through the slot grid and keep_events,
-    so both are capped before anything is allocated: at most 10**7 slots,
-    and with keep_events at most 10**7 expected arrivals (lam * horizon).
+    which keeps every delivery and its origin but not the arrivals, so both
+    are capped before anything is allocated: at most 10**7 slots, and with
+    keep_events at most 10**7 expected arrivals (lam * horizon).
     """
 
     spec: QueueSpec
@@ -169,7 +171,6 @@ class SimulationTrace:
     completions: int
     preemptions: int
     drops: int
-    arrival_times: np.ndarray | None = None
     delivery_times: np.ndarray | None = None
     delivery_gen_times: np.ndarray | None = None
 
@@ -204,14 +205,22 @@ def _arrival_chunks(rng: np.random.Generator, lam: float, horizon: float):
     Each chunk t is a view of one buffer, valid until the next is drawn:
     t[1:] holds the chunk's arrivals and t[0] the last arrival before
     them (0 before the first chunk).  The running sum starts from t[0],
-    so the times equal one running sum over all the gaps.
+    so the times equal one running sum over all the gaps.  A chunk is
+    drawn in pieces until it is full or past the horizon: the first sized
+    by the expected arrivals left plus a Poisson margin, each further one
+    twice the last, so a short run draws few gaps beyond its own.
     """
     buf = np.zeros(_CHUNK + 1)
     while True:
-        _exponential(rng, 1.0 / lam, buf[1:])
-        np.cumsum(buf, out=buf)
-        if buf[-1] >= horizon:
-            end = int(np.searchsorted(buf[1:], horizon))
+        e = lam * (horizon - buf[0])
+        piece, n = int(min(e + 6 * math.sqrt(e), _CHUNK)) + 16, 0
+        while n < _CHUNK and buf[n] < horizon:
+            k = min(piece, _CHUNK - n)
+            _exponential(rng, 1.0 / lam, buf[n + 1:n + k + 1])
+            np.cumsum(buf[n:n + k + 1], out=buf[n:n + k + 1])
+            n, piece = n + k, 2 * piece
+        if buf[n] >= horizon:
+            end = int(np.searchsorted(buf[1:n + 1], horizon))
             if end:
                 yield buf[:end + 1]
             return
@@ -235,7 +244,7 @@ class _Out(NamedTuple):
     drops: int = 0
 
 
-def _fcfs(chunks, rng_service, mu, busy, size):
+def _fcfs(chunks, rng_service, mu, busy):
     """Unbounded FCFS: d_i = S_i + max_{j<=i} (a_j - S_{j-1}), where S is
     the running service sum.  S and the running max carry across chunks.
 
@@ -243,7 +252,7 @@ def _fcfs(chunks, rng_service, mu, busy, size):
     cumsum gives S; for service-time charging the service draws become
     the busy starts.
     """
-    s, run_sum, d = np.empty(size + 1), np.empty(size + 1), np.empty(size)
+    s, run_sum, d = np.empty(_CHUNK + 1), np.empty(_CHUNK + 1), np.empty(_CHUNK)
     s[0], peak = 0.0, -math.inf
     for t in chunks:
         a = t[1:]
@@ -261,7 +270,7 @@ def _fcfs(chunks, rng_service, mu, busy, size):
         yield _Out(dn, a, a, starts, dn if busy else None)
 
 
-def _lcfs(chunks, rng_service, mu, busy, size):
+def _lcfs(chunks, rng_service, mu, busy):
     """Preemptive LCFS: a packet completes iff a + s beats the next arrival.
 
     c[i] is the completion, if not preempted, of the packet that arrived
@@ -269,8 +278,8 @@ def _lcfs(chunks, rng_service, mu, busy, size):
     in place; the chunk's last arrival waits in t[0] and c[0] for the
     next chunk's first.  Every arrival is charged in its own chunk's step.
     """
-    c, ok = np.empty(size + 1), np.empty(size, bool)
-    d, u = np.empty(size), np.empty(size)
+    c, ok = np.empty(_CHUNK + 1), np.empty(_CHUNK, bool)
+    d, u = np.empty(_CHUNK), np.empty(_CHUNK)
     lo, held = 1, None              # before the first chunk, t[0] is no packet
     for t in chunks:
         n = len(t) - 1
@@ -293,7 +302,7 @@ def _lcfs(chunks, rng_service, mu, busy, size):
         yield _Out(d[:1], u[:1], t[:0], u[:1] if busy else None, d[:1] if busy else None)
 
 
-def _fcfs_finite(chunks, rng_service, mu, busy, size, capacity):
+def _fcfs_finite(chunks, rng_service, mu, busy, capacity):
     """FCFS with room for `capacity` packets, the one in service included.
 
     Packets depart in admission order, so an arrival at t is dropped iff
@@ -306,8 +315,8 @@ def _fcfs_finite(chunks, rng_service, mu, busy, size, capacity):
     deps[0] holds the last departure before the chunk, so deps[:-1] are
     the departures before each admitted packet.
     """
-    draws, admitted, deps = np.empty(min(size, _BLOCK)), np.empty(size), np.empty(size + 1)
-    starts = np.empty(size) if busy else None
+    draws, admitted, deps = np.empty(_BLOCK), np.empty(_CHUNK), np.empty(_CHUNK + 1)
+    starts = np.empty(_CHUNK) if busy else None
     recent = deque(maxlen=min(capacity, sys.maxsize))
     service = chain.from_iterable(_exponential(rng_service, 1.0 / mu, draws).tolist()
                                   for _ in repeat(None))
@@ -449,48 +458,32 @@ def run(config: SimConfig, profile: CiProfile, energy: EnergyModel) -> Simulatio
         raise ConfigError("service-time charging subtracts integrals of the carbon intensity, "
                           f"which overflow over the profile horizon {profile.horizon}")
 
-    ss = np.random.SeedSequence(config.seed)
-    arr_ss, svc_ss = ss.spawn(2)
-    rng_arrival = np.random.default_rng(arr_ss)
+    arr_ss, svc_ss = np.random.SeedSequence(config.seed).spawn(2)
     rng_service = np.random.default_rng(svc_ss)
     horizon = config.horizon
-    arrivals = 0
-    drawn = []                  # copies of the arrival chunks, for keep_events only
-
-    def arrival_stream():
-        nonlocal arrivals
-        for t in _arrival_chunks(rng_arrival, spec.lam, horizon):
-            arrivals += len(t) - 1
-            if config.keep_events:
-                drawn.append(t[1:].copy())
-            yield t
-
-    # Every chunk but the last holds _CHUNK arrivals, so the first is the
-    # longest, and no step holds more packets: it sizes the run's buffers.
-    chunks = arrival_stream()
-    first = list(islice(chunks, 1))
-    size = arrivals
-    chunks = chain(first, chunks)
+    chunks = _arrival_chunks(np.random.default_rng(arr_ss), spec.lam, horizon)
     if spec.discipline is Discipline.LCFS_PREEMPTIVE:
-        steps = _lcfs(chunks, rng_service, spec.mu, busy, size)
+        steps = _lcfs(chunks, rng_service, spec.mu, busy)
     elif config.buffer is None:
-        steps = _fcfs(chunks, rng_service, spec.mu, busy, size)
+        steps = _fcfs(chunks, rng_service, spec.mu, busy)
     else:
-        steps = _fcfs_finite(chunks, rng_service, spec.mu, busy, size, config.buffer)
+        steps = _fcfs_finite(chunks, rng_service, spec.mu, busy, config.buffer)
 
     slot = config.effective_slot
     n_slots = slot_count(horizon, slot)
     age = _AgeIntegral(config.effective_warmup, horizon)
     slots = _SlotSums(slot, n_slots, horizon)
     ep_kwh = energy.e_p_kwh()
-    # Scratch of the age integral, the charges and the slot indices.  The
-    # slot indices are dead between the counts and the grams, so their
-    # bytes serve as the second integral's float scratch.
-    weights, scratch, idx = np.empty(size), np.empty(size), np.empty(size, np.int64)
+    # Scratch of the age integral, the charges and the slot indices; no step
+    # holds more than a chunk.  The slot indices are dead between the counts
+    # and the grams, so their bytes serve as the second integral's scratch.
+    weights, scratch, idx = np.empty(_CHUNK), np.empty(_CHUNK), np.empty(_CHUNK, np.int64)
     spare = idx.view(np.float64)
-    completions = preemptions = drops = 0
-    delivered = []              # copies of (d, u) per step, for keep_events only
+    arrivals = completions = preemptions = drops = 0
+    delivered = [(np.empty(0), np.empty(0))]    # copies of (d, u), for keep_events only
     for out in steps:
+        # Each arrival is admitted or dropped in exactly one step.
+        arrivals += len(out.admitted) + out.drops
         last = out.busy_end if busy else out.d
         if not config.drain and len(last) and last[-1] > horizon:
             # Nothing is delivered after the horizon, and work then in service
@@ -531,11 +524,8 @@ def run(config: SimConfig, profile: CiProfile, energy: EnergyModel) -> Simulatio
     time_avg, final_age = age.result()
     events = {}
     if config.keep_events:
-        events = {
-            "arrival_times": np.concatenate([np.empty(0)] + drawn),
-            "delivery_times": np.concatenate([np.empty(0)] + [d for d, _ in delivered]),
-            "delivery_gen_times": np.concatenate([np.empty(0)] + [u for _, u in delivered]),
-        }
+        d, u = (np.concatenate(parts) for parts in zip(*delivered))
+        events = {"delivery_times": d, "delivery_gen_times": u}
     return SimulationTrace(
         time_avg_aoi=time_avg,
         final_age=final_age,
@@ -591,9 +581,10 @@ def replicate(config: SimConfig, profile: CiProfile, energy: EnergyModel,
     sequential loop gives, whatever the core count.  numpy releases the
     GIL in the draws, the kernels and the slot sums, and each concurrent
     replication adds its run's chunk buffers, under nine chunk arrays
-    (4.7 MB), to the peak memory.  If a replication
-    fails, no further one starts, and the error of the lowest failing
-    index is raised once every started replication has ended.
+    (4.7 MB) whatever its length, of which a short run makes resident
+    only what it writes.  If a replication fails, no further one starts,
+    and the error of the lowest failing index is raised once every
+    started replication has ended.
 
     The 95% halfwidth is the Student-t interval t(0.975, n-1) * s / sqrt(n),
     and None for one replication, which has no spread to measure.

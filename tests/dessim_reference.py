@@ -154,7 +154,6 @@ def reference_run(config: SimConfig, profile: CiProfile,
         completions=completions,
         preemptions=preemptions,
         drops=drops,
-        arrival_times=a if config.keep_events else None,
         delivery_times=d if config.keep_events else None,
         delivery_gen_times=u if config.keep_events else None,
     )

@@ -659,6 +659,9 @@ class TestReplayChecks:
         "mu-null": ("simulate", {"mu": None}),
         "grid-string": ("analyze", {"grid": "abc"}),
         "grid-over-cap": ("analyze", {"grid": [float(i) for i in range(10**5 + 1)]}),
+        "grid-decreasing": ("sweep_k", {"k_grid": [8e-4, 4e-4, 5e-4]}),
+        "grid-uneven": ("analyze", {"grid": [0.1, 0.2, 0.9]}),
+        "ci-constant-for-analyze": ("analyze", {"ci": {"kind": "constant", "value": 50.0}}),
         "ci-unknown-kind": ("analyze", {"ci": {"kind": "url", "path": "https://x"}}),
     }
 

@@ -3,6 +3,10 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
+from caoi import cli
+
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "cli_diff.py"
 spec = importlib.util.spec_from_file_location("cli_diff", SCRIPT)
 cli_diff = importlib.util.module_from_spec(spec)
@@ -47,3 +51,17 @@ def test_command_labels_are_unique():
     # would overwrite them.
     labels = [label for label, _ in cli_diff.commands() + cli_diff.SCRIPTS]
     assert len(labels) == len(set(labels))
+
+
+@pytest.mark.parametrize("name,key", [("refused_k_grid.csv", "k_grid"),
+                                      ("refused_constant_ci.csv", "ci")])
+def test_hand_made_manifests_are_refused(tmp_path, capsys, name, key):
+    # Each is refused for the one value it was made to carry, not for a
+    # malformed rest.
+    manifest = tmp_path / f"{name}.manifest.json"
+    manifest.write_text(cli_diff.refused_manifest(name))
+    assert cli.main(["replay", str(manifest), "--out-dir", str(tmp_path / "redo")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: manifest param {key} = ")
+    assert err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == [manifest.name]

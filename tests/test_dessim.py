@@ -278,12 +278,18 @@ class TestDeterminism:
         assert run(c1, FLAT, ENERGY).time_avg_aoi != run(c2, FLAT, ENERGY).time_avg_aoi
 
     def test_buffer_does_not_shift_arrival_stream(self):
-        base = cfg(Discipline.FCFS_MM1, 0.9, 1.0, 2000.0, 13, keep_events=True)
-        capped = cfg(Discipline.FCFS_MM1, 0.9, 1.0, 2000.0, 13, buffer=1,
-                     keep_events=True)
-        t1 = run(base, FLAT, ENERGY)
-        t2 = run(capped, FLAT, ENERGY)
-        np.testing.assert_array_equal(t1.arrival_times, t2.arrival_times)
+        # Drained, the admitted arrivals are the deliveries' generation
+        # times: all of the seed's stream unbuffered, a subset of it with
+        # a buffer of 1.
+        a, _ = replay_streams(0.9, 1.0, 2000.0, 13)
+        for buffer in (None, 1):
+            c = cfg(Discipline.FCFS_MM1, 0.9, 1.0, 2000.0, 13, buffer=buffer,
+                    drain=True, keep_events=True)
+            trace = run(c, FLAT, ENERGY)
+            u = trace.delivery_gen_times
+            assert trace.arrivals == len(a)
+            assert len(u) == len(a) - trace.drops
+            assert np.array_equal(u, a) if buffer is None else np.isin(u, a).all()
 
 
 class TestLedger:
@@ -303,10 +309,9 @@ class TestLedger:
 
     def test_step_profile_charges_at_arrival_value(self):
         steps = CiProfile(((0.0, 100.0), (500.0, 400.0)), 1000.0)
-        c = cfg(Discipline.LCFS_PREEMPTIVE, 1.0, 1.0, 1000.0, 23,
-                keep_events=True)
+        c = cfg(Discipline.LCFS_PREEMPTIVE, 1.0, 1.0, 1000.0, 23)
         trace = run(c, steps, ENERGY)
-        a = trace.arrival_times
+        a, _ = replay_streams(1.0, 1.0, 1000.0, 23)
         expected = ENERGY.e_p_kwh() * (100.0 * np.sum(a < 500.0)
                                        + 400.0 * np.sum(a >= 500.0))
         assert trace.ledger.total == pytest.approx(expected, rel=1e-12)
@@ -363,7 +368,7 @@ def xi_between(profile, lo, hi):
                      if start < hi and end > lo)
 
 
-def packet_charges(trace, discipline, mode, profile, energy):
+def packet_charges(config, trace, profile, energy):
     """Each packet's grams, recomputed from the events of a drained run.
 
     Drained, every admitted packet is delivered, so the admitted arrivals
@@ -371,7 +376,10 @@ def packet_charges(trace, discipline, mode, profile, energy):
     where every arrival is admitted and a preempted one is served until
     the next arrival.
     """
-    a, d, u = trace.arrival_times, trace.delivery_times, trace.delivery_gen_times
+    spec, mode = config.spec, config.cf_mode
+    a, _ = replay_streams(spec.lam, spec.mu, config.horizon, config.seed)
+    d, u = trace.delivery_times, trace.delivery_gen_times
+    discipline = spec.discipline
     lcfs = discipline is Discipline.LCFS_PREEMPTIVE
     if mode is CfMode.ARRIVAL_CHARGED:
         return [xi_at(profile, t) * energy.e_p_kwh() for t in (a if lcfs else u)]
@@ -406,7 +414,7 @@ class TestLedgerCharges:
         c = cfg(discipline, rho * mu, mu, 200.0, seed, cf_mode=mode, buffer=buffer,
                 drain=True, keep_events=True)
         trace = run(c, profile, ENERGY)
-        charges = packet_charges(trace, discipline, mode, profile, ENERGY)
+        charges = packet_charges(c, trace, profile, ENERGY)
         assert trace.ledger.total == pytest.approx(math.fsum(charges), rel=1e-9, abs=0.0)
         if discipline is not Discipline.LCFS_PREEMPTIVE:
             assert len(charges) == trace.arrivals - trace.drops
@@ -452,8 +460,8 @@ class TestCountsAndSuccess:
     def test_events_hidden_by_default(self):
         c = cfg(Discipline.FCFS_MM1, 0.5, 1.0, 1000.0, 36)
         trace = run(c, FLAT, ENERGY)
-        assert trace.arrival_times is None
         assert trace.delivery_times is None
+        assert trace.delivery_gen_times is None
 
 
 class TestReplicate:
@@ -487,13 +495,12 @@ class TestReplicate:
         summary = replicate(c, FLAT, ENERGY, 3)
         assert_same_trace(summary.traces[0], run(c, FLAT, ENERGY))
         for trace in summary.traces[1:]:
-            assert trace.arrival_times is None
             assert trace.delivery_times is None
             assert trace.delivery_gen_times is None
 
     def test_extra_replications_hold_no_events(self, monkeypatch):
         # With 2e5 arrivals per replication, five replications peak less
-        # than half of one run's event arrays above two replications.  One
+        # than half of one run's two event arrays above two replications.  One
         # core runs them one at a time, so the peaks differ by held events
         # only, not by which runs happened to overlap.
         monkeypatch.setattr(dessim, "_usable_cores", lambda: 1)
@@ -505,8 +512,7 @@ class TestReplicate:
                 tracemalloc.reset_peak()
                 first = replicate(c, FLAT, ENERGY, n_reps).traces[0]
                 peaks.append(tracemalloc.get_traced_memory()[1])
-                events = sum(a.nbytes for a in (first.arrival_times, first.delivery_times,
-                                                first.delivery_gen_times))
+                events = first.delivery_times.nbytes + first.delivery_gen_times.nbytes
                 del first
         finally:
             tracemalloc.stop()
@@ -699,7 +705,7 @@ KERNELS = {
 def assert_matches_reference(config, profile=STEPS):
     trace = run(config, profile, ENERGY)
     ref = reference_run(config, profile, ENERGY)
-    for name in ("arrival_times", "delivery_times", "delivery_gen_times"):
+    for name in ("delivery_times", "delivery_gen_times"):
         x, y = getattr(trace, name), getattr(ref, name)
         assert x.dtype == y.dtype and np.array_equal(x, y), name
     # The reference's two slot grids may differ in length; `run` pads the
@@ -836,13 +842,12 @@ def kernel_steps(kernel, lam, horizon, seed, busy):
     arr_ss, svc_ss = np.random.SeedSequence(seed).spawn(2)
     chunks = dessim._arrival_chunks(np.random.default_rng(arr_ss), lam, horizon)
     rng_service = np.random.default_rng(svc_ss)
-    size = dessim._CHUNK
     if discipline is Discipline.LCFS_PREEMPTIVE:
-        steps = dessim._lcfs(chunks, rng_service, 1.0, busy, size)
+        steps = dessim._lcfs(chunks, rng_service, 1.0, busy)
     elif buffer is None:
-        steps = dessim._fcfs(chunks, rng_service, 1.0, busy, size)
+        steps = dessim._fcfs(chunks, rng_service, 1.0, busy)
     else:
-        steps = dessim._fcfs_finite(chunks, rng_service, 1.0, busy, size, buffer)
+        steps = dessim._fcfs_finite(chunks, rng_service, 1.0, busy, buffer)
     return [{k: v.copy() if isinstance(v, np.ndarray) else v
              for k, v in out._asdict().items()} for out in steps]
 
@@ -860,6 +865,25 @@ class TestRunOwnedBuffers:
         for lo, hi in ((0, 1), (1, 8), (8, 8), (8, 500), (500, 1000)):     # seams
             dessim._exponential(rng, scale, got[lo:hi])
         assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_short_run_draws_only_the_gaps_it_needs(self, seed):
+        # lam * horizon = 1000: the times equal those of one full-chunk
+        # draw, from a small share of its 2**16 gaps.
+        class Counting:
+            def __init__(self, rng):
+                self.rng, self.drawn = rng, 0
+
+            def standard_exponential(self, out):
+                self.drawn += len(out)
+                return self.rng.standard_exponential(out=out)
+
+        lam, horizon = 2.0, 500.0
+        rng = Counting(np.random.default_rng(seed))
+        got = np.concatenate([t[1:].copy() for t in _arrival_chunks(rng, lam, horizon)])
+        full = np.cumsum(np.random.default_rng(seed).exponential(1.0 / lam, dessim._CHUNK))
+        assert np.array_equal(got, full[full < horizon])
+        assert len(got) <= rng.drawn < dessim._CHUNK // 16
 
     @settings(max_examples=12, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), rho=st.floats(0.2, 0.95))
