@@ -226,11 +226,14 @@ class ConstraintSet:
 
 class CarbonLedger:
     """Emissions per reporting slot, in grams: grams as a read-only float64
-    copy, and total as their left-to-right np.cumsum.  The first negative
-    or NaN entry is refused.  A trace's slot_length gives each slot's time."""
+    array, kept as given if it is one that owns its data and else copied,
+    and total as their left-to-right np.cumsum.  The first negative or NaN
+    entry is refused.  A trace's slot_length gives each slot's time."""
 
     def __init__(self, grams: Sequence[float]):
-        grams = np.array(grams, dtype=np.float64)
+        if not (isinstance(grams, np.ndarray) and grams.dtype == np.float64
+                and grams.flags.owndata and not grams.flags.writeable):
+            grams = np.array(grams, dtype=np.float64)
         # min propagates NaN and, unlike a mask, builds no temporary.
         if len(grams) and not grams.min() >= 0:
             bad = ~(grams >= 0)

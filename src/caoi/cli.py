@@ -137,6 +137,8 @@ def parse_buffer(text: str):
 
 def resolve_ci_spec(ci_arg, ci_value) -> dict:
     """Turn --ci/--ci-value flags into a manifest-ready source record."""
+    if ci_value is not None and ci_arg is not None:
+        raise ValidationError("--ci and --ci-value are exclusive: give one CI source")
     if ci_value is not None:
         return {"kind": "constant", "value": float(ci_value)}
     if ci_arg is None:
@@ -412,9 +414,6 @@ def run_simulate(params: dict, out_dir=None) -> None:
     closed = avg_aoi(discipline, spec.lam, spec.mu) if modeled else None
     rel_dev = None if closed is None else abs(summary.mean_aoi - closed) / closed
 
-    def mean(values):
-        return sum(values) / len(traces)
-
     write_json(out_path, {
         "model": params["model"],
         "lambda": params["lam"],
@@ -433,10 +432,8 @@ def run_simulate(params: dict, out_dir=None) -> None:
         "total_cf_g": summary.mean_cf_g,
         "closed_form_aoi_s": closed,
         "rel_dev_from_closed_form": rel_dev,
-        "arrivals": mean(t.arrivals for t in traces),
-        "completions": mean(t.completions for t in traces),
-        "preemptions": mean(t.preemptions for t in traces),
-        "drops": mean(t.drops for t in traces),
+        **{key: sum(getattr(t, key) for t in traces) / len(traces)
+           for key in ("arrivals", "completions", "preemptions", "drops")},
     })
 
     outputs = [] if out_path is None else [out_path]

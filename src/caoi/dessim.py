@@ -27,24 +27,19 @@ service at the horizon is charged only up to it.
 
 A run owns its chunk buffers: the arrival stream, each kernel and the
 age, charge and slot stages allocate their arrays once per run, one
-chunk long, and write every chunk into them with out=; a short run
-leaves most of each unwritten, and those pages never become resident.
-A chunk allocates no float array; its int64 arrays are the step index
-of each profile lookup and LCFS's index of completed packets.  A run of
-2**20 arrivals peaks below nine chunk arrays in every cf mode
-(tracemalloc: 4.2 MB for FCFS, 4.3 MB for LCFS, 4.1 to 4.7 MB with a
-buffer of 10).  A kernel yields views that the next chunk overwrites,
-and keep_events copies the deliveries.  Every stage's times ascend, so
-the horizon cut is a slice, and a chunk's slot sums take one weighted
-bincount plus an in-order cumsum onto the slot carried from the chunk
-before.  The charges are CiProfile.values_at and integral_to written
-into the run's buffers.  The slot counts and grams share one grid, and
-drained work extends it for both; the grams become the CarbonLedger.
+chunk long, and write every chunk into them with out= (a short run
+leaves most pages unwritten, never resident).  A run of 2**20 arrivals
+peaks below nine chunk arrays in every cf mode (4.1 to 4.7 MB under
+tracemalloc).  A kernel yields views that the next chunk overwrites, and
+keep_events copies the deliveries.  Every stage's times ascend, so the
+horizon cut is a slice, and a chunk's slot sums take one weighted
+bincount plus an in-order cumsum onto the slot carried over.  The slot
+counts and grams share one grid, which drained work extends for both;
+the grams become the CarbonLedger uncopied.
 
-`replicate` runs its replications concurrently, on the calling thread
-and one helper thread per further usable core, and gives the outputs of
-a sequential loop bit for bit whatever the core count; each concurrent
-replication adds its run's chunk buffers to the peak memory.
+`replicate` runs its replications concurrently and gives a sequential
+loop's outputs bit for bit whatever the core count; only its first
+replication keeps the config's slot grid and events.
 
 Randomness: the seed feeds a SeedSequence whose first spawned child
 drives interarrival draws and whose second drives service draws.  The
@@ -75,6 +70,9 @@ from .queueing import Discipline, QueueSpec
 
 _CHUNK = 1 << 16                # arrivals per chunk; see the module docstring
 _MAX_EVENT_ARRIVALS = 10 ** 7   # keep_events cap on expected arrivals, lam * horizon
+# Cap on any run's expected arrivals, above the README's runs of 10**8 (10**9 take
+# about 20 s); at lam = 1e300, gaps of 1e-300 s would need 10**303 draws: no end.
+_MAX_ARRIVALS = 10 ** 10
 _MAX_REPS = 10 ** 4             # replicate's cap on replications; see replicate
 _BLOCK = 1 << 12                # arrivals per pass of the finite-buffer admission loop
 
@@ -110,7 +108,8 @@ class SimConfig:
     Memory grows with the run only through the slot grid and keep_events,
     which keeps every delivery and its origin but not the arrivals, so both
     are capped before anything is allocated: at most 10**7 slots, and with
-    keep_events at most 10**7 expected arrivals (lam * horizon).
+    keep_events at most 10**7 expected arrivals (lam * horizon).  Time
+    grows with the arrivals, so any run is capped at 10**10 of them.
     """
 
     spec: QueueSpec
@@ -146,6 +145,9 @@ class SimConfig:
                 f"keeping events of {expected:.6g} expected arrivals exceeds the cap "
                 f"of {_MAX_EVENT_ARRIVALS}; shorten the horizon"
             )
+        if not expected <= _MAX_ARRIVALS:
+            raise ConfigError(f"{expected:.6g} expected arrivals exceed the cap of "
+                              f"{_MAX_ARRIVALS}; shorten the horizon")
 
     @property
     def effective_warmup(self) -> float:
@@ -177,11 +179,10 @@ class SimulationTrace:
 
 @dataclass
 class ReplicationSummary:
-    """Aggregate over independent replications (seed, seed+1, ...).
-
-    traces[r] is the replication seeded seed + r, and the means and the
-    halfwidth are summed in that order, so they do not depend on how
-    many replications ran at once.
+    """Aggregate over independent replications (seed, seed+1, ...); only
+    traces[0] has the config's slot grid and events (see replicate).  The
+    means and the halfwidth are summed in index order, so they do not
+    depend on how many replications ran at once.
     """
 
     mean_aoi: float
@@ -522,6 +523,7 @@ def run(config: SimConfig, profile: CiProfile, energy: EnergyModel) -> Simulatio
         raise ConfigError("service-time charging of drained work ran past the point where "
                           "the integral of the carbon intensity overflows")
     time_avg, final_age = age.result()
+    slots.grams.flags.writeable = False     # so the ledger keeps it uncopied
     events = {}
     if config.keep_events:
         d, u = (np.concatenate(parts) for parts in zip(*delivered))
@@ -575,25 +577,25 @@ def replicate(config: SimConfig, profile: CiProfile, energy: EnergyModel,
               n_reps: int) -> ReplicationSummary:
     """Run n_reps >= 1 independent replications seeded seed, seed+1, ...
 
+    Only the first replication keeps detail: traces[0] runs config as
+    given, and traces[r] for r >= 1 runs it seeded seed + r on the default
+    slot grid (horizon / 1000) and without events.  The CLI writes the
+    first trace's slots and events and reads only scalars of the rest, so
+    a further replication holds about 16 kB, not a copy of a fine grid,
+    and only the count is capped, at 10**4.  A ledger total depends on its
+    grid in its last digits only.
+
     The replications run concurrently: the calling thread and up to one
     helper thread per further usable core take them in index order, and
     each trace is stored at its index, so every output is the one a
     sequential loop gives, whatever the core count.  numpy releases the
-    GIL in the draws, the kernels and the slot sums, and each concurrent
-    replication adds its run's chunk buffers, under nine chunk arrays
-    (4.7 MB) whatever its length, of which a short run makes resident
-    only what it writes.  If a replication fails, no further one starts,
-    and the error of the lowest failing index is raised once every
-    started replication has ended.
+    GIL in the draws, the kernels and the slot sums; each concurrent
+    replication adds one run's chunk buffers to the peak memory.  If one
+    fails, no further one starts, and the error of the lowest failing
+    index is raised once every started replication has ended.
 
     The 95% halfwidth is the Student-t interval t(0.975, n-1) * s / sqrt(n),
     and None for one replication, which has no spread to measure.
-    keep_events applies to the first replication only: traces[1:] carry no
-    events, so their memory does not grow with the run.  Every trace keeps
-    its slot arrays, so n_reps is capped before anything is allocated: at
-    most 10**4 replications, and at most 10**7 slots over all of them
-    (n_reps times the run's slot count).  A summary that kept per-run
-    scalars instead of traces would lift the second cap.
     """
     if not isinstance(n_reps, (int, np.integer)):
         raise DomainError(f"the replication count must be an integer, got {n_reps!r}")
@@ -601,10 +603,6 @@ def replicate(config: SimConfig, profile: CiProfile, energy: EnergyModel,
         raise DomainError(f"need at least 1 replication, got {n_reps}")
     if n_reps > _MAX_REPS:
         raise DomainError(f"{n_reps} replications exceed the cap of {_MAX_REPS}")
-    slots = n_reps * slot_count(config.horizon, config.effective_slot)
-    if slots > MAX_SLOTS:
-        raise DomainError(f"{n_reps} replications keep {slots} slots, over the cap of "
-                          f"{MAX_SLOTS}; use fewer replications or a longer slot")
     traces = [None] * n_reps
     errors = {}
     pending = iter(range(n_reps))
@@ -616,7 +614,8 @@ def replicate(config: SimConfig, profile: CiProfile, energy: EnergyModel,
                 r = None if errors else next(pending, None)
             if r is None:
                 return
-            rep = replace(config, seed=config.seed + r, keep_events=config.keep_events and r == 0)
+            rep = config if r == 0 else replace(config, seed=config.seed + r,
+                                                keep_events=False, slot_length=None)
             try:
                 traces[r] = run(rep, profile, energy)
             except BaseException as exc:

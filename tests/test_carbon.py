@@ -320,6 +320,18 @@ class TestCarbonLedger:
         with pytest.raises(ValueError):
             led.grams[0] = 5.0
 
+    def test_a_read_only_float64_array_is_kept(self):
+        # run hands over its slot grams read-only, so they are not copied.
+        grams = np.array([0.1, 0.2])
+        grams.flags.writeable = False
+        assert CarbonLedger(grams).grams is grams
+        # A read-only view of a writeable array could change under the total.
+        view = np.array([0.1, 0.2])[:]
+        view.flags.writeable = False
+        for other in (view, np.array([0.1, 0.2]), np.array([1, 2]), [0.1, 0.2]):
+            led = CarbonLedger(other)
+            assert led.grams is not other and not led.grams.flags.writeable
+
     @pytest.mark.parametrize("n", [0, 1, 5, 2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1, 10 ** 6 + 3])
     def test_total_is_one_cumsum_bit_for_bit(self, n):
         # The total is summed a block of 2**16 at a time; the blocks' seams

@@ -32,13 +32,13 @@ BUILTIN_CSV = """period,ci_g_per_kwh
 """
 
 
-def caoi(*args, env_extra=None, cwd=None):
+def caoi(*args, env_extra=None, cwd=None, timeout=None):
     env = dict(os.environ)
     env.pop("CAOI_DEFAULT_CI", None)
     if env_extra:
         env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "caoi", *args],
-                          capture_output=True, text=True, env=env, cwd=cwd)
+                          capture_output=True, text=True, env=env, cwd=cwd, timeout=timeout)
 
 
 def read_rows(path):
@@ -447,6 +447,26 @@ class TestSimulate:
         assert err.startswith("error: slot length ") and err.endswith(" does not tile horizon 100.0\n")
         assert not any(tmp_path.iterdir())
 
+    def test_run_that_cannot_finish_exits_2(self, tmp_path):
+        # Gaps of 1e-300 s: the run drew gaps until a 60 s timeout killed
+        # it.  A subprocess, so that a run without end fails on the timeout.
+        res = caoi("simulate", "--model", "mm1star", "--lambda", "1e300", "--mu", "1",
+                   "--horizon", "1e3", "--out", str(tmp_path / "s.json"), timeout=30)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr == ("error: 1e+303 expected arrivals exceed the cap of "
+                              "10000000000; shorten the horizon\n")
+        assert not any(tmp_path.iterdir())
+
+    def test_many_replications_of_a_fine_grid_run(self, capsys):
+        # 20 replications of 10**6 slots were refused as 2 * 10**7 slots;
+        # replications after the first now run on the default grid.
+        assert cli.main(["simulate", "--model", "mm1", "--lambda", "0.5", "--mu", "1",
+                         "--horizon", "1e6", "--slot", "1", "--reps", "20",
+                         "--ci-value", "198"]) == 0
+        body = json.loads(capsys.readouterr().out)
+        assert body["reps"] == 20 and body["slot_s"] == 1.0
+
     def test_oversized_event_record_exits_2(self, tmp_path, capsys):
         # 10^8 expected arrivals with every event kept.
         code = cli.main(["simulate", "--model", "mm1", "--lambda", "100", "--mu", "1000",
@@ -810,6 +830,21 @@ class TestCiResolution:
         assert reads == [Path(spec["path"])]
         assert parsed == [BUILTIN_CSV.replace("258", "258.5")]
         assert profile.values[-1] == 258.5
+
+    @pytest.mark.parametrize("argv", [
+        ["optimize", "--problem", "cf", "--model", "mm1", "--budget-k", "1mg", "--mu", "40"],
+        ["simulate", "--model", "mm1", "--lambda", "0.5", "--mu", "1", "--horizon", "100"],
+    ], ids=["optimize", "simulate"])
+    @pytest.mark.parametrize("ci", ["missing.csv", "builtin"])
+    def test_ci_with_ci_value_exits_2(self, tmp_path, capsys, argv, ci):
+        # Both once exited 0 and ignored --ci, even a file that is not there.
+        code = cli.main([*argv, "--ci", str(tmp_path / ci) if ci.endswith(".csv") else ci,
+                         "--ci-value", "198", "--out", str(tmp_path / "o.json")])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: --ci and --ci-value are exclusive: give one CI source\n"
+        assert not any(tmp_path.iterdir())
 
     def test_ci_value_shortcut(self):
         res = caoi("optimize", "--problem", "cf", "--model", "mm1",

@@ -144,6 +144,20 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="seed"):
             cfg(Discipline.FCFS_MM1, 0.5, 1.0, 100.0, seed)
 
+    def test_expected_arrivals_are_capped(self):
+        # lam = 1e300 drew gaps of 1e-300 s, and the run never reached its
+        # horizon.  The cap holds without keep_events; with it, its own
+        # lower cap speaks first.
+        lam = 10.0 ** 10 / 1e3
+        cfg(Discipline.LCFS_PREEMPTIVE, lam, 1.0, 1e3, 0)
+        for lam in (math.nextafter(lam, math.inf), 1e300):
+            with pytest.raises(ConfigError, match="expected arrivals exceed the cap of "
+                                                  "10000000000; shorten the horizon"):
+                cfg(Discipline.LCFS_PREEMPTIVE, lam, 1.0, 1e3, 0)
+            with pytest.raises(ConfigError, match="keeping events of .* exceeds the cap "
+                                                  "of 10000000;"):
+                cfg(Discipline.LCFS_PREEMPTIVE, lam, 1.0, 1e3, 0, keep_events=True)
+
     def test_defaults(self):
         c = cfg(Discipline.FCFS_MM1, 0.5, 1.0, 1000.0, 0)
         assert c.effective_warmup == 10.0
@@ -481,14 +495,17 @@ class TestReplicate:
         assert summary.traces[1].time_avg_aoi == solo.time_avg_aoi
 
     def test_every_config_field_reaches_each_replication(self):
+        # Every field but the slot and keep_events: only the first
+        # replication keeps detail, and the rest run on the default grid.
         c = cfg(Discipline.FCFS_MM1, 0.9, 1.0, 2000.0, 50, warmup=100.0,
                 slot_length=4.0, cf_mode=CfMode.SERVICE_TIME_CHARGED, buffer=3,
                 drain=True, keep_events=True)
         summary = replicate(c, FLAT, ENERGY, 3)
-        for r, trace in enumerate(summary.traces):
-            # keep_events reaches the first replication only.
-            expected = replace(c, seed=50 + r, keep_events=r == 0)
+        assert_same_trace(summary.traces[0], run(c, FLAT, ENERGY))
+        for r, trace in enumerate(summary.traces[1:], start=1):
+            expected = replace(c, seed=50 + r, keep_events=False, slot_length=None)
             assert_same_trace(trace, run(expected, FLAT, ENERGY))
+            assert trace.slot_length == 2.0 and trace.delivery_times is None
 
     def test_events_kept_for_the_first_replication_only(self):
         c = cfg(Discipline.FCFS_MM1, 0.5, 1.0, 4000.0, 70, keep_events=True)
@@ -540,8 +557,9 @@ class TestReplicate:
             replicate(c, FLAT, ENERGY, n_reps)
 
     def test_replications_hold_two_slot_arrays_each(self):
-        # 10**6 slots: each trace holds its counts and its ledger's grams,
-        # 16 MB, so three hold 48 MB.
+        # 10**6 slots: the first trace holds its counts and its ledger's
+        # grams, 16 MB; the others hold the default grid's 1000 slots of
+        # each, 16 kB.  Each trace once kept the 10**6 slots, 48 MB in all.
         c = cfg(Discipline.FCFS_MM1, 0.5, 1.0, 1e6, 68, slot_length=1.0)
         profile = CiProfile.constant(150.0, 1e6)
         tracemalloc.start()
@@ -550,45 +568,67 @@ class TestReplicate:
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert [len(t.ledger) for t in summary.traces] == [10 ** 6] * 3
-        assert held < 55e6
+        assert [len(t.ledger) for t in summary.traces] == [10 ** 6, 1000, 1000]
+        assert [len(t.n_tx_per_slot) for t in summary.traces] == [10 ** 6, 1000, 1000]
+        assert held < 20e6
+
+    def test_later_replications_add_no_slot_memory(self):
+        # A summary of 4 replications of 10**6 slots holds within 1 MB of a
+        # summary of 1; with every trace on the config's grid it held
+        # about 16 MB more per further replication.
+        c = cfg(Discipline.FCFS_MM1, 0.5, 1.0, 1e6, 72, slot_length=1.0)
+        profile = CiProfile.constant(150.0, 1e6)
+        held = []
+        tracemalloc.start()
+        try:
+            for n_reps in (1, 4):
+                base = tracemalloc.get_traced_memory()[0]
+                summary = replicate(c, profile, ENERGY, n_reps)
+                held.append(tracemalloc.get_traced_memory()[0] - base)
+                del summary
+        finally:
+            tracemalloc.stop()
+        assert held[0] > 16e6
+        assert held[1] - held[0] < 1e6
 
     @staticmethod
     def stub_run(started):
         def fake(config, profile, energy):
-            started.append(config.seed)
+            started.append(config)
             return SimpleNamespace(time_avg_aoi=1.0, empirical_a=1.0,
                                    ledger=SimpleNamespace(total=0.0))
         return fake
 
     def test_replications_are_capped_before_any_starts(self, monkeypatch):
-        # Each trace keeps its slot arrays, so both caps hold before a run.
+        # Only the count is capped.  Replications after the first run on
+        # the default grid, so two of a run of 6 * 10**6 slots start, though
+        # they exceed 10**7 slots on the first one's grid.
         started = []
         monkeypatch.setattr(dessim, "run", self.stub_run(started))
         one_slot = cfg(Discipline.FCFS_MM1, 0.5, 1.0, 100.0, 0, slot_length=100.0)
         with pytest.raises(DomainError, match="10001 replications exceed the cap of 10000"):
             replicate(one_slot, FLAT, ENERGY, 10 ** 4 + 1)
-        # One run of 6 * 10**6 slots is allowed, two are not.
-        wide = cfg(Discipline.FCFS_MM1, 0.5, 1.0, 6e6, 0, slot_length=1.0)
-        with pytest.raises(DomainError, match="keep 12000000 slots, over the cap of 10000000"):
-            replicate(wide, FLAT, ENERGY, 2)
         assert started == []
+        wide = cfg(Discipline.FCFS_MM1, 0.5, 1.0, 6e6, 0, slot_length=1.0)
+        assert len(replicate(wide, FLAT, ENERGY, 2).traces) == 2
+        assert sorted((c.seed, c.effective_slot) for c in started) == [(0, 1.0), (1, 6000.0)]
 
     def test_replications_up_to_the_caps_run(self, monkeypatch):
         started = []
         monkeypatch.setattr(dessim, "run", self.stub_run(started))
-        # 10**4 replications of 1000 slots: both caps exactly.
+        # 10**4 replications: the cap exactly.
         c = cfg(Discipline.FCFS_MM1, 0.5, 1.0, 100.0, 0)
         assert len(replicate(c, FLAT, ENERGY, 10 ** 4).traces) == 10 ** 4
         wide = cfg(Discipline.FCFS_MM1, 0.5, 1.0, 2.5e6, 0, slot_length=1.0)
         assert len(replicate(wide, FLAT, ENERGY, 4).traces) == 4
-        assert sorted(started) == sorted([*range(10 ** 4), *range(4)])
+        assert sorted(c.seed for c in started) == sorted([*range(10 ** 4), *range(4)])
 
 
 def sequential(config, profile, n_reps):
-    """The replications of `replicate`, run one after another."""
-    return [run(replace(config, seed=config.seed + r,
-                        keep_events=config.keep_events and r == 0), profile, ENERGY)
+    """The replications of `replicate`, run one after another: the first
+    as configured, the rest on the default slot grid without events."""
+    return [run(config if r == 0 else replace(config, seed=config.seed + r, keep_events=False,
+                                               slot_length=None), profile, ENERGY)
             for r in range(n_reps)]
 
 
@@ -820,9 +860,9 @@ class TestChunkSeams:
 
     def test_slot_ledger_is_held_as_arrays(self):
         # 10**6 slots: the trace holds two arrays, the counts and the
-        # ledger's grams, 8 bytes per slot each.  On the way the run also
-        # holds the slot grams the ledger copies, and a full-length cumsum
-        # for the ledger's total once took its peak to 36 MB.
+        # ledger's grams, 8 bytes per slot each.  The ledger keeps the run's
+        # read-only slot grams uncopied; a copy took the peak to 27.7 MB,
+        # and a full-length cumsum for the ledger's total once to 36 MB.
         c = cfg(Discipline.FCFS_MM1, 0.5, 1.0, 1e6, 65, slot_length=1.0,
                 cf_mode=CfMode.SERVICE_TIME_CHARGED)
         tracemalloc.start()
@@ -833,7 +873,7 @@ class TestChunkSeams:
             tracemalloc.stop()
         assert len(trace.ledger) == 10 ** 6
         assert held < 20e6
-        assert peak <= 29e6
+        assert peak <= 23e6
 
 
 def kernel_steps(kernel, lam, horizon, seed, busy):
