@@ -72,7 +72,7 @@ def main(argv=None):
         header = ("model", "rho", "closed_form_aoi_s", "simulated_aoi_s",
                   "ci95_halfwidth_s", "rel_dev")
         text = [[name, *map(cli.fmt_float, values)] for name, *values in rows]
-        cli.write_csv(args.out, header, [list(zip(*text))])
+        cli.write_csv(args.out, header, ["".join(",".join(row) + "\n" for row in text)])
         print(f"wrote {args.out}")
 
     if failures:

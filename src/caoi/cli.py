@@ -9,20 +9,21 @@ version, and input digests; replaying a manifest reproduces the outputs
 byte for byte.  A replay takes the path of a fresh command: its manifest
 is refused unless the parser could have produced every value, and the
 same run_* checks and runs both.  Numbers in CSV output are printed with
-17 significant digits so equal results are equal bytes.
+17 significant digits so equal results are equal bytes.  A command loads
+only the modules it runs: caoi.dessim, and numpy.random with it, for
+simulate alone, and hashlib for a --ci file's digest alone.
 
 Exit codes: 0 success, 2 usage or validation error, 3 infeasible
 problem, 4 I/O failure.
 """
 
 import argparse
-import hashlib
 import json
 import math
 import os
 import reprlib
 import sys
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,6 @@ import numpy as np
 from . import __version__
 from .carbon import CiProfile, ConstraintSet, EnergyModel
 from .cidata import builtin_profile_si2024, parse_ci_csv
-from .dessim import CfMode, SimConfig, replicate
 from .errors import CaoiError, Infeasible, ParseError, ValidationError
 from .optimizer import (
     BOTH_DISCIPLINES,
@@ -145,6 +145,7 @@ def resolve_ci_spec(ci_arg, ci_value) -> dict:
         ci_arg = os.environ.get(ENV_DEFAULT_CI) or "builtin"
     if ci_arg == "builtin":
         return {"kind": "builtin"}
+    import hashlib
     path = Path(ci_arg).resolve()
     return {"kind": "file", "path": str(path),
             "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
@@ -168,6 +169,7 @@ def load_ci(spec: dict, horizon: float = 1.0) -> CiProfile:
         return CiProfile.constant(spec["value"], horizon)
     if kind == "builtin":
         return builtin_profile_si2024()
+    import hashlib
     data = Path(spec["path"]).read_bytes()
     if hashlib.sha256(data).hexdigest() != spec["sha256"]:
         raise ValidationError(
@@ -208,22 +210,29 @@ def write_manifest(command: str, params: dict, outputs: list) -> None:
 
 
 def write_csv(path: str, header, blocks) -> None:
-    """Write header, then each block of columns as comma-joined rows.
+    """Write header, then each block: the text of whole rows, each ending
+    in a newline.
 
-    A block is a non-empty sequence of str columns that are zipped into
-    rows, so an endless column (itertools.repeat) takes the length of the
-    others.  blocks may be a generator, which formats each block as it is
-    written.  No field is quoted: each is a number, a model or a binding
-    label, none of which holds a comma, a quote or a line break.
+    blocks may be a generator, which formats each block as it is written.
+    No field is quoted: each is a number, a model or a binding label, none
+    of which holds a comma, a quote or a line break.
     """
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for columns in blocks:
-            fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
+        fh.writelines(blocks)
+
+
+def template_blocks(template: str, n: int, columns_at):
+    """n rows, each template % one item of each column, a block of
+    row_blocks at a time, for write_csv; columns_at(cells) gives the
+    columns of a block as arrays."""
+    for cells in row_blocks(n):
+        rows = zip(*(column.tolist() for column in columns_at(cells)))
+        yield template * (cells.stop - cells.start) % tuple(chain.from_iterable(rows))
 
 
 def table_blocks(table: SweepTable, columns):
-    """The text of table's columns, a block of row_blocks at a time, for write_csv.
+    """The rows of table's columns, a block of row_blocks at a time, for write_csv.
 
     columns names each one: month, x, model, aoi_s, cf_g, lambda_bound or
     binding.  Each month, x and model is formatted once, and every float
@@ -234,8 +243,10 @@ def table_blocks(table: SweepTable, columns):
     for cells in row_blocks(len(table)):
         fixed = {name: text[i].tolist() for name, text, i in zip(
             ("month", "x", "model"), axes, table.cell_axes(np.arange(cells.start, cells.stop)))}
-        yield [fixed[name] if name in fixed else _cell_column(table, name, cells)
-               for name in columns]
+        # An endless column (itertools.repeat) takes the length of the others.
+        yield "\n".join(map(",".join, zip(*(
+            fixed[name] if name in fixed else _cell_column(table, name, cells)
+            for name in columns)))) + "\n"
 
 
 def _cell_column(table: SweepTable, name: str, cells: slice):
@@ -381,6 +392,8 @@ def run_optimize(params: dict, out_dir=None) -> int:
 # ---------------------------------------------------------------- simulate
 
 def run_simulate(params: dict, out_dir=None) -> None:
+    from .dessim import CfMode, SimConfig, replicate     # loaded for simulate alone
+
     # As in run_optimize: the preemptive kernel never reads the buffer.
     if params["model"] == "mm1star" and params["buffer"] is not None:
         raise ValidationError("--buffer does not apply to --model mm1star: "
@@ -436,19 +449,17 @@ def run_simulate(params: dict, out_dir=None) -> None:
            for key in ("arrivals", "completions", "preemptions", "drops")},
     })
 
+    # '%.17g' % x is format(x, ".17g"), fmt_float's rule.
     outputs = [] if out_path is None else [out_path]
     if slots_path is not None:
-        n_tx, grams = first.n_tx_per_slot, first.ledger.grams
-        starts = np.arange(len(n_tx)) * first.slot_length
-        write_csv(slots_path, SLOTS_HEADER, map(
-            lambda cells: (fmt_floats(starts[cells]), list(map(str, n_tx[cells].tolist())),
-                           fmt_floats(grams[cells])), row_blocks(len(n_tx))))
+        n_tx, grams, slot = first.n_tx_per_slot, first.ledger.grams, first.slot_length
+        write_csv(slots_path, SLOTS_HEADER, template_blocks("%.17g,%d,%.17g\n", len(n_tx), (
+            lambda cells: (np.arange(cells.start, cells.stop) * slot, n_tx[cells], grams[cells]))))
         outputs.append(slots_path)
     if events_path is not None:
         t, u = first.delivery_times, first.delivery_gen_times
-        write_csv(events_path, EVENTS_HEADER, map(
-            lambda cells: (fmt_floats(t[cells]), fmt_floats(u[cells]),
-                           fmt_floats(t[cells] - u[cells])), row_blocks(len(t))))
+        write_csv(events_path, EVENTS_HEADER, template_blocks("%.17g,%.17g,%.17g\n", len(t), (
+            lambda cells: (t[cells], u[cells], t[cells] - u[cells]))))
         outputs.append(events_path)
     if outputs:
         write_manifest("simulate", params, outputs)
@@ -468,8 +479,13 @@ def run_sweep(params: dict, out_dir=None) -> None:
         if params["mu"] is not None:
             raise ValidationError("--mu does not apply to --surface snr: "
                                   "the SNR floor sets the service rate")
-    # --p-max is not refused under --surface snr: its default, 1 W, cannot
-    # be told from a use.
+    # --p-max is checked under either surface, though --surface snr does not
+    # use it: its default, 1 W, cannot be told from a use, but a value the
+    # power solve would refuse is refused.
+    energy = EnergyModel()
+    if not 0 < params["p_max"] <= energy.p_max:
+        raise ValidationError(f"--p-max must be positive and at most the hardware p_max "
+                              f"{energy.p_max} W, got {params['p_max']}")
     for key in ("snr_grid_db", "budget_k") if surface == "k" else ("k_grid",):
         if params[key] is not None:
             raise ValidationError(f"--{key.replace('_', '-')} does not apply to --surface {surface}")
@@ -486,7 +502,7 @@ def run_sweep(params: dict, out_dir=None) -> None:
         grid = [(db, ConstraintSet(budget_k=params["budget_k"], horizon_tn=tn,
                                    snr_min=snr_db_to_linear(db), success_prob_a=a))
                 for db in params["snr_grid_db"]]
-    table = sweep_surface(problem, grid, profile, EnergyModel(),
+    table = sweep_surface(problem, grid, profile, energy,
                           _disciplines(params["model"]), params["mode"], params["mu"],
                           SaturationEpsilon(params["eps"]))
     if table.infeasible.all():

@@ -509,6 +509,22 @@ class TestSweep:
         assert "service rates must be positive" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("surface", [
+        ["--surface", "k", "--k-grid", "4e-4:8e-4:3"],
+        ["--surface", "snr", "--snr-grid-db=-10:30:5", "--budget-k", "60ug"],
+    ])
+    @pytest.mark.parametrize("p_max", ["nan", "inf", "-5", "0", "5"])
+    def test_p_max_outside_the_hardware_cap_exits_2(self, tmp_path, capsys, surface, p_max):
+        # --surface snr does not use --p-max, but checks it as --surface k does.
+        code = cli.main(["sweep", *surface, f"--p-max={p_max}", "--ci", "builtin",
+                         "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: --p-max must be positive and at most the hardware p_max "
+                       f"1.0 W, got {float(p_max)}\n")
+        assert not any(tmp_path.iterdir())
+
     def test_snr_surface_refuses_mu(self, tmp_path, capsys):
         # The SNR floor sets each cell's service rate; --mu was once ignored.
         code = cli.main(["sweep", "--surface", "snr", "--snr-grid-db=-10:30:5",
@@ -709,6 +725,17 @@ class TestReplayChecks:
         assert message in capsys.readouterr().err
         assert not any((tmp_path / "redo").iterdir())
 
+    @pytest.mark.parametrize("name", ["sweep_k", "sweep_snr"])
+    @pytest.mark.parametrize("p_max", [math.nan, math.inf, -5.0, 0.0, 5.0])
+    def test_manifest_with_a_p_max_outside_the_cap_exits_2(self, tmp_path, capsys, bodies,
+                                                           name, p_max):
+        # json writes nan and inf as the tokens NaN and Infinity, which it reads back.
+        assert self.replay(tmp_path, self.edited(bodies, name, p_max=p_max)) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: --p-max must be positive") and err.count("\n") == 1
+        assert not any((tmp_path / "redo").iterdir())
+
     def test_manifest_with_reps_below_one_exits_2(self, tmp_path, capsys, bodies):
         assert self.replay(tmp_path, self.edited(bodies, "simulate", reps=0)) == 2
         out, err = capsys.readouterr()
@@ -852,6 +879,72 @@ class TestCiResolution:
         body = json.loads(res.stdout)
         assert body["lambda_bound"] == pytest.approx(
             0.05 / (99.0 * (1.2e-4 / 3.6e6) * 3600.0), rel=1e-9)
+
+
+# Run in a fresh interpreter: the modules caoi.cli loads, then those loaded
+# after cli.main(argv) and its exit code, as JSON on stdout.
+FOOTPRINT = """
+import json, sys
+import caoi.cli
+
+def loaded():
+    return sorted(m for m in ("caoi.dessim", "numpy.random", "hashlib") if m in sys.modules)
+
+on_import = loaded()
+try:
+    code = caoi.cli.main(sys.argv[1:])
+except SystemExit as exc:       # --version exits through argparse
+    code = exc.code
+print(json.dumps([on_import, code, loaded()]))
+"""
+
+
+class TestImportFootprint:
+    """A command loads only the modules it runs: the simulator, with
+    numpy.random, for simulate alone, and hashlib for a --ci file alone."""
+
+    @staticmethod
+    def footprint(*argv):
+        res = subprocess.run([sys.executable, "-c", FOOTPRINT, *argv],
+                             capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        return json.loads(res.stdout.splitlines()[-1])
+
+    COMMANDS = {
+        "version": ["--version"],
+        "analyze": ["analyze", "--model", "both", "--mu", "1", "--lambda-grid", "0.1:0.9:3",
+                    "--ci", "builtin", "--out", "{d}/a.csv"],
+        "optimize": ["optimize", "--problem", "qos", "--model", "mm1", "--budget-k", "60ug",
+                     "--snr-min-db", "0", "--ci", "builtin", "--out", "{d}/o.json"],
+        "sweep": ["sweep", "--surface", "k", "--k-grid", "4e-4:8e-4:3", "--ci", "builtin",
+                  "--out", "{d}/k.csv"],
+    }
+
+    @pytest.mark.parametrize("name", list(COMMANDS))
+    def test_commands_but_simulate_load_no_simulator(self, tmp_path, name):
+        argv = [a.replace("{d}", str(tmp_path)) for a in self.COMMANDS[name]]
+        assert self.footprint(*argv) == [[], 0, []]
+
+    def test_replay_loads_no_simulator(self, tmp_path):
+        assert cli.main(["sweep", "--surface", "snr", "--snr-grid-db=-10:30:5",
+                         "--budget-k", "60ug", "--ci", "builtin",
+                         "--out", str(tmp_path / "snr.csv")]) == 0
+        assert self.footprint("replay", str(tmp_path / "snr.csv.manifest.json"),
+                              "--out-dir", str(tmp_path / "redo")) == [[], 0, []]
+
+    def test_simulate_loads_the_simulator(self, tmp_path):
+        on_import, code, loaded = self.footprint(
+            "simulate", "--model", "mm1", "--lambda", "0.5", "--mu", "1", "--horizon", "100",
+            "--ci-value", "198", "--out", str(tmp_path / "s.json"))
+        assert (on_import, code) == ([], 0)
+        assert {"caoi.dessim", "numpy.random"} <= set(loaded)
+
+    def test_a_ci_file_loads_hashlib(self, tmp_path):
+        ci = tmp_path / "ci.csv"
+        ci.write_text(BUILTIN_CSV)
+        assert self.footprint("optimize", "--problem", "cf", "--model", "mm1",
+                              "--budget-k", "0.05", "--mu", "1", "--ci", str(ci),
+                              "--out", str(tmp_path / "o.json")) == [[], 0, ["hashlib"]]
 
 
 class TestMisc:
