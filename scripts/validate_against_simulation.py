@@ -12,6 +12,8 @@ import argparse
 import math
 import sys
 
+import numpy as np
+
 from caoi import cli
 from caoi.carbon import CiProfile, EnergyModel
 from caoi.dessim import SimConfig, replicate
@@ -71,8 +73,12 @@ def main(argv=None):
     if args.out:
         header = ("model", "rho", "closed_form_aoi_s", "simulated_aoi_s",
                   "ci95_halfwidth_s", "rel_dev")
-        text = [[name, *map(cli.fmt_float, values)] for name, *values in rows]
-        cli.write_csv(args.out, header, ["".join(",".join(row) + "\n" for row in text)])
+        # One replication has no half-width: '%.0s' takes its None and
+        # prints nothing, as fmt_float writes None.
+        row = "%s,%.17g,%.17g,%.17g," + ("%.0s" if args.reps == 1 else "%.17g") + ",%.17g\n"
+        columns = np.array(rows, dtype=object).T
+        cli.write_csv(args.out, header, cli.template_blocks(
+            row, len(rows), lambda cells: columns[:, cells]))
         print(f"wrote {args.out}")
 
     if failures:

@@ -7,11 +7,13 @@ month is 01..12.  The i-th data row becomes the i-th step of 30 days
 (MONTH_SECONDS), so the duration-weighted profile mean coincides with
 the plain arithmetic mean of the listed values (months are weighted
 equally, not by day count).  Reading and decoding a file is the
-caller's: the CLI parses the UTF-8 text of the bytes it hashed.
+caller's: the CLI parses the UTF-8 text of the bytes it hashed, past
+a leading byte-order mark.
 """
 
 import csv
 import io
+import math
 import re
 from importlib import resources
 
@@ -70,8 +72,9 @@ def parse_ci_csv(text: str) -> CiProfile:
             ci = float(cells[1])
         except ValueError:
             raise ParseError(f"line {line_no}: bad intensity {cells[1]!r}") from None
-        if not ci > 0:
-            raise ValidationError(f"line {line_no}: period {period}: intensity must be positive")
+        if not 0 < ci < math.inf:
+            raise ValidationError(
+                f"line {line_no}: period {period}: intensity must be positive and finite")
         periods.append(period)
         values.append(ci)
     if not header_seen:

@@ -8,8 +8,9 @@ manifest).  Every file the tool writes is accompanied by a
 version, and input digests; replaying a manifest reproduces the outputs
 byte for byte.  A replay takes the path of a fresh command: its manifest
 is refused unless the parser could have produced every value, and the
-same run_* checks and runs both.  Numbers in CSV output are printed with
-17 significant digits so equal results are equal bytes.  A command loads
+same run_* checks and runs both.  Every CSV row is formatted by one %
+over a row template (template_blocks), with each float as '%.17g', 17
+significant digits, so equal results are equal bytes.  A command loads
 only the modules it runs: caoi.dessim, and numpy.random with it, for
 simulate alone, and hashlib for a --ci file's digest alone.
 
@@ -23,7 +24,7 @@ import math
 import os
 import reprlib
 import sys
-from itertools import chain, repeat
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -66,16 +67,6 @@ EVENTS_HEADER = ("t_deliver_s", "t_generated_s", "age_after_s")
 def fmt_float(x) -> str:
     """x with 17 significant digits ("inf", "-inf", "nan" as such), "" for None."""
     return "" if x is None else format(float(x), ".17g")
-
-
-def fmt_floats(values, blank=None) -> list:
-    """fmt_float of each value of a float array, "" where the mask blank is set."""
-    values = np.asarray(values, dtype=float)
-    if blank is None:
-        return list(map(format, values.tolist(), repeat(".17g")))
-    out = np.full(len(values), "", dtype=object)
-    out[~blank] = fmt_floats(values[~blank])
-    return out.tolist()
 
 
 def snr_db_to_linear(db: float) -> float:
@@ -176,18 +167,14 @@ def load_ci(spec: dict, horizon: float = 1.0) -> CiProfile:
             f"input {spec['path']} changed since the manifest was written"
         )
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8-sig")     # skips a leading byte-order mark
     except UnicodeDecodeError as exc:
         raise ParseError(f"input {spec['path']} is not UTF-8: {exc}") from None
     return parse_ci_csv(text)
 
 
 def _disciplines(model: str):
-    return {
-        "mm1": (Discipline.FCFS_MM1,),
-        "mm1star": (Discipline.LCFS_PREEMPTIVE,),
-        "both": BOTH_DISCIPLINES,
-    }[model]
+    return BOTH_DISCIPLINES if model == "both" else (Discipline(model),)
 
 
 def _redirect(path, out_dir):
@@ -204,9 +191,8 @@ def write_manifest(command: str, params: dict, outputs: list) -> None:
         "params": params,
         "outputs": [str(Path(p).name) for p in outputs],
     }
-    text = json.dumps(body, indent=2) + "\n"
     for out in outputs:
-        Path(str(out) + ".manifest.json").write_text(text)
+        write_json(str(out) + ".manifest.json", body)
 
 
 def write_csv(path: str, header, blocks) -> None:
@@ -222,43 +208,46 @@ def write_csv(path: str, header, blocks) -> None:
         fh.writelines(blocks)
 
 
-def template_blocks(template: str, n: int, columns_at):
-    """n rows, each template % one item of each column, a block of
-    row_blocks at a time, for write_csv; columns_at(cells) gives the
-    columns of a block as arrays."""
+def template_blocks(template, n: int, columns_at):
+    """n rows, a block of row_blocks at a time, for write_csv: a block's
+    template % the items of its columns, row by row.  template is one
+    row's, or a function of the cells that gives the block's;
+    columns_at(cells) gives the columns of a block as arrays."""
     for cells in row_blocks(n):
         rows = zip(*(column.tolist() for column in columns_at(cells)))
-        yield template * (cells.stop - cells.start) % tuple(chain.from_iterable(rows))
+        block = template(cells) if callable(template) else template * (cells.stop - cells.start)
+        yield block % tuple(chain.from_iterable(rows))
 
 
 def table_blocks(table: SweepTable, columns):
     """The rows of table's columns, a block of row_blocks at a time, for write_csv.
 
     columns names each one: month, x, model, aoi_s, cf_g, lambda_bound or
-    binding.  Each month, x and model is formatted once, and every float
-    goes through fmt_float's rule.
+    binding.  Each month, x, model and binding is text, formatted once;
+    every float goes through '%.17g', fmt_float's rule.  A column the
+    table lacks (sweep_lambda's lambda_bound) is an empty field, and in a
+    blank cell '%.0s' takes cf_g's and lambda_bound's value and prints
+    nothing.
     """
-    axes = [np.array(v, dtype=object) for v in (list(map(str, table.months)),
-                                                list(map(fmt_float, table.xs)), table.models)]
-    for cells in row_blocks(len(table)):
-        fixed = {name: text[i].tolist() for name, text, i in zip(
-            ("month", "x", "model"), axes, table.cell_axes(np.arange(cells.start, cells.stop)))}
-        # An endless column (itertools.repeat) takes the length of the others.
-        yield "\n".join(map(",".join, zip(*(
-            fixed[name] if name in fixed else _cell_column(table, name, cells)
-            for name in columns)))) + "\n"
+    text = {name: np.array(values, dtype=object) for name, values in (
+        ("month", table.months), ("x", list(map(fmt_float, table.xs))),
+        ("model", table.models), ("binding", table.labels))}
+    floats = {"aoi_s": table.aoi, "cf_g": table.cf, "lambda_bound": table.lambda_bound}
+    rows = tuple(",".join("%s" if name in text else "" if floats[name] is None
+                          else "%.0s" if blank and name != "aoi_s" else "%.17g"
+                          for name in columns) + "\n" for blank in (False, True))
+    present = [name for name in columns if name in text or floats[name] is not None]
 
+    blank = table.blank
+    template = rows[0] if blank is None else (
+        lambda cells: "".join(map(rows.__getitem__, blank[cells].tolist())))
 
-def _cell_column(table: SweepTable, name: str, cells: slice):
-    """table's aoi_s, cf_g, lambda_bound or binding column at cells, as text."""
-    if name == "binding":
-        return list(map(table.labels.__getitem__, table.binding[cells].tolist()))
-    if name == "aoi_s":
-        return fmt_floats(table.aoi[cells])
-    values = table.cf if name == "cf_g" else table.lambda_bound
-    if values is None:
-        return repeat("")
-    return fmt_floats(values[cells], None if table.blank is None else table.blank[cells])
+    def columns_at(cells):
+        at = dict(zip(("month", "x", "model"), table.cell_axes(np.arange(cells.start, cells.stop))),
+                  binding=table.binding[cells])
+        return [text[name][at[name]] if name in text else floats[name][cells] for name in present]
+
+    return template_blocks(template, len(table), columns_at)
 
 
 def write_json(path, obj) -> None:
@@ -335,7 +324,7 @@ def run_optimize(params: dict, out_dir=None) -> int:
     profile = load_ci(params["ci"])
     energy = EnergyModel()
     eps = SaturationEpsilon(params["eps"])
-    discipline = _disciplines(params["model"])[0]
+    discipline = Discipline(params["model"])
     mode = params["mode"]
     mu = params["mu"] if params["mu"] is not None else 1.0 / energy.t_p
 
@@ -400,7 +389,7 @@ def run_simulate(params: dict, out_dir=None) -> None:
                               "preemption keeps one packet in the system")
     out_path, slots_path, events_path = (
         _redirect(params[key], out_dir) for key in ("out", "slots_out", "events_out"))
-    discipline = _disciplines(params["model"])[0]
+    discipline = Discipline(params["model"])
     spec = QueueSpec(discipline, params["lam"], params["mu"])
     config = SimConfig(
         spec=spec,
@@ -590,7 +579,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"caoi {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    pa = sub.add_parser("analyze", help="closed-form sweeps over lambda or budget")
+    # The flags two or more commands share, each declared once.
+    ci = argparse.ArgumentParser(add_help=False)
+    ci.add_argument("--ci", help="CI profile CSV path, or 'builtin' (sweep: 12 months)")
+    ci_value = argparse.ArgumentParser(add_help=False)
+    ci_value.add_argument("--ci-value", type=float, help="constant CI, g/kWh")
+    tn_a_eps = argparse.ArgumentParser(add_help=False)
+    tn_a_eps.add_argument("--tn", type=float, default=3600.0, help="slot length, s")
+    tn_a_eps.add_argument("--a", type=float, default=1.0, help="success probability")
+    tn_a_eps.add_argument("--eps", type=float, default=1e-3)
+
+    pa = sub.add_parser("analyze", help="closed-form sweeps over lambda or budget",
+                        parents=[ci, tn_a_eps])
     pa.add_argument("--model", choices=["mm1", "mm1star", "both"], required=True)
     pa.add_argument("--mu", type=float, required=True, help="service rate, packets/s")
     pa.add_argument("--lambda-grid", dest="grid", action=_AnalyzeGrid, type=parse_grid,
@@ -598,33 +598,25 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--k-grid", dest="grid", action=_AnalyzeGrid, type=parse_grid,
                     metavar="A:B:N", help="budget grid in grams")
     pa.set_defaults(grid_kind=None)
-    pa.add_argument("--ci", help="CI profile CSV path, or 'builtin'")
     pa.add_argument("--mode", choices=["paper", "exact"],
                     help="default: exact for --lambda-grid, paper for --k-grid")
-    pa.add_argument("--tn", type=float, default=3600.0, help="slot length, s")
-    pa.add_argument("--a", type=float, default=1.0, help="success probability")
-    pa.add_argument("--eps", type=float, default=1e-3)
     pa.add_argument("--out", required=True)
 
-    po = sub.add_parser("optimize", help="solve one constrained problem")
+    po = sub.add_parser("optimize", help="solve one constrained problem",
+                        parents=[ci, ci_value, tn_a_eps])
     po.add_argument("--problem", choices=["cf", "power", "qos"], required=True)
     po.add_argument("--model", choices=["mm1", "mm1star"], required=True)
     po.add_argument("--mode", choices=["paper", "exact"], default="exact")
     po.add_argument("--budget-k", type=parse_budget, required=True,
                     metavar="GRAMS[g|mg|ug]")
-    po.add_argument("--tn", type=float, default=3600.0)
     po.add_argument("--mu", type=float, help="service rate; default 1/t_p")
     po.add_argument("--mu-rule", choices=["fixed", "track_opt_rho"], default="fixed")
-    po.add_argument("--eps", type=float, default=1e-3)
-    po.add_argument("--a", type=float, default=1.0)
     po.add_argument("--month", type=int, help="evaluate one month of the profile")
-    po.add_argument("--ci", help="CI profile CSV path, or 'builtin'")
-    po.add_argument("--ci-value", type=float, help="constant CI, g/kWh")
     po.add_argument("--p-max", type=float, help="power cap, W (problem power)")
     po.add_argument("--snr-min-db", type=float, help="SNR floor, dB (problem qos)")
     po.add_argument("--out")
 
-    ps = sub.add_parser("simulate", help="seeded event simulation")
+    ps = sub.add_parser("simulate", help="seeded event simulation", parents=[ci, ci_value])
     ps.add_argument("--model", choices=["mm1", "mm1star"], required=True)
     ps.add_argument("--lambda", dest="lam", type=float, required=True)
     ps.add_argument("--mu", type=float, required=True)
@@ -639,13 +631,11 @@ def build_parser() -> argparse.ArgumentParser:
                     help="system capacity, or 'inf'")
     ps.add_argument("--drain", action="store_true",
                     help="serve admitted work past the horizon")
-    ps.add_argument("--ci", help="CI profile CSV path, or 'builtin'")
-    ps.add_argument("--ci-value", type=float)
     ps.add_argument("--out")
     ps.add_argument("--slots-out", help="per-slot transmission CSV")
     ps.add_argument("--events-out", help="per-delivery CSV")
 
-    pw = sub.add_parser("sweep", help="month-by-grid surfaces")
+    pw = sub.add_parser("sweep", help="month-by-grid surfaces", parents=[ci, tn_a_eps])
     pw.add_argument("--surface", choices=["k", "snr"], required=True)
     pw.add_argument("--k-grid", type=parse_grid, metavar="A:B:N")
     pw.add_argument("--snr-grid-db", type=parse_grid, metavar="A:B:N")
@@ -653,12 +643,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="fixed budget for --surface snr")
     pw.add_argument("--p-max", type=float, default=1.0)
     pw.add_argument("--mu", type=float, help="service rate; default 1/t_p")
-    pw.add_argument("--tn", type=float, default=3600.0)
     pw.add_argument("--model", choices=["mm1", "mm1star", "both"], default="both")
     pw.add_argument("--mode", choices=["paper", "exact"], default="paper")
-    pw.add_argument("--eps", type=float, default=1e-3)
-    pw.add_argument("--a", type=float, default=1.0)
-    pw.add_argument("--ci", help="12-month CI profile CSV path, or 'builtin'")
     pw.add_argument("--out", required=True)
 
     pr = sub.add_parser("replay", help="re-run a manifest")

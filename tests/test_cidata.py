@@ -65,9 +65,12 @@ class TestParsing:
         with pytest.raises(ValidationError):
             parse_ci_csv("period,ci_g_per_kwh\n4,100\n4,200\n")
 
-    def test_nonpositive_ci_rejected(self):
-        with pytest.raises(ValidationError):
-            parse_ci_csv("period,ci_g_per_kwh\n1,0\n")
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "0", "-1"])
+    def test_intensity_not_positive_and_finite_rejected_at_its_line(self, value):
+        # CiProfile refuses inf too, but its message names no line.
+        with pytest.raises(ValidationError, match="^line 3: period 2: intensity must be "
+                                                  "positive and finite$"):
+            parse_ci_csv(f"period,ci_g_per_kwh\n1,228\n2,{value}\n")
 
 
 class TestProfileConstruction:

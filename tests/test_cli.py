@@ -1,15 +1,20 @@
 import argparse
+import codecs
 import copy
 import csv
+import hashlib
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from caoi import cidata, cli, optimizer
 from caoi.carbon import EnergyModel
@@ -44,6 +49,23 @@ def caoi(*args, env_extra=None, cwd=None, timeout=None):
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+class TestFloatRule:
+    # Every CSV float goes through '%.17g' in a row template, and a blank
+    # cell's '%.0s' takes its value and prints nothing.
+    @given(st.integers(0, 2**64 - 1).map(
+        lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]))
+    @example(0.0)
+    @example(-0.0)
+    @example(math.inf)
+    @example(-math.inf)
+    @example(math.nan)
+    @example(5e-324)
+    @example(sys.float_info.max)
+    def test_percent_g_is_fmt_float(self, x):
+        assert "%.17g" % x == format(x, ".17g") == cli.fmt_float(x)
+        assert "%.0s" % x == ""
 
 
 class TestAnalyze:
@@ -842,6 +864,23 @@ class TestCiResolution:
         assert stdout == ""
         assert err.startswith(f"error: input {ci.resolve()} is not UTF-8: ") and err.count("\n") == 1
         assert not any(out.parent.iterdir())
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # Excel's "CSV UTF-8" starts the file with one.  The digest stays
+        # that of the bytes on disk.
+        for name, bom in (("plain", b""), ("bom", codecs.BOM_UTF8)):
+            ci = tmp_path / f"{name}_ci.csv"
+            ci.write_bytes(bom + BUILTIN_CSV.encode())
+            assert cli.main(["analyze", "--model", "both", "--mu", "40", "--k-grid",
+                             "1e-4:1e-3:5", "--ci", str(ci),
+                             "--out", str(tmp_path / f"{name}.csv")]) == 0
+        out = tmp_path / "bom.csv"
+        assert out.read_bytes() == (tmp_path / "plain.csv").read_bytes()
+        manifest = tmp_path / "bom.csv.manifest.json"
+        assert json.loads(manifest.read_text())["params"]["ci"]["sha256"] == \
+            hashlib.sha256((tmp_path / "bom_ci.csv").read_bytes()).hexdigest()
+        assert cli.main(["replay", str(manifest), "--out-dir", str(tmp_path / "again")]) == 0
+        assert (tmp_path / "again" / "bom.csv").read_bytes() == out.read_bytes()
 
     def test_file_is_read_once_and_parsed_as_hashed(self, tmp_path, monkeypatch):
         ci = tmp_path / "ci.csv"
