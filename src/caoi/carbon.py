@@ -12,7 +12,7 @@ Conventions used throughout:
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -400,8 +400,7 @@ def lambda_qos_max(constraint: ConstraintSet, month_ci: float,
     return energy_cap(constraint.budget_k, month_ci, e_min_kwh, constraint.horizon_tn)
 
 
-@dataclass(frozen=True)
-class LinkBudget:
+class LinkBudget(NamedTuple):
     """Rate floor and its implied power and packet time for an SNR floor."""
 
     rate_min: float   # bits/s

@@ -250,12 +250,19 @@ def table_blocks(table: SweepTable, columns):
     return template_blocks(template, len(table), columns_at)
 
 
+def _strict(value):
+    """value with each float that is not finite, at any depth, as fmt_float's
+    string: json.dumps would write Infinity or NaN, tokens that strict JSON
+    parsers reject."""
+    if isinstance(value, dict):
+        return {key: _strict(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return list(map(_strict, value))
+    return fmt_float(value) if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def write_json(path, obj) -> None:
-    # A float that is not finite goes out as fmt_float's string: json.dumps
-    # would write Infinity or NaN, tokens that strict JSON parsers reject.
-    obj = {key: fmt_float(v) if isinstance(v, float) and not math.isfinite(v) else v
-           for key, v in obj.items()}
-    text = json.dumps(obj, indent=2) + "\n"
+    text = json.dumps(_strict(obj), indent=2) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:
@@ -544,6 +551,23 @@ def _producible(action: argparse.Action, value) -> bool:
     return type(value) is (bool if action.nargs == 0 else parsed.get(action.type, str))
 
 
+# The strings write_json writes for the floats that are not finite.
+_NON_FINITE = {fmt_float(x): x for x in (math.inf, -math.inf, math.nan)}
+
+
+def _non_finite_back(action, value):
+    """value with write_json's "inf", "-inf" and "nan" read back as floats,
+    where action's flag parses to a float (float, parse_budget) or to a grid
+    of floats; other values, as a string flag's, are left as they are."""
+    def back(v):
+        return _NON_FINITE.get(v, v) if isinstance(v, str) else v
+
+    kind = getattr(action, "type", None)
+    if kind is parse_grid and isinstance(value, list):
+        return list(map(back, value))
+    return back(value) if kind in (float, parse_budget) else value
+
+
 def read_manifest(path: str, parser: argparse.ArgumentParser):
     """(command, params) of a manifest, refused unless the parser could have
     produced every value, so that a replay runs every check a command runs."""
@@ -561,7 +585,7 @@ def read_manifest(path: str, parser: argparse.ArgumentParser):
     subparsers = next(a for a in parser._actions if a.dest == "command")
     actions = {a.dest: a for a in subparsers.choices[command]._actions}
     for key in keys:
-        value = params[key]
+        value = params[key] = _non_finite_back(actions.get(key), params[key])
         if not (_is_ci_spec(value, "ci_value" in actions) if key == "ci"
                 else key not in actions or _producible(actions[key], value)):
             raise ValidationError(f"manifest param {key} = {reprlib.repr(value)} "

@@ -34,7 +34,6 @@ Service-rate selection is controlled by mu_rule:
 
 import math
 import operator
-from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
 from typing import NamedTuple
@@ -56,11 +55,11 @@ from .errors import DomainError, Infeasible, MissingConstraint
 from .queueing import (
     DEFAULT_EPS,
     Discipline,
+    OPT_RHO_MM1,
     SaturationEpsilon,
     avg_aoi,
     mm1_age,
     mm1_star_age,
-    optimal_utilization_mm1,
 )
 
 MU_RULES = ("fixed", "track_opt_rho")
@@ -75,8 +74,7 @@ class BindingConstraint(Enum):
     QOS = "qos"
 
 
-@dataclass(frozen=True)
-class OptimizationResult:
+class OptimizationResult(NamedTuple):
     discipline: Discipline
     lambda_star: float
     mu_star: float
@@ -208,7 +206,7 @@ def _check_mode(mode: str) -> None:
 def _free_rho(discipline: Discipline, eps: SaturationEpsilon) -> float:
     """The utilization where the rate cap is slack: rho' (FCFS) or 1 - eps (LCFS)."""
     if discipline is Discipline.FCFS_MM1:
-        return optimal_utilization_mm1()
+        return OPT_RHO_MM1
     return 1.0 - eps.epsilon
 
 

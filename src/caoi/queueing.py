@@ -19,6 +19,14 @@ class Discipline(Enum):
     LCFS_PREEMPTIVE = "mm1star"
 
 
+def _check_rates(lam: float, mu: float) -> None:
+    """Refuse an arrival or a service rate that is not positive and finite."""
+    if not (math.isfinite(lam) and lam > 0):
+        raise DomainError(f"arrival rate must be positive and finite, got {lam}")
+    if not (math.isfinite(mu) and mu > 0):
+        raise DomainError(f"service rate must be positive and finite, got {mu}")
+
+
 @dataclass(frozen=True)
 class QueueSpec:
     """Arrival/service rate pair for one discipline.
@@ -33,10 +41,7 @@ class QueueSpec:
     mu: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.lam) and self.lam > 0):
-            raise DomainError(f"arrival rate must be positive and finite, got {self.lam}")
-        if not (math.isfinite(self.mu) and self.mu > 0):
-            raise DomainError(f"service rate must be positive and finite, got {self.mu}")
+        _check_rates(self.lam, self.mu)
 
     @property
     def rho(self) -> float:
@@ -72,7 +77,7 @@ def mm1_age(lam, mu):
     The one statement of the formula, for floats and float64 arrays alike:
     each operation rounds the same on both.  An array rho that underflows
     to 0 gives inf (with numpy's divide warning); a float one divides by
-    zero, which avg_aoi_mm1 heads off.
+    zero, which avg_aoi heads off.
     """
     rho = lam / mu
     return (1.0 / mu) * (1.0 + 1.0 / rho + rho * rho / (1.0 - rho))
@@ -83,15 +88,28 @@ def mm1_star_age(lam, mu):
     return 1.0 / mu + 1.0 / lam
 
 
-def avg_aoi_mm1(spec: QueueSpec) -> float:
-    """Average age of the FCFS M/M/1 queue, (1/mu)(1 + 1/rho + rho^2/(1-rho))."""
-    rho = spec.lam / spec.mu
+def avg_aoi(discipline: Discipline, lam: float, mu: float, mode: str = "exact") -> float:
+    """Average age of either discipline: the near-saturation 2/lam, unchecked,
+    for preemptive LCFS in mode "paper", else the closed form, once the rates
+    pass QueueSpec's checks and, for FCFS, rho < 1."""
+    if discipline is not Discipline.FCFS_MM1:
+        if mode == "paper":
+            return 2.0 / lam
+        _check_rates(lam, mu)
+        return mm1_star_age(lam, mu)
+    _check_rates(lam, mu)
+    rho = lam / mu
     if rho >= 1.0:
         raise DomainError(f"FCFS average age diverges for rho={rho:.6g} >= 1")
     if rho == 0.0:
         # lam is so far below mu that rho underflows; the age term 1/rho is unbounded.
         return math.inf
-    return mm1_age(spec.lam, spec.mu)
+    return mm1_age(lam, mu)
+
+
+def avg_aoi_mm1(spec: QueueSpec) -> float:
+    """Average age of the FCFS M/M/1 queue, (1/mu)(1 + 1/rho + rho^2/(1-rho))."""
+    return avg_aoi(Discipline.FCFS_MM1, spec.lam, spec.mu)
 
 
 def avg_aoi_mm1_star(spec: QueueSpec) -> float:
@@ -99,17 +117,7 @@ def avg_aoi_mm1_star(spec: QueueSpec) -> float:
 
     Finite for any positive rates, including rho >= 1.
     """
-    return mm1_star_age(spec.lam, spec.mu)
-
-
-def avg_aoi(discipline: Discipline, lam: float, mu: float, mode: str = "exact") -> float:
-    """Average age of either discipline: the near-saturation 2/lam, unchecked,
-    for preemptive LCFS in mode "paper", else the checked closed form."""
-    if discipline is Discipline.FCFS_MM1:
-        return avg_aoi_mm1(QueueSpec(discipline, lam, mu))
-    if mode == "paper":
-        return 2.0 / lam
-    return avg_aoi_mm1_star(QueueSpec(discipline, lam, mu))
+    return avg_aoi(Discipline.LCFS_PREEMPTIVE, spec.lam, spec.mu)
 
 
 def optimal_utilization_mm1() -> float:
@@ -125,6 +133,10 @@ def optimal_utilization_mm1() -> float:
     return 2.0 / (s + math.sqrt(s * s - 4.0))
 
 
+# rho', computed once: the solvers read it on every call.
+OPT_RHO_MM1 = optimal_utilization_mm1()
+
+
 def constrained_aoi_mm1(mu: float, lambda_bound: float) -> ConstrainedAoi:
     """Minimal FCFS average age subject to lambda <= lambda_bound at fixed mu.
 
@@ -137,8 +149,8 @@ def constrained_aoi_mm1(mu: float, lambda_bound: float) -> ConstrainedAoi:
         raise DomainError(f"service rate must be positive and finite, got {mu}")
     if not (lambda_bound > 0):
         raise DomainError(f"lambda bound must be positive, got {lambda_bound}")
-    lam_free = optimal_utilization_mm1() * mu
+    lam_free = OPT_RHO_MM1 * mu
     binding = lambda_bound < lam_free
     lam = lambda_bound if binding else lam_free
-    return ConstrainedAoi(avg_aoi_mm1(QueueSpec(Discipline.FCFS_MM1, lam, mu)), lam, binding)
+    return ConstrainedAoi(avg_aoi(Discipline.FCFS_MM1, lam, mu), lam, binding)
 

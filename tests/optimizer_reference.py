@@ -4,15 +4,20 @@ These are the three solve_* functions and _pick_rate as they were before
 the month solvers shared optimizer._month_point and one free-rate rule.
 Each solver computes its own rate cap with carbon.lambda_kappa,
 lambda_p_max or lambda_qos_max, and the FCFS rate comes from
-queueing.constrained_aoi_mm1, so the reference shares no per-point
-check or slack rule with the code under test.  Tests compare the
-solvers, and the sweeps' per-cell loops, against these copies: equal
-fields of equal types, and the same exception type.  One change was made
-on purpose since: a missing SNR floor raises MissingConstraint, as a
-missing power cap does, where it raised DomainError.
+constrained_aoi_mm1.  The age path is a frozen copy too: QueueSpec's
+checks, avg_aoi_mm1, avg_aoi_mm1_star and constrained_aoi_mm1 as they
+were when each age was evaluated on a QueueSpec built per call, and
+avg_aoi, queueing.avg_aoi's dispatch over them.  So the reference shares
+no per-point check, age check or slack rule with the code under test.
+Tests compare the solvers, the sweeps' per-cell loops and
+queueing.avg_aoi against these copies: equal fields of equal types, and
+the same exception type.  One change was made on purpose since: a
+missing SNR floor raises MissingConstraint, as a missing power cap does,
+where it raised DomainError.
 """
 
 import math
+from dataclasses import dataclass
 
 from caoi.carbon import (
     J_PER_KWH,
@@ -27,16 +32,7 @@ from caoi.carbon import (
 )
 from caoi.errors import DomainError, Infeasible, MissingConstraint
 from caoi.optimizer import MU_RULES, BindingConstraint, OptimizationResult
-from caoi.queueing import (
-    DEFAULT_EPS,
-    Discipline,
-    QueueSpec,
-    SaturationEpsilon,
-    avg_aoi_mm1,
-    avg_aoi_mm1_star,
-    constrained_aoi_mm1,
-    optimal_utilization_mm1,
-)
+from caoi.queueing import DEFAULT_EPS, Discipline, SaturationEpsilon, optimal_utilization_mm1
 
 
 def _check_mu_rule(mu_rule: str) -> None:
@@ -44,12 +40,50 @@ def _check_mu_rule(mu_rule: str) -> None:
         raise DomainError(f"mu_rule must be one of {MU_RULES}, got {mu_rule!r}")
 
 
-def _discipline_aoi(discipline: Discipline, lam: float, mu: float, mode: str) -> float:
+@dataclass(frozen=True)
+class QueueSpec:
+    discipline: Discipline
+    lam: float
+    mu: float
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.lam) and self.lam > 0):
+            raise DomainError(f"arrival rate must be positive and finite, got {self.lam}")
+        if not (math.isfinite(self.mu) and self.mu > 0):
+            raise DomainError(f"service rate must be positive and finite, got {self.mu}")
+
+
+def avg_aoi_mm1(spec: QueueSpec) -> float:
+    rho = spec.lam / spec.mu
+    if rho >= 1.0:
+        raise DomainError(f"FCFS average age diverges for rho={rho:.6g} >= 1")
+    if rho == 0.0:
+        return math.inf
+    return (1.0 / spec.mu) * (1.0 + 1.0 / rho + rho * rho / (1.0 - rho))
+
+
+def avg_aoi_mm1_star(spec: QueueSpec) -> float:
+    return 1.0 / spec.mu + 1.0 / spec.lam
+
+
+def avg_aoi(discipline: Discipline, lam: float, mu: float, mode: str = "exact") -> float:
     if discipline is Discipline.FCFS_MM1:
         return avg_aoi_mm1(QueueSpec(discipline, lam, mu))
     if mode == "paper":
         return 2.0 / lam
     return avg_aoi_mm1_star(QueueSpec(discipline, lam, mu))
+
+
+def constrained_aoi_mm1(mu: float, lambda_bound: float):
+    """(aoi, lambda_used, binding), the fields of queueing.ConstrainedAoi."""
+    if not (math.isfinite(mu) and mu > 0):
+        raise DomainError(f"service rate must be positive and finite, got {mu}")
+    if not (lambda_bound > 0):
+        raise DomainError(f"lambda bound must be positive, got {lambda_bound}")
+    lam_free = optimal_utilization_mm1() * mu
+    binding = lambda_bound < lam_free
+    lam = lambda_bound if binding else lam_free
+    return avg_aoi_mm1(QueueSpec(Discipline.FCFS_MM1, lam, mu)), lam, binding
 
 
 def _check_mode(mode: str) -> None:
@@ -80,14 +114,14 @@ def _pick_rate(discipline: Discipline, mu: float, bound: float, mode: str,
             mu_star = lam / optimal_utilization_mm1()
         else:
             mu_star = lam / (1.0 - eps.epsilon)
-        return lam, mu_star, _discipline_aoi(discipline, lam, mu_star, mode), True
+        return lam, mu_star, avg_aoi(discipline, lam, mu_star, mode), True
     if discipline is Discipline.FCFS_MM1:
-        res = constrained_aoi_mm1(mu, bound)
-        return res.lambda_used, mu, res.aoi, res.binding
+        aoi, lam, binding = constrained_aoi_mm1(mu, bound)
+        return lam, mu, aoi, binding
     lam_free = (1.0 - eps.epsilon) * mu
     binding = bound < lam_free
     lam = bound if binding else lam_free
-    return lam, mu, _discipline_aoi(discipline, lam, mu, mode), binding
+    return lam, mu, avg_aoi(discipline, lam, mu, mode), binding
 
 
 def solve_cf_constrained(mu: float, constraint: ConstraintSet, profile: CiProfile,

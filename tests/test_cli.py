@@ -656,6 +656,39 @@ class TestManifestsAndReplay:
         assert "changed" in res.stderr
 
 
+def _refuse_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+class TestStrictJson:
+    """A param that is not finite goes into the manifest as fmt_float's
+    string, which strict JSON parsers read, and replays to the same bytes."""
+
+    @pytest.mark.parametrize("argv,key,value", [
+        (["optimize", "--problem", "cf", "--model", "mm1", "--budget-k", "inf", "--mu", "40",
+          "--ci", "builtin", "--out", "o.json"], "budget_k", "inf"),
+        (["sweep", "--surface", "snr", "--snr-grid-db", "0:1:2", "--budget-k", "inf",
+          "--ci", "builtin", "--out", "s.csv"], "budget_k", "inf"),
+        (["sweep", "--surface", "k", "--k-grid", "inf:inf:1", "--ci", "builtin",
+          "--out", "k.csv"], "k_grid", ["inf"]),
+        (["analyze", "--model", "both", "--mu", "40", "--k-grid", "inf:inf:1",
+          "--ci", "builtin", "--out", "a.csv"], "grid", ["inf"]),
+        # A string flag keeps the text "nan": only float flags read it back as a float.
+        (["optimize", "--problem", "cf", "--model", "mm1", "--budget-k", "1", "--mu", "40",
+          "--ci", "builtin", "--out", "nan"], "out", "nan"),
+    ])
+    def test_manifest_is_strict_json_and_replays(self, tmp_path, monkeypatch, argv, key,
+                                                  value):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(argv) == 0
+        out = argv[-1]
+        text = (tmp_path / f"{out}.manifest.json").read_text()
+        assert json.loads(text, parse_constant=_refuse_constant)["params"][key] == value
+        assert cli.main(["replay", f"{out}.manifest.json", "--out-dir", "redo"]) == 0
+        for name in (out, f"{out}.manifest.json"):
+            assert (tmp_path / "redo" / name).read_bytes() == (tmp_path / name).read_bytes()
+
+
 DELETE = object()
 
 

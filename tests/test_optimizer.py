@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import io
 import math
 
@@ -10,12 +9,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from caoi import cli, optimizer
-from caoi.carbon import CiProfile, ConstraintSet, EnergyModel, avg_cf
+from caoi.carbon import CiProfile, ConstraintSet, EnergyModel, LinkBudget, avg_cf, min_rate_for_snr
 from caoi.cidata import builtin_profile_si2024
 from caoi.errors import CaoiError, DomainError, Infeasible, MissingConstraint
 from caoi.optimizer import (
     BOTH_DISCIPLINES,
     BindingConstraint,
+    OptimizationResult,
     SweepRow,
     _check_grid,
     solve_cf_constrained,
@@ -844,7 +844,7 @@ def outcome(solve, *args):
         res = solve(*args)
     except (CaoiError, ArithmeticError, TypeError) as exc:
         return type(exc)
-    return [(type(v), repr(v)) for v in dataclasses.astuple(res)]
+    return [(type(v), repr(v)) for v in tuple(res)]
 
 
 def mostly(valid, odd):
@@ -891,6 +891,37 @@ class TestFrozenSolvers:
     def test_qos(self, c, ci, disc, mode, eps):
         args = (c, ci, ENERGY, disc, mode, eps)
         assert outcome(solve_qos_constrained, *args) == outcome(ref.solve_qos_constrained, *args)
+
+
+class TestResultTuples:
+    """OptimizationResult and LinkBudget are NamedTuples: fields in their
+    order, read-only, and copied with a field changed by _replace."""
+
+    CASES = {
+        "OptimizationResult": (
+            lambda: solve_qos_constrained(ConstraintSet(budget_k=6e-5, horizon_tn=3600.0,
+                                                        snr_min=10.0),
+                                          198.0, ENERGY, Discipline.FCFS_MM1, "paper"),
+            OptimizationResult,
+            ("discipline", "lambda_star", "mu_star", "aoi", "cf", "binding_constraint",
+             "mode", "lambda_bound")),
+        "LinkBudget": (lambda: min_rate_for_snr(ENERGY, 10.0), LinkBudget,
+                       ("rate_min", "p_t_min", "t_p")),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_contract(self, name):
+        make, cls, fields = self.CASES[name]
+        value = make()
+        assert type(value) is cls and cls._fields == fields
+        assert tuple(value) == tuple(getattr(value, f) for f in fields)
+        for field in fields:
+            with pytest.raises(AttributeError):
+                setattr(value, field, 1.0)
+        last = fields[-1]
+        changed = value._replace(**{last: 7.0})
+        assert type(changed) is cls and getattr(changed, last) == 7.0
+        assert changed[:-1] == value[:-1] and getattr(value, last) != 7.0
 
 
 def loop_grid(grid) -> list:

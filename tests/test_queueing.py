@@ -1,5 +1,8 @@
 import math
+import re
+import struct
 
+import optimizer_reference as ref
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -15,6 +18,8 @@ from caoi.optimizer import (
 )
 from caoi.queueing import (
     DEFAULT_EPS,
+    OPT_RHO_MM1,
+    ConstrainedAoi,
     Discipline,
     QueueSpec,
     SaturationEpsilon,
@@ -220,6 +225,61 @@ class TestConstrainedFcfs:
                 solve_power_constrained(c, 198.0, EnergyModel(), disc, "fast")
             with pytest.raises(DomainError, match="mode"):
                 solve_qos_constrained(c, 198.0, EnergyModel(), disc, "fast")
+
+
+def result(f, *args):
+    """The bits of each float f returns (a float, a ConstrainedAoi's fields or
+    a tuple), or the type and message of what f raises."""
+    try:
+        value = f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    if isinstance(value, ConstrainedAoi):
+        value = (value.aoi, value.lambda_used, value.binding)
+    return tuple(struct.pack("<d", v) if type(v) is float else v
+                 for v in (value if isinstance(value, tuple) else (value,)))
+
+
+# 0, negatives, NaN and +-inf; 5e-324 over a rate of 2 or more underflows rho to 0.
+ODD_RATES = [0.0, -0.0, -1.0, -math.inf, math.inf, math.nan, 5e-324, 1e-300, 1.0, 2.0,
+             1e300]
+RATES = st.one_of(st.sampled_from(ODD_RATES), st.floats(), st.floats(1e-3, 1e3))
+
+
+class TestFrozenAgePath:
+    """avg_aoi, and the functions that now go through it, against the frozen
+    copy in optimizer_reference of the path that built a QueueSpec per call:
+    the same bits, or the same exception type and message."""
+
+    @settings(max_examples=400)
+    @given(discipline=st.sampled_from(list(Discipline)), lam=RATES, mu=RATES,
+           mode=st.sampled_from(["exact", "paper", "papr"]))
+    @example(discipline=Discipline.FCFS_MM1, lam=5e-324, mu=8333.0, mode="exact")
+    @example(discipline=Discipline.FCFS_MM1, lam=1.5, mu=1.0, mode="paper")
+    @example(discipline=LCFS, lam=0.0, mu=1.0, mode="paper")
+    @example(discipline=LCFS, lam=3.0, mu=math.nan, mode="paper")
+    @example(discipline=LCFS, lam=3.0, mu=1.0, mode="exact")
+    def test_avg_aoi_is_the_frozen_path(self, discipline, lam, mu, mode):
+        want = result(ref.avg_aoi, discipline, lam, mu, mode)
+        assert result(avg_aoi, discipline, lam, mu, mode) == want
+        try:
+            spec = QueueSpec(discipline, lam, mu)
+        except DomainError as exc:
+            with pytest.raises(DomainError, match=f"^{re.escape(str(exc))}$"):
+                ref.QueueSpec(discipline, lam, mu)
+            return
+        frozen_spec = ref.QueueSpec(discipline, lam, mu)
+        assert result(avg_aoi_mm1, spec) == result(ref.avg_aoi_mm1, frozen_spec)
+        assert result(avg_aoi_mm1_star, spec) == result(ref.avg_aoi_mm1_star, frozen_spec)
+
+    @given(mu=RATES, bound=RATES)
+    @example(mu=8333.0, bound=5e-324)
+    def test_constrained_aoi_mm1_is_the_frozen_path(self, mu, bound):
+        assert result(constrained_aoi_mm1, mu, bound) == \
+            result(ref.constrained_aoi_mm1, mu, bound)
+
+    def test_opt_rho_is_the_root_function(self):
+        assert OPT_RHO_MM1.hex() == optimal_utilization_mm1().hex()
 
 
 class TestConstrainedLcfs:
