@@ -92,11 +92,12 @@ class TestClosedForms:
     def test_avg_aoi_is_the_formula_it_dispatches_to(self, discipline, mode, rho):
         # Paper-mode LCFS is 2/lam; FCFS is the same in both modes.
         lam, mu = rho * 2.0, 2.0
+        # The frozen copies: avg_aoi_mm1 and avg_aoi_mm1_star now call avg_aoi.
         if discipline is LCFS:
             formula = (lambda: 2.0 / lam) if mode == "paper" else (
-                lambda: avg_aoi_mm1_star(lcfs(lam, mu)))
+                lambda: ref.avg_aoi_mm1_star(ref.QueueSpec(LCFS, lam, mu)))
         else:
-            formula = lambda: avg_aoi_mm1(fcfs(lam, mu))
+            formula = lambda: ref.avg_aoi_mm1(ref.QueueSpec(discipline, lam, mu))
 
         def outcome(f):
             try:
@@ -232,7 +233,7 @@ def result(f, *args):
     a tuple), or the type and message of what f raises."""
     try:
         value = f(*args)
-    except Exception as exc:
+    except (DomainError, ArithmeticError) as exc:
         return type(exc), str(exc)
     if isinstance(value, ConstrainedAoi):
         value = (value.aoi, value.lambda_used, value.binding)
