@@ -11,7 +11,10 @@ uncommitted change to a tracked file, so the record names the commit
 each side ran.  From each run it keeps the final JSON line and the host
 facts that run.py prints, and it writes to BENCH_<pr>.json in this
 checkout, per workload and side, every run's metrics, their median and
-their quartiles.  The exit status is nonzero if any run failed or
+their quartiles.  It then prints, per workload and end-to-end metric,
+the parent's and the change's medians, the relative change and how many
+pairs the change won, taking each metric's better direction from
+BENCHMARK.json.  The exit status is nonzero if any run failed or
 reported an incorrect result; the file is written either way.
 """
 
@@ -70,6 +73,33 @@ def summarize(runs: list) -> dict:
     }
 
 
+def directions(path: Path = ROOT / "BENCHMARK.json") -> dict:
+    """Each end-to-end metric's better direction, "higher" or "lower"."""
+    return {m["name"]: m["better"] for m in json.loads(path.read_text())["end_to_end"]}
+
+
+def comparison(workloads: dict, better: dict) -> list:
+    """One line per workload and end-to-end metric of both sides: the parent
+    and change medians, the relative change, and the pairs the change won.
+
+    workloads maps a workload to its {"parent": ..., "change": ...}
+    summaries; the i-th runs of the two sides make pair i.
+    """
+    lines = []
+    for workload, sides in workloads.items():
+        parent, change = sides["parent"], sides["change"]
+        for name, direction in better.items():
+            if name not in parent["median"] or name not in change["median"]:
+                continue
+            before, after = parent["median"][name], change["median"][name]
+            pairs = list(zip(parent["runs"][name], change["runs"][name]))
+            won = sum(c > p if direction == "higher" else c < p for p, c in pairs)
+            relative = f"{(after - before) / before:+.1%}" if before else "n/a"
+            lines.append(f"{workload} {name} ({direction} is better): parent {before:.6g}, "
+                         f"change {after:.6g}, {relative}, change won {won} of {len(pairs)}")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", required=True, help="the number in BENCH_<pr>.json")
@@ -111,6 +141,8 @@ def main(argv=None) -> int:
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(f"wrote {out}")
+    for line in comparison(record["workloads"], directions()):
+        print(line)
     return 0 if ok else 1
 
 

@@ -4,7 +4,8 @@ Conventions used throughout:
 
 * carbon intensity xi is stored in gCO2eq per kWh and modeled as a
   right-open step function of time, whose one lookup and integral are
-  CiProfile's, on float64 arrays built once at construction,
+  CiProfile's, on float64 arrays built once at construction next to two
+  tuples of floats; its (start, value) pairs are built on access,
 * energy is tracked in joules internally and converted to kWh exactly
   once, at the 1 kWh = 3.6e6 J boundary, when it meets an intensity,
 * emissions are grams of CO2 equivalent.
@@ -60,39 +61,42 @@ def slot_count(horizon: float, slot: float) -> int:
     return count if abs(n - count) <= 1e-9 * n else 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class CiProfile:
     """Step-function carbon intensity over [0, horizon).
 
-    samples holds (start_s, ci_g_per_kwh) pairs, given as a sequence, an
-    iterable or an (n, 2) array and kept as a tuple of float pairs; each
-    value applies from its start until the next start (right-open).  The
-    first start must be 0, starts must be strictly increasing and inside
-    the horizon, and every intensity positive and finite: one check on
-    float64 arrays reports the first bad step, as a loop over the steps
-    would, and rejects a NaN start.  Lookups past the horizon take the
-    final step, which lets simulations drain their queues a little beyond
-    the modeled window.  Construction builds float64 arrays of the starts
-    and values and the prefix integral of xi at each start, summed left to
-    right with np.cumsum; its last entry over the horizon is the
-    duration-weighted mean.  starts and values are tuples.
+    CiProfile(samples, horizon) takes (start_s, ci_g_per_kwh) pairs, as a
+    sequence, an iterable or an (n, 2) array; each value applies from its
+    start until the next start (right-open).  The first start must be 0,
+    starts must be strictly increasing and inside the horizon, and every
+    intensity positive and finite: one check on float64 arrays reports
+    the first bad step, as a loop over the steps would, and rejects a NaN
+    start.  Lookups past the horizon take the final step, which lets
+    simulations drain their queues a little beyond the modeled window.
+
+    The steps are stored once: float64 arrays of the starts and values,
+    the prefix integral of xi at each start, summed left to right with
+    np.cumsum (its last entry over the horizon is the duration-weighted
+    mean), and the starts and values as tuples of floats.  samples, the
+    pairs, is built from those tuples on each access.
     """
 
-    samples: tuple
+    starts: tuple
+    values: tuple
     horizon: float
 
-    def __post_init__(self) -> None:
-        steps = as_float64(self.samples, width=2)
+    def __init__(self, samples, horizon: float) -> None:
+        steps = as_float64(samples, width=2)
         if not len(steps):
             raise ValidationError("a profile needs at least one sample")
-        if not (math.isfinite(self.horizon) and self.horizon > 0):
-            raise ValidationError(f"horizon must be positive, got {self.horizon}")
+        if not (math.isfinite(horizon) and horizon > 0):
+            raise ValidationError(f"horizon must be positive, got {horizon}")
         t, xi = steps[:, 0].copy(), steps[:, 1].copy()
         if t[0] != 0.0:
             raise ValidationError(f"first step must start at 0, got {float(t[0])}")
         # The first bad step fails these checks in the order a loop over the
         # steps makes them.  A NaN start fails the comparison: it does not increase.
-        bad = t >= self.horizon
+        bad = t >= horizon
         bad |= ~(xi > 0) | np.isinf(xi)
         bad[1:] |= ~(t[1:] > t[:-1])
         if np.count_nonzero(bad):
@@ -101,28 +105,27 @@ class CiProfile:
             if i and not start > t[i - 1]:
                 raise ValidationError(
                     f"step starts must increase, got {start} after {float(t[i - 1])}")
-            if start >= self.horizon:
+            if start >= horizon:
                 raise ValidationError(f"step start {start} is not inside the horizon")
             raise ValidationError(f"carbon intensity must be positive, got {value}")
-        starts, values = tuple(t.tolist()), tuple(xi.tolist())
-        object.__setattr__(self, "samples", tuple(zip(starts, values)))
         prefix = np.zeros(len(t) + 1)
         with np.errstate(over="ignore"):    # a huge intensity gives an inf integral
-            np.cumsum(xi * (np.append(t[1:], self.horizon) - t), out=prefix[1:])
-        vars(self).update(_starts=starts, _values=values, _t=t, _xi=xi, _prefix=prefix,
-                          _mean=float(prefix[-1]) / self.horizon)
+            np.cumsum(xi * (np.append(t[1:], horizon) - t), out=prefix[1:])
+        vars(self).update(starts=tuple(t.tolist()), values=tuple(xi.tolist()),
+                          horizon=horizon, _t=t, _xi=xi, _prefix=prefix,
+                          _mean=float(prefix[-1]) / horizon)
+
+    def __repr__(self) -> str:
+        return f"CiProfile(samples={self.samples!r}, horizon={self.horizon!r})"
+
+    @property
+    def samples(self) -> tuple:
+        """The (start_s, ci_g_per_kwh) pairs, built anew on each access."""
+        return tuple(zip(self.starts, self.values))
 
     @classmethod
     def constant(cls, ci: float, horizon: float) -> "CiProfile":
         return cls(((0.0, ci),), horizon)
-
-    @property
-    def starts(self) -> tuple:
-        return self._starts
-
-    @property
-    def values(self) -> tuple:
-        return self._values
 
     # The lookups take with mode "wrap": the step indices are in range, and
     # mode "raise" would write out= through a copy.
@@ -151,7 +154,7 @@ class CiProfile:
         return i
 
     def value_at(self, tau: float) -> float:
-        if tau < 0:
+        if not tau >= 0:
             raise DomainError(f"time must be non-negative, got {tau}")
         return float(self.values_at(tau))
 

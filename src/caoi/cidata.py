@@ -3,7 +3,12 @@
 parse_ci_csv reads a profile from CSV text with the header
 ``period,ci_g_per_kwh``; lines starting with ``#`` are comments.  A
 period is an integer month index 1..12 or a ``YYYY-MM`` label whose
-month is 01..12.  The i-th data row becomes the i-th step of 30 days
+month is 01..12, and a file uses one kind.  Period i labels the i-th
+data row, and each ``YYYY-MM`` label is the month after the row
+before's (December is followed by January of the next year); a row
+out of that order is refused at its line.  So month m, as in
+``--month m`` or a sweep's ``month`` column, is the m-th data row.
+The i-th data row becomes the i-th step of 30 days
 (MONTH_SECONDS), so the duration-weighted profile mean coincides with
 the plain arithmetic mean of the listed values (months are weighted
 equally, not by day count).  Reading and decoding a file is the
@@ -50,9 +55,17 @@ def _parse_period(raw: str, line_no: int) -> str:
     return str(month)
 
 
+def _successor(period: str) -> str:
+    """The period the data row after period's must carry."""
+    if "-" not in period:
+        return str(int(period) + 1)
+    year, month = divmod(int(period[:4]) * 12 + int(period[5:]), 12)
+    return f"{year:04d}-{month + 1:02d}"
+
+
 def parse_ci_csv(text: str) -> CiProfile:
     """One 30-day step per data row of CSV text; a line ends in \\n, \\r\\n or \\r."""
-    periods, values = [], []
+    values, period = [], "0"
     header_seen = False
     for line_no, row in enumerate(csv.reader(io.StringIO(text, newline=None)), start=1):
         if not row or (row[0].lstrip().startswith("#")):
@@ -67,7 +80,12 @@ def parse_ci_csv(text: str) -> CiProfile:
             continue
         if len(cells) != 2:
             raise ParseError(f"line {line_no}: expected 2 fields, got {len(cells)}")
-        period = _parse_period(cells[0], line_no)
+        previous, period = period, _parse_period(cells[0], line_no)
+        # Row 1 is month 1 or any YYYY-MM; each later row follows the one before.
+        expected = period if not values and "-" in period else _successor(previous)
+        if period != expected:
+            raise ValidationError(f"line {line_no}: period {period} on data row "
+                                  f"{len(values) + 1}, expected {expected}")
         try:
             ci = float(cells[1])
         except ValueError:
@@ -75,17 +93,11 @@ def parse_ci_csv(text: str) -> CiProfile:
         if not 0 < ci < math.inf:
             raise ValidationError(
                 f"line {line_no}: period {period}: intensity must be positive and finite")
-        periods.append(period)
         values.append(ci)
     if not header_seen:
         raise ParseError("line 1: missing header row")
     if not values:
         raise ParseError("no data rows found")
-    seen = set()
-    for period in periods:
-        if period in seen:
-            raise ValidationError(f"period {period} listed twice")
-        seen.add(period)
     return CiProfile(tuple((i * MONTH_SECONDS, ci) for i, ci in enumerate(values)),
                      MONTH_SECONDS * len(values))
 
@@ -96,14 +108,14 @@ def serialize_ci_csv(profile: CiProfile) -> str:
     Month indices stop at 12, so a longer profile cannot be written in a
     form parse_ci_csv reads back.
     """
-    if len(profile.samples) > 12:
+    if len(profile.values) > 12:
         raise ValidationError(
-            f"only profiles of 1..12 periods can be written, got {len(profile.samples)}"
+            f"only profiles of 1..12 periods can be written, got {len(profile.values)}"
         )
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(HEADER)
-    for i, (_, value) in enumerate(profile.samples, start=1):
+    for i, value in enumerate(profile.values, start=1):
         writer.writerow([str(i), format(value, ".17g")])
     return out.getvalue()
 

@@ -338,9 +338,9 @@ def run_optimize(params: dict, out_dir=None) -> int:
     if params["month"] is not None:
         if not 1 <= params["month"] <= 12:
             raise ValidationError(f"--month must be 1..12, got {params['month']}")
-        if len(profile.samples) < params["month"]:
+        if len(profile.values) < params["month"]:
             raise ValidationError(
-                f"profile has only {len(profile.samples)} periods, no month {params['month']}"
+                f"profile has only {len(profile.values)} periods, no month {params['month']}"
             )
         month_ci = profile.values[params["month"] - 1]
     else:

@@ -437,9 +437,9 @@ def _sweep(months, xs, disciplines, mode, eps, cap, mu, emission, label) -> Swee
 
 
 def _months(profile: CiProfile) -> list:
-    if len(profile.samples) != 12:
+    if len(profile.values) != 12:
         raise DomainError(
-            f"month sweeps need a 12-step profile, got {len(profile.samples)} steps"
+            f"month sweeps need a 12-step profile, got {len(profile.values)} steps"
         )
     return list(enumerate(profile.values, start=1))
 

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from bisect import bisect_right
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -70,6 +71,12 @@ class TestCiProfile:
         assert TWO_STEP.value_at(3600.0) == 300.0
         # Past the horizon the final step extends.
         assert TWO_STEP.value_at(1e9) == 300.0
+
+    @pytest.mark.parametrize("tau", [-1.0, -math.inf, math.nan])
+    def test_value_at_refuses_a_time_that_is_not_non_negative(self, tau):
+        # NaN once took the final step's value.
+        with pytest.raises(DomainError, match=f"^time must be non-negative, got {tau}$"):
+            TWO_STEP.value_at(tau)
 
     def test_constant_factory(self):
         p = CiProfile.constant(42.0, 100.0)
@@ -622,3 +629,89 @@ class TestArrayChecks:
                                (math.inf, r"finite, got \(0.0, inf\)")]:
             with pytest.raises(DomainError, match=message):
                 cumulative_cf(TWO_STEP, steps, 3600.0)
+
+
+@st.composite
+def valid_steps(draw):
+    """(horizon, rows) that make a profile; a start or value may be an int."""
+    horizon = draw(st.floats(1e-3, 1e9))
+    inner = draw(st.lists(st.floats(0.0, horizon, exclude_min=True, exclude_max=True),
+                          max_size=9, unique=True))
+    starts = [draw(st.sampled_from([0, 0.0, -0.0]))] + sorted(inner)
+    values = draw(st.lists(st.one_of(st.floats(1e-3, 1e6), st.integers(1, 10 ** 6)),
+                           min_size=len(starts), max_size=len(starts)))
+    return horizon, list(zip(starts, values))
+
+
+# Every refusal of CiProfile's check, with its exception type and message.
+BAD_PROFILES = [
+    ((), 10.0, ValidationError, "a profile needs at least one sample"),
+    (((0.0, 1.0),), 0.0, ValidationError, "horizon must be positive, got 0.0"),
+    (((0.0, 1.0),), math.inf, ValidationError, "horizon must be positive, got inf"),
+    (((0.0, 1.0),), math.nan, ValidationError, "horizon must be positive, got nan"),
+    (((5.0, 100.0),), 10.0, ValidationError, "first step must start at 0, got 5.0"),
+    (((0.0, 100.0), (0.0, 50.0)), 10.0, ValidationError,
+     "step starts must increase, got 0.0 after 0.0"),
+    (((0.0, 100.0), (math.nan, 50.0)), 10.0, ValidationError,
+     "step starts must increase, got nan after 0.0"),
+    (((0.0, 100.0), (20.0, 50.0)), 10.0, ValidationError,
+     "step start 20.0 is not inside the horizon"),
+    (((0.0, -1.0),), 10.0, ValidationError, "carbon intensity must be positive, got -1.0"),
+    (((0.0, 1.0), (1.0, math.inf)), 10.0, ValidationError,
+     "carbon intensity must be positive, got inf"),
+    (((0.0, 1.0, 2.0),), 10.0, ValueError, "expected shape (-1, 2), got (1, 3)"),
+]
+
+
+class TestProfileContract:
+    """What a profile keeps and shows, whatever container its steps came in."""
+
+    @given(case=valid_steps(), kind=st.sampled_from(sorted(CONTAINERS)))
+    def test_contract(self, case, kind):
+        horizon, rows = case
+        profile = CiProfile(CONTAINERS[kind](rows), horizon)
+        pairs = tuple((float(t), float(v)) for t, v in rows)
+        assert profile.samples == pairs == tuple(zip(profile.starts, profile.values))
+        assert all(type(x) is float for pair in profile.samples for x in pair)
+        again = CiProfile(profile.samples, profile.horizon)
+        assert again == profile and hash(again) == hash(profile)
+        assert CiProfile(rows, 2 * horizon) != profile
+        assert repr(profile) == f"CiProfile(samples={pairs!r}, horizon={horizon!r})"
+        for name in ("samples", "starts", "values", "horizon", "_t", "_mean", "other"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(profile, name, None)
+            with pytest.raises(FrozenInstanceError):
+                delattr(profile, name)
+        assert profile == again
+
+    def test_repr_is_the_dataclass_text(self):
+        text = "CiProfile(samples=((0.0, 100.0), (1800.0, 300.0)), horizon=3600.0)"
+        assert repr(TWO_STEP) == text
+        assert eval(text) == TWO_STEP
+
+    @pytest.mark.parametrize("kind", sorted(CONTAINERS))
+    @pytest.mark.parametrize("samples, horizon, error, message", BAD_PROFILES,
+                             ids=[case[-1] for case in BAD_PROFILES])
+    def test_refusals_keep_their_messages(self, samples, horizon, error, message, kind):
+        with pytest.raises(ValueError) as refused:
+            CiProfile(CONTAINERS[kind](samples), horizon)
+        assert refused.type is error and str(refused.value) == message
+
+    def test_a_profile_keeps_each_step_once(self):
+        # Per step a profile keeps three float64 arrays, the starts, the
+        # values and the prefix integral (3 * 8 B), and two tuples of floats,
+        # an 8 B slot and a 24 B float object per entry (2 * 32 B): 88 B.  A
+        # tuple of (start, value) pairs on top, an 8 B slot and a 56 B pair
+        # per step, took it to 152 B.
+        n = 10 ** 5
+        steps = np.column_stack((np.arange(n) * 2.0, np.linspace(1.0, 2.0, n)))
+        CiProfile(steps[:10], 2.0 * n)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            profile = CiProfile(steps, 2.0 * n)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(profile.values) == n
+        assert held <= 96 * n

@@ -65,6 +65,30 @@ class TestParsing:
         with pytest.raises(ValidationError):
             parse_ci_csv("period,ci_g_per_kwh\n4,100\n4,200\n")
 
+    @pytest.mark.parametrize("rows, line, label, row, expected", [
+        ("3,300\n1,100\n2,200\n", 2, "3", 1, "1"),   # once loaded: --month 1 solved row 3
+        ("1,100\n1,200\n", 3, "1", 2, "2"),          # a duplicate
+        ("# note\n1,100\n02,200\n4,400\n", 5, "4", 3, "3"),
+        ("2024-01,100\n2024-03,300\n", 3, "2024-03", 2, "2024-02"),   # once two steps
+        ("2024-02,100\n2024-01,300\n", 3, "2024-01", 2, "2024-03"),
+        ("2024-05,100\n2024-05,300\n", 3, "2024-05", 2, "2024-06"),
+        ("2023-12,100\n2023-01,300\n", 3, "2023-01", 2, "2024-01"),
+        ("2023-11,100\n2023-12,200\n2025-01,300\n", 4, "2025-01", 3, "2024-01"),
+        ("1,100\n2024-02,200\n", 3, "2024-02", 2, "2"),   # one kind of label per file
+        ("2024-01,100\n2,200\n", 3, "2", 2, "2024-02"),
+    ])
+    def test_period_must_name_its_row(self, rows, line, label, row, expected):
+        with pytest.raises(ValidationError, match=f"^line {line}: period {label} on data "
+                                                  f"row {row}, expected {expected}$"):
+            parse_ci_csv("period,ci_g_per_kwh\n" + rows)
+
+    def test_year_month_crosses_new_year(self):
+        # Any start month, and December followed by January of the next year;
+        # the rows count the months, so 14 of them load.
+        labels = [f"{2023 + (m - 1) // 12}-{(m - 1) % 12 + 1:02d}" for m in range(11, 25)]
+        text = "period,ci_g_per_kwh\n" + "".join(f"{p},{i + 1}\n" for i, p in enumerate(labels))
+        assert parse_ci_csv(text) == months(tuple(float(i + 1) for i in range(14)))
+
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "0", "-1"])
     def test_intensity_not_positive_and_finite_rejected_at_its_line(self, value):
         # CiProfile refuses inf too, but its message names no line.

@@ -885,6 +885,17 @@ class TestCiResolution:
         body = json.loads(res.stdout)
         assert body["lambda_bound"] == pytest.approx(2104.377, abs=1e-3)
 
+    def test_periods_out_of_row_order_exit_2(self, tmp_path, capsys):
+        # This file once loaded, and --month 1 solved with the row labelled 3.
+        ci = tmp_path / "shuffled.csv"
+        ci.write_text("period,ci_g_per_kwh\n3,300\n1,100\n2,200\n")
+        code = cli.main(["optimize", "--problem", "power", "--model", "mm1", "--budget-k",
+                         "0.5", "--mu", "40", "--p-max", "1", "--month", "1", "--ci", str(ci)])
+        assert code == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err == "error: line 2: period 3 on data row 1, expected 1\n"
+
     def test_non_utf8_file_exits_2(self, tmp_path, capsys):
         ci = tmp_path / "latin1.csv"
         ci.write_bytes("period,ci_g_per_kwh\n# Málaga\n1,500\n".encode("latin-1"))

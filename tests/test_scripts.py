@@ -1,5 +1,6 @@
-"""Both figure scripts at small sizes: make_sweep_datasets.py and
-validate_against_simulation.py, loaded by path as CI runs them."""
+"""Both figure scripts at small sizes, make_sweep_datasets.py and
+validate_against_simulation.py, and bench_record.py's summary on
+synthetic runs, loaded by path as CI runs them."""
 
 import csv
 import importlib.util
@@ -79,3 +80,41 @@ def test_validation_refuses_bad_input_before_the_table(capsys, bad):
     out, err = capsys.readouterr()
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def synthetic_runs(values: dict) -> list:
+    """bench_record results, one per run, from {metric: [value per run]}."""
+    count = len(next(iter(values.values())))
+    return [{"correct": True, "exit_code": 0, "attempted": 10, "failed": 0,
+             "metrics": {name: {"value": v[i], "unit": "u"} for name, v in values.items()}}
+            for i in range(count)]
+
+
+def test_bench_record_compares_the_sides_pair_by_pair():
+    script = load("bench_record")
+    parent = script.summarize(synthetic_runs({"work_per_ref": [10.0, 12.0, 11.0],
+                                              "op_tail_ref": [2.0, 2.0, 2.0],
+                                              "trace.spans": [5.0, 5.0, 5.0]}))
+    change = script.summarize(synthetic_runs({"work_per_ref": [11.0, 11.5, 13.0],
+                                              "op_tail_ref": [1.0, 2.5, 1.5],
+                                              "trace.spans": [1.0, 1.0, 1.0]}))
+    lines = script.comparison({"surfaces": {"parent": parent, "change": change}},
+                              {"work_per_ref": "higher", "op_tail_ref": "lower",
+                               "peak_rss_mb": "lower"})
+    # A per-layer metric and one neither side reported print nothing.
+    assert lines == [
+        "surfaces work_per_ref (higher is better): parent 11, change 11.5, +4.5%, "
+        "change won 2 of 3",
+        "surfaces op_tail_ref (lower is better): parent 2, change 1.5, -25.0%, "
+        "change won 2 of 3",
+    ]
+
+
+def test_bench_record_reads_the_directions_without_writing():
+    script = load("bench_record")
+    path = script.ROOT / "BENCHMARK.json"
+    before = path.read_bytes()
+    better = script.directions()
+    assert better["work_per_ref"] == "higher" and better["op_tail_ref"] == "lower"
+    assert set(better.values()) == {"higher", "lower"}
+    assert path.read_bytes() == before
