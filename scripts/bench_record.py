@@ -83,7 +83,8 @@ def comparison(workloads: dict, better: dict) -> list:
     and change medians, the relative change, and the pairs the change won.
 
     workloads maps a workload to its {"parent": ..., "change": ...}
-    summaries; the i-th runs of the two sides make pair i.
+    summaries; the i-th runs of the two sides make pair i, so the pairs
+    are counted only when every run reported the metric.
     """
     lines = []
     for workload, sides in workloads.items():
@@ -92,11 +93,15 @@ def comparison(workloads: dict, better: dict) -> list:
             if name not in parent["median"] or name not in change["median"]:
                 continue
             before, after = parent["median"][name], change["median"][name]
-            pairs = list(zip(parent["runs"][name], change["runs"][name]))
-            won = sum(c > p if direction == "higher" else c < p for p, c in pairs)
+            olds, news = parent["runs"][name], change["runs"][name]
+            if len(olds) == len(parent["correct"]) and len(news) == len(change["correct"]):
+                won = sum(c > p if direction == "higher" else c < p for p, c in zip(olds, news))
+                tally = f"change won {won} of {len(olds)}"
+            else:   # a run without the metric would shift every later pair
+                tally = "pairs unknown: a run reported no value"
             relative = f"{(after - before) / before:+.1%}" if before else "n/a"
             lines.append(f"{workload} {name} ({direction} is better): parent {before:.6g}, "
-                         f"change {after:.6g}, {relative}, change won {won} of {len(pairs)}")
+                         f"change {after:.6g}, {relative}, {tally}")
     return lines
 
 

@@ -108,6 +108,13 @@ def test_bench_record_compares_the_sides_pair_by_pair():
         "surfaces op_tail_ref (lower is better): parent 2, change 1.5, -25.0%, "
         "change won 2 of 3",
     ]
+    # A run that reported no value leaves the pairs unknown, not shifted.
+    runs = synthetic_runs({"work_per_ref": [11.0, 9.0, 13.0]})
+    del runs[1]["metrics"]["work_per_ref"]
+    lines = script.comparison({"surfaces": {"parent": parent, "change": script.summarize(runs)}},
+                              {"work_per_ref": "higher"})
+    assert lines == ["surfaces work_per_ref (higher is better): parent 11, change 12, +9.1%, "
+                     "pairs unknown: a run reported no value"]
 
 
 def test_bench_record_reads_the_directions_without_writing():
