@@ -33,6 +33,9 @@ YEAR_CSV = "period,ci_g_per_kwh\n# 12 periods, as a month sweep needs\n" + "".jo
     f"2023-{m:02d},{v}\n" for m, v in enumerate(
         ("231", "219.5", "190", "151", "110", "126", "160", "175.25", "205", "250", "311",
          "262"), start=1))
+# 24 periods: --month takes any row, and a month sweep refuses it.
+TWO_YEAR_CSV = YEAR_CSV.replace("# 12 periods, as a month sweep needs\n", "") + "".join(
+    f"2024-{m:02d},{100 + 15 * m}\n" for m in range(1, 13))
 
 
 def commands() -> list:
@@ -103,7 +106,7 @@ def commands() -> list:
                           "--p-max", "1", "--out", "opt_track_mu.json"]),
         ("sweep-snr-mu", ["sweep", "--surface", "snr", "--snr-grid-db=-10:30:5",
                           "--budget-k", "60ug", "--mu", "40", "--out", "sweep_snr_mu.csv"]),
-        # Month sweeps of a CSV profile: 12 periods, and 3, which is refused.
+        # Month sweeps of a CSV profile: 12 periods, and 3 and 24, which are refused.
         ("sweep-k-csv", ["sweep", "--surface", "k", "--k-grid", "4e-4:8e-4:3", "--mu", "40",
                          "--ci", "year.csv", "--out", "sweep_k_csv.csv"]),
         ("sweep-snr-csv", ["sweep", "--surface", "snr", "--snr-grid-db=-10:30:9",
@@ -111,6 +114,12 @@ def commands() -> list:
                            "--out", "sweep_snr_csv.csv"]),
         ("sweep-three-periods", ["sweep", "--surface", "k", "--k-grid", "4e-4:8e-4:3",
                                  "--ci", "profile.csv", "--out", "sweep_three.csv"]),
+        ("sweep-two-years", ["sweep", "--surface", "k", "--k-grid", "4e-4:8e-4:3",
+                             "--ci", "two_years.csv", "--out", "sweep_two_years.csv"]),
+        # Month 13 of the 24: --month is bounded by the profile's rows.
+        ("opt-month-13", ["optimize", "--problem", "cf", "--model", "mm1", "--budget-k", "0.05",
+                          "--mu", "1", "--ci", "two_years.csv", "--month", "13",
+                          "--out", "opt_month13.json"]),
         # CSVs written in more than one 4096-row block: 4800 and 5000 rows.
         ("sweep-k-blocks", ["sweep", "--surface", "k", "--k-grid", "1e-6:1e-3:200",
                             "--ci", "builtin", "--out", "sweep_k_blocks.csv"]),
@@ -222,6 +231,7 @@ def run_side(checkout: Path, work: Path, log: Path) -> None:
     log.mkdir(parents=True)
     (work / "profile.csv").write_text(PROFILE_CSV)
     (work / "year.csv").write_text(YEAR_CSV)
+    (work / "two_years.csv").write_text(TWO_YEAR_CSV)
     (work / "profile_cr.csv").write_bytes(PROFILE_CSV.replace("\n", "\r").encode())
     for name in REFUSED:
         (work / f"{name}.manifest.json").write_text(refused_manifest(name))

@@ -105,17 +105,24 @@ def parse_ci_csv(text: str) -> CiProfile:
 def serialize_ci_csv(profile: CiProfile) -> str:
     """Render a profile back to CSV with 1-based period indices.
 
-    Month indices stop at 12, so a longer profile cannot be written in a
-    form parse_ci_csv reads back.
+    Only a form parse_ci_csv reads back is written: month indices stop at
+    12, and the CSV holds only the values, which read back as 30-day
+    steps, so a profile of more periods, or with a step that is not a
+    30-day month, is refused.
     """
-    if len(profile.values) > 12:
-        raise ValidationError(
-            f"only profiles of 1..12 periods can be written, got {len(profile.values)}"
-        )
+    n = len(profile.values)
+    if n > 12:
+        raise ValidationError(f"only profiles of 1..12 periods can be written, got {n}")
+    if profile.horizon != n * MONTH_SECONDS:
+        raise ValidationError(f"only 30-day months can be written: {n} periods need horizon "
+                              f"{n * MONTH_SECONDS} s, got {profile.horizon}")
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(HEADER)
-    for i, value in enumerate(profile.values, start=1):
+    for i, (start, value) in enumerate(zip(profile.starts, profile.values), start=1):
+        if start != (i - 1) * MONTH_SECONDS:
+            raise ValidationError(f"only 30-day months can be written: period {i} needs start "
+                                  f"{(i - 1) * MONTH_SECONDS} s, got {start}")
         writer.writerow([str(i), format(value, ".17g")])
     return out.getvalue()
 

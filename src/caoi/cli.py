@@ -336,12 +336,9 @@ def run_optimize(params: dict, out_dir=None) -> int:
     mu = params["mu"] if params["mu"] is not None else 1.0 / energy.t_p
 
     if params["month"] is not None:
-        if not 1 <= params["month"] <= 12:
-            raise ValidationError(f"--month must be 1..12, got {params['month']}")
-        if len(profile.values) < params["month"]:
+        if not 1 <= params["month"] <= len(profile.values):
             raise ValidationError(
-                f"profile has only {len(profile.values)} periods, no month {params['month']}"
-            )
+                f"--month must be 1..{len(profile.values)}, got {params['month']}")
         month_ci = profile.values[params["month"] - 1]
     else:
         month_ci = profile.long_term_average

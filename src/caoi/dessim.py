@@ -232,26 +232,25 @@ def _arrival_chunks(rng: np.random.Generator, lam: float, horizon: float):
 class _Out(NamedTuple):
     """One kernel step, uncut at the horizon: deliveries, charged arrivals
     and the busy intervals up to their natural end, as views of the
-    kernel's buffers that the next step overwrites.  Only service-time
-    charging reads the busy intervals, so the kernels build them only
-    when asked."""
+    kernel's buffers that the next step overwrites.  Every step has its
+    busy intervals: service-time charging prices them, and the horizon
+    cut reads their last end."""
 
     d: np.ndarray               # delivery times, ascending
     u: np.ndarray               # generation times of those deliveries
     admitted: np.ndarray        # arrival times charged in arrival mode, ascending
-    busy_start: np.ndarray | None = None    # ascending
-    busy_end: np.ndarray | None = None      # ascending; every delivery is one of them
+    busy_start: np.ndarray      # ascending
+    busy_end: np.ndarray        # ascending; every delivery is one of them
     preemptions: int = 0
     drops: int = 0
 
 
-def _fcfs(chunks, rng_service, mu, busy):
+def _fcfs(chunks, rng_service, mu):
     """Unbounded FCFS: d_i = S_i + max_{j<=i} (a_j - S_{j-1}), where S is
     the running service sum.  S and the running max carry across chunks.
 
     s[0] and run_sum[0] hold the service sum before the chunk, so one
-    cumsum gives S; for service-time charging the service draws become
-    the busy starts.
+    cumsum gives S; the service draws, spent, become the busy starts.
     """
     s, run_sum, d = np.empty(_CHUNK + 1), np.empty(_CHUNK + 1), np.empty(_CHUNK)
     s[0], peak = 0.0, -math.inf
@@ -267,11 +266,10 @@ def _fcfs(chunks, rng_service, mu, busy):
         peak = float(dn[-1])
         dn += total
         s[0] = total[-1]
-        starts = np.subtract(dn, draws, out=draws) if busy else None
-        yield _Out(dn, a, a, starts, dn if busy else None)
+        yield _Out(dn, a, a, np.subtract(dn, draws, out=draws), dn)
 
 
-def _lcfs(chunks, rng_service, mu, busy):
+def _lcfs(chunks, rng_service, mu):
     """Preemptive LCFS: a packet completes iff a + s beats the next arrival.
 
     c[i] is the completion, if not preempted, of the packet that arrived
@@ -294,16 +292,15 @@ def _lcfs(chunks, rng_service, mu, busy):
         np.take(c[lo:n], done, out=d[:m], mode="clip")
         np.take(t[lo:n], done, out=u[:m], mode="clip")
         del done                # before the run's charge takes its own index
-        yield _Out(d[:m], u[:m], t[1:], t[lo:n] if busy else None,
-                   np.minimum(c[lo:n], t[lo + 1:], out=c[lo:n]) if busy else None,
+        yield _Out(d[:m], u[:m], t[1:], t[lo:n], np.minimum(c[lo:n], t[lo + 1:], out=c[lo:n]),
                    preemptions=n - lo - m)
         c[0], held, lo = c[n], t[n], 0
     if held is not None:            # the last arrival, with no successor
         d[0], u[0] = c[0], held
-        yield _Out(d[:1], u[:1], t[:0], u[:1] if busy else None, d[:1] if busy else None)
+        yield _Out(d[:1], u[:1], t[:0], u[:1], d[:1])
 
 
-def _fcfs_finite(chunks, rng_service, mu, busy, capacity):
+def _fcfs_finite(chunks, rng_service, mu, capacity):
     """FCFS with room for `capacity` packets, the one in service included.
 
     Packets depart in admission order, so an arrival at t is dropped iff
@@ -317,7 +314,7 @@ def _fcfs_finite(chunks, rng_service, mu, busy, capacity):
     the departures before each admitted packet.
     """
     draws, admitted, deps = np.empty(_BLOCK), np.empty(_CHUNK), np.empty(_CHUNK + 1)
-    starts = np.empty(_CHUNK) if busy else None
+    starts = np.empty(_CHUNK)
     recent = deque(maxlen=min(capacity, sys.maxsize))
     service = chain.from_iterable(_exponential(rng_service, 1.0 / mu, draws).tolist()
                                   for _ in repeat(None))
@@ -341,10 +338,8 @@ def _fcfs_finite(chunks, rng_service, mu, busy, capacity):
             admitted[m:m + k], deps[m + 1:m + k + 1] = times, ends
             m += k
         d = deps[1:m + 1]
-        if busy:
-            np.maximum(admitted[:m], deps[:m], out=starts[:m])
-        yield _Out(d, admitted[:m], admitted[:m], starts[:m] if busy else None,
-                   d if busy else None, drops=len(a) - m)
+        np.maximum(admitted[:m], deps[:m], out=starts[:m])
+        yield _Out(d, admitted[:m], admitted[:m], starts[:m], d, drops=len(a) - m)
 
 
 class _AgeIntegral:
@@ -464,11 +459,11 @@ def run(config: SimConfig, profile: CiProfile, energy: EnergyModel) -> Simulatio
     horizon = config.horizon
     chunks = _arrival_chunks(np.random.default_rng(arr_ss), spec.lam, horizon)
     if spec.discipline is Discipline.LCFS_PREEMPTIVE:
-        steps = _lcfs(chunks, rng_service, spec.mu, busy)
+        steps = _lcfs(chunks, rng_service, spec.mu)
     elif config.buffer is None:
-        steps = _fcfs(chunks, rng_service, spec.mu, busy)
+        steps = _fcfs(chunks, rng_service, spec.mu)
     else:
-        steps = _fcfs_finite(chunks, rng_service, spec.mu, busy, config.buffer)
+        steps = _fcfs_finite(chunks, rng_service, spec.mu, config.buffer)
 
     slot = config.effective_slot
     n_slots = slot_count(horizon, slot)
@@ -485,18 +480,16 @@ def run(config: SimConfig, profile: CiProfile, energy: EnergyModel) -> Simulatio
     for out in steps:
         # Each arrival is admitted or dropped in exactly one step.
         arrivals += len(out.admitted) + out.drops
-        last = out.busy_end if busy else out.d
-        if not config.drain and len(last) and last[-1] > horizon:
+        if not config.drain and len(out.busy_end) and out.busy_end[-1] > horizon:
             # Nothing is delivered after the horizon, and work then in service
             # is charged up to it; work that would start later never starts.
             # The times ascend, so each cut keeps a leading slice.
             kept = int(np.searchsorted(out.d, horizon, side="right"))
-            out = out._replace(d=out.d[:kept], u=out.u[:kept])
-            if busy:
-                started = int(np.searchsorted(out.busy_start, horizon))
-                end = out.busy_end[:started]
-                out = out._replace(busy_start=out.busy_start[:started],
-                                   busy_end=np.minimum(end, horizon, out=end))
+            started = int(np.searchsorted(out.busy_start, horizon))
+            end = out.busy_end[:started]
+            out = out._replace(d=out.d[:kept], u=out.u[:kept],
+                               busy_start=out.busy_start[:started],
+                               busy_end=np.minimum(end, horizon, out=end))
         age.add(out.d, out.u, weights, scratch)
         slots.add(out.d, idx)
         if busy:

@@ -122,6 +122,19 @@ class TestSerialize:
         with pytest.raises(ValidationError):
             serialize_ci_csv(prof)
 
+    def test_horizon_other_than_whole_months_rejected(self, builtin):
+        # Six-month steps would read back as two 30-day months: 5184000 s.
+        with pytest.raises(ValidationError, match="2 periods need horizon 5184000.0 s, "
+                                                  "got 31104000.0"):
+            serialize_ci_csv(resample(builtin, 6 * MONTH_SECONDS))
+
+    def test_step_other_than_a_month_rejected(self):
+        # Two steps over two months' horizon, the second starting a day late.
+        prof = CiProfile(((0.0, 100.0), (MONTH_SECONDS + 86400.0, 200.0)), 2 * MONTH_SECONDS)
+        with pytest.raises(ValidationError, match="period 2 needs start 2592000.0 s, "
+                                                  "got 2678400.0"):
+            serialize_ci_csv(prof)
+
 
 class TestBuiltinProfile:
     def test_values(self, builtin):

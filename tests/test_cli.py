@@ -179,6 +179,36 @@ class TestOptimize:
                    "--budget-k", "0.05", "--mu", "1.0", "--month", "13")
         assert res.returncode == 2
 
+    @staticmethod
+    def monthly_csv(path, values):
+        """values as YYYY-MM rows from 2023-01 on."""
+        path.write_text("period,ci_g_per_kwh\n" + "".join(
+            f"{2023 + i // 12}-{i % 12 + 1:02d},{v}\n" for i, v in enumerate(values)))
+        return str(path)
+
+    def test_month_is_any_row_of_the_profile(self, tmp_path, capsys):
+        # Month m is the m-th data row, past 12 too: row 13 of two years
+        # solves as row 1 of the same rows with the years swapped.
+        first, second = [100 + 10 * m for m in range(12)], [400 + 10 * m for m in range(12)]
+        solved = {}
+        for name, values in (("y24", first + second), ("swapped", second + first)):
+            ci = self.monthly_csv(tmp_path / f"{name}.csv", values)
+            for month in (1, 13):
+                assert cli.main(["optimize", "--problem", "cf", "--model", "mm1",
+                                 "--budget-k", "0.05", "--mu", "1", "--ci", ci,
+                                 "--month", str(month)]) == 0
+                solved[name, month] = json.loads(capsys.readouterr().out)
+        assert solved["y24", 13] == solved["swapped", 1] != solved["y24", 1]
+        assert solved["y24", 13]["lambda_bound"] == pytest.approx(
+            solved["y24", 1]["lambda_bound"] / 4, rel=1e-12)
+
+    @pytest.mark.parametrize("month", [0, 25])
+    def test_month_outside_the_profile_exits_2(self, tmp_path, capsys, month):
+        ci = self.monthly_csv(tmp_path / "y24.csv", [200] * 24)
+        assert cli.main(["optimize", "--problem", "cf", "--model", "mm1", "--budget-k", "0.05",
+                         "--mu", "1", "--ci", ci, "--month", str(month)]) == 2
+        assert capsys.readouterr() == ("", f"error: --month must be 1..24, got {month}\n")
+
     @pytest.mark.parametrize("flags,message", [
         (["--problem", "qos", "--snr-min-db", "0", "--mu", "40"], "--problem qos"),
         (["--problem", "cf", "--mu-rule", "track_opt_rho"], "track_opt_rho applies only"),

@@ -765,6 +765,27 @@ def assert_matches_reference(config, profile=STEPS):
     return trace
 
 
+class TestChargingLeavesThePathAlone:
+    """Every cf mode cuts each step at the horizon by the same rule, so the
+    charge is the only thing the mode changes."""
+
+    @pytest.mark.parametrize("drain", [False, True])
+    @pytest.mark.parametrize("kernel", ["fcfs", "lcfs", "buffer2"])
+    def test_modes_differ_only_in_the_ledger(self, monkeypatch, kernel, drain):
+        # Small chunks, so the path crosses seams, and heavy load, so work
+        # is in service at the horizon.
+        monkeypatch.setattr(dessim, "_CHUNK", 64)
+        discipline, buffer, lam = KERNELS[kernel]
+        traces = [run(cfg(discipline, lam, 1.0, 3000.0 / lam, 82, slot_length=30.0 / lam,
+                          cf_mode=mode, buffer=buffer, drain=drain, keep_events=True),
+                      STEPS, ENERGY) for mode in CfMode]
+        first = traces[0]
+        assert first.completions > 0
+        for trace in traces[1:]:
+            assert_same_trace(replace(trace, ledger=first.ledger), first)
+            assert not np.array_equal(trace.ledger.grams, first.ledger.grams)
+
+
 class TestChunkSeams:
     """`run` against the whole-array reference, with chunks far smaller than
     a run so that every kernel's carried state crosses many seams."""
@@ -876,18 +897,18 @@ class TestChunkSeams:
         assert peak <= 23e6
 
 
-def kernel_steps(kernel, lam, horizon, seed, busy):
+def kernel_steps(kernel, lam, horizon, seed):
     """Copies of each step a kernel yields on the run's own streams."""
     discipline, buffer, _ = KERNELS[kernel]
     arr_ss, svc_ss = np.random.SeedSequence(seed).spawn(2)
     chunks = dessim._arrival_chunks(np.random.default_rng(arr_ss), lam, horizon)
     rng_service = np.random.default_rng(svc_ss)
     if discipline is Discipline.LCFS_PREEMPTIVE:
-        steps = dessim._lcfs(chunks, rng_service, 1.0, busy)
+        steps = dessim._lcfs(chunks, rng_service, 1.0)
     elif buffer is None:
-        steps = dessim._fcfs(chunks, rng_service, 1.0, busy)
+        steps = dessim._fcfs(chunks, rng_service, 1.0)
     else:
-        steps = dessim._fcfs_finite(chunks, rng_service, 1.0, busy, buffer)
+        steps = dessim._fcfs_finite(chunks, rng_service, 1.0, buffer)
     return [{k: v.copy() if isinstance(v, np.ndarray) else v
              for k, v in out._asdict().items()} for out in steps]
 
@@ -936,7 +957,7 @@ class TestRunOwnedBuffers:
         saved = dessim._CHUNK
         dessim._CHUNK = chunk
         try:
-            steps = kernel_steps(kernel, rho, arrivals / rho, seed, busy=True)
+            steps = kernel_steps(kernel, rho, arrivals / rho, seed)
         finally:
             dessim._CHUNK = saved
         assert len(steps) > 2
