@@ -183,6 +183,19 @@ def commands() -> list:
         ("simulate-negative-seed", [
             "simulate", "--model", "mm1", "--lambda", "0.5", "--mu", "1", "--horizon", "100",
             "--seed", "-1", "--ci-value", "198", "--out", "sim_negative_seed.json"]),
+        # Refused by SimConfig, not by the CLI: a buffer preemption never fills.
+        ("simulate-mm1star-buffer", [
+            "simulate", "--model", "mm1star", "--lambda", "0.5", "--mu", "1", "--horizon", "100",
+            "--buffer", "5", "--ci-value", "198", "--out", "sim_mm1star_buffer.json"]),
+        # Two outputs of one file name, which a replay would write to one path.
+        ("simulate-same-name", [
+            "simulate", "--model", "mm1", "--lambda", "0.5", "--mu", "1", "--horizon", "100",
+            "--ci-value", "198", "--out", "same.csv", "--slots-out", "same.csv"]),
+        # Drained work past the slot cap.  Not mu = 1e-10: a checkout that
+        # grows the grid unchecked asks numpy for 55 GiB there.
+        ("simulate-drain-past-cap", [
+            "simulate", "--model", "mm1star", "--lambda", "1.2", "--mu", "1e-300",
+            "--horizon", "100", "--drain", "--ci-value", "198", "--out", "sim_past_cap.json"]),
     ]
     return cmds
 

@@ -43,7 +43,8 @@ def joules_to_kwh(joules: float) -> float:
     return joules / J_PER_KWH
 
 
-# The longest slot grid a simulation or a resampled profile may have.
+# The longest slot grid a simulation, drained work included, or a resampled
+# profile may have.
 MAX_SLOTS = 10 ** 7
 
 
@@ -59,6 +60,18 @@ def slot_count(horizon: float, slot: float) -> int:
         return 0
     count = round(n)
     return count if abs(n - count) <= 1e-9 * n else 0
+
+
+def slot_grid(horizon: float, slot: float, error: type[Exception]) -> int:
+    """slot_count(horizon, slot), with error raised if no grid of slot tiles
+    the horizon or if the grid has more than MAX_SLOTS slots."""
+    n = slot_count(horizon, slot)
+    if not n:
+        raise error(f"slot length {slot} does not tile horizon {horizon}")
+    if n > MAX_SLOTS:
+        raise error(f"{horizon / slot:.6g} slots exceed the cap of {MAX_SLOTS}; "
+                    "use a longer slot")
+    return n
 
 
 @dataclass(frozen=True, init=False, repr=False)

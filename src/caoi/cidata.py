@@ -24,7 +24,7 @@ from importlib import resources
 
 import numpy as np
 
-from .carbon import MAX_SLOTS, CiProfile, slot_count
+from .carbon import CiProfile, slot_grid
 from .errors import DomainError, ParseError, ValidationError
 
 HEADER = ("period", "ci_g_per_kwh")
@@ -138,16 +138,11 @@ def resample(profile: CiProfile, slot_length: float) -> CiProfile:
 
     Each slot carries the value in force at its start, so a slot spanning
     a step boundary takes the earlier step's value.  The grid must tile
-    the horizon, by carbon.slot_count's rule, in at most carbon.MAX_SLOTS
-    slots.
+    the horizon in at most carbon.MAX_SLOTS slots, by carbon.slot_grid's
+    rule.
     """
     if not slot_length > 0:
         raise DomainError(f"slot length must be positive, got {slot_length}")
-    n = slot_count(profile.horizon, slot_length)
-    if not n:
-        raise DomainError(f"slot length {slot_length} does not tile horizon {profile.horizon}")
-    if n > MAX_SLOTS:
-        raise DomainError(f"{profile.horizon / slot_length:.6g} slots exceed the cap of "
-                          f"{MAX_SLOTS}; use a longer slot")
+    n = slot_grid(profile.horizon, slot_length, DomainError)
     starts = np.arange(n) * slot_length
     return CiProfile(np.column_stack((starts, profile.values_at(starts))), profile.horizon)

@@ -6,9 +6,10 @@ JSON), sweep (month-by-grid surfaces to CSV), and replay (re-run a
 manifest).  Every file the tool writes is accompanied by a
 ``<name>.manifest.json`` recording the fully resolved parameters, seeds,
 version, and input digests; replaying a manifest reproduces the outputs
-byte for byte.  A replay takes the path of a fresh command: its manifest
-is refused unless the parser could have produced every value, and the
-same run_* checks and runs both.  Every CSV row is formatted by one %
+byte for byte.  A replay takes the path of a fresh command: each value
+of its manifest is parsed from its text by its flag's own type and
+choices, and refused unless the parse gives it back, and the same run_*
+checks and runs both.  Every CSV row is formatted by one %
 over a row template (template_blocks), with each float as '%.17g', 17
 significant digits, so equal results are equal bytes.  A command loads
 only the modules it runs: caoi.dessim, and numpy.random with it, for
@@ -387,12 +388,11 @@ def run_optimize(params: dict, out_dir=None) -> int:
 def run_simulate(params: dict, out_dir=None) -> None:
     from .dessim import CfMode, SimConfig, replicate     # loaded for simulate alone
 
-    # As in run_optimize: the preemptive kernel never reads the buffer.
-    if params["model"] == "mm1star" and params["buffer"] is not None:
-        raise ValidationError("--buffer does not apply to --model mm1star: "
-                              "preemption keeps one packet in the system")
-    out_path, slots_path, events_path = (
-        _redirect(params[key], out_dir) for key in ("out", "slots_out", "events_out"))
+    paths = [_redirect(params[key], out_dir) for key in ("out", "slots_out", "events_out")]
+    names = [Path(p).name for p in paths if p is not None]
+    if len(set(names)) < len(names):    # a manifest records, and replays, names alone
+        raise ValidationError(f"each output needs its own file name, got {', '.join(names)}")
+    out_path, slots_path, events_path = paths
     discipline = Discipline(params["model"])
     spec = QueueSpec(discipline, params["lam"], params["mu"])
     config = SimConfig(
@@ -413,11 +413,9 @@ def run_simulate(params: dict, out_dir=None) -> None:
     traces = summary.traces
     first = traces[0]
 
-    # The FCFS closed form models the unbounded queue; a buffer cap changes
-    # the system, so no reference value is reported there.
-    modeled = discipline is Discipline.LCFS_PREEMPTIVE or (
-        params["buffer"] is None and spec.rho < 1.0)
-    closed = avg_aoi(discipline, spec.lam, spec.mu) if modeled else None
+    # The FCFS closed form models the unbounded queue, which SimConfig admits at
+    # rho < 1 alone; a buffer cap changes the system, so no value is reported.
+    closed = avg_aoi(discipline, spec.lam, spec.mu) if config.buffer is None else None
     rel_dev = None if closed is None else abs(summary.mean_aoi - closed) / closed
 
     write_json(out_path, {
@@ -530,39 +528,25 @@ def resolve(command: str, args) -> dict:
     return params
 
 
-def _producible(action: argparse.Action, value) -> bool:
-    """Whether parsing action's flag, or leaving it out, can give value."""
-    if value is None:
-        return action.default is None and not action.required
-    if action.choices is not None:
-        return isinstance(value, str) and value in action.choices
-    if action.type is parse_grid:       # the grid that its ends and length spell
-        try:
-            return (isinstance(value, list) and len(value) >= 1
-                    and all(type(x) is float for x in value)
-                    and parse_grid(f"{value[0]!r}:{value[-1]!r}:{len(value)}") == value)
-        except argparse.ArgumentTypeError:
-            return False
-    # A flag without a type parses to a str, a store_true flag (nargs 0) to a bool.
-    parsed = {float: float, parse_budget: float, int: int, parse_buffer: int}
-    return type(value) is (bool if action.nargs == 0 else parsed.get(action.type, str))
-
-
-# The strings write_json writes for the floats that are not finite.
-_NON_FINITE = {fmt_float(x): x for x in (math.inf, -math.inf, math.nan)}
-
-
-def _non_finite_back(action, value):
-    """value with write_json's "inf", "-inf" and "nan" read back as floats,
-    where action's flag parses to a float (float, parse_budget) or to a grid
-    of floats; other values, as a string flag's, are left as they are."""
-    def back(v):
-        return _NON_FINITE.get(v, v) if isinstance(v, str) else v
-
-    kind = getattr(action, "type", None)
-    if kind is parse_grid and isinstance(value, list):
-        return list(map(back, value))
-    return back(value) if kind in (float, parse_budget) else value
+def _replayed(action: argparse.Action, value):
+    """What action's flag gives for value: parsed from value's text (a
+    grid's as start:stop:count), or left out for None.  ValueError unless
+    that is value itself: the same JSON text after _strict, and the same
+    type unless value is write_json's "inf", "-inf" or "nan"."""
+    if value is None and not action.required:
+        parsed = action.default
+    elif action.nargs == 0:         # store_true: given, or left out
+        parsed = action.const if value == action.const else action.default
+    else:
+        grid = action.type is parse_grid and isinstance(value, list) and value
+        parsed = (action.type or str)(f"{value[0]}:{value[-1]}:{len(value)}" if grid
+                                      else str(value))
+        if action.choices is not None and parsed not in action.choices:
+            raise ValueError(f"{parsed!r} is not a choice")
+    if json.dumps(_strict(parsed)) != json.dumps(_strict(value)) or (
+            type(parsed) is not type(value) and value not in ("inf", "-inf", "nan")):
+        raise ValueError("the flag does not give the value back")
+    return parsed
 
 
 def read_manifest(path: str, parser: argparse.ArgumentParser):
@@ -582,11 +566,15 @@ def read_manifest(path: str, parser: argparse.ArgumentParser):
     subparsers = next(a for a in parser._actions if a.dest == "command")
     actions = {a.dest: a for a in subparsers.choices[command]._actions}
     for key in keys:
-        value = params[key] = _non_finite_back(actions.get(key), params[key])
-        if not (_is_ci_spec(value, "ci_value" in actions) if key == "ci"
-                else key not in actions or _producible(actions[key], value)):
+        value = params[key]
+        try:
+            if key == "ci" and not _is_ci_spec(value, "ci_value" in actions):
+                raise ValueError("not a CI source record")
+            if key != "ci" and key in actions:
+                params[key] = _replayed(actions[key], value)
+        except (argparse.ArgumentTypeError, ValueError):
             raise ValidationError(f"manifest param {key} = {reprlib.repr(value)} "
-                                  f"is not a value caoi {command} writes")
+                                  f"is not a value caoi {command} writes") from None
     return command, {key: params[key] for key in keys}
 
 

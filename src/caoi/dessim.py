@@ -64,7 +64,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .carbon import MAX_SLOTS, CarbonLedger, CiProfile, EnergyModel, J_PER_KWH, slot_count
+from .carbon import MAX_SLOTS, CarbonLedger, CiProfile, EnergyModel, J_PER_KWH, slot_grid
 from .errors import ConfigError, DomainError
 from .queueing import Discipline, QueueSpec
 
@@ -99,17 +99,19 @@ class SimConfig:
 
     seed is a non-negative integer, as numpy's SeedSequence takes.  buffer
     is the system capacity including the packet in service, an integer
-    >= 1; None means unbounded.  The preemptive discipline holds at most
-    one packet by construction, so buffer is ignored there.  drain lets
-    the server finish admitted work after arrivals stop at the horizon;
-    statistics still cover [warmup, horizon] but the slot counts and grams
-    include the drained work, on one slot grid extended past the horizon.
+    >= 1; None means unbounded, which FCFS allows only at rho < 1.  The
+    preemptive discipline holds at most one packet by construction, so a
+    buffer is refused there.  drain lets the server finish admitted work
+    after arrivals stop at the horizon; statistics still cover [warmup,
+    horizon] but the slot counts and grams include the drained work, on
+    one slot grid extended past the horizon.
 
     Memory grows with the run only through the slot grid and keep_events,
     which keeps every delivery and its origin but not the arrivals, so both
-    are capped before anything is allocated: at most 10**7 slots, and with
-    keep_events at most 10**7 expected arrivals (lam * horizon).  Time
-    grows with the arrivals, so any run is capped at 10**10 of them.
+    are capped: at most 10**7 slots, refused before anything is allocated
+    or, for drained work, before the grid grows, and with keep_events at
+    most 10**7 expected arrivals (lam * horizon).  Time grows with the
+    arrivals, so any run is capped at 10**10 of them.
     """
 
     spec: QueueSpec
@@ -129,13 +131,12 @@ class SimConfig:
             raise ConfigError(f"horizon must be positive and finite, got {self.horizon}")
         if self.warmup is not None and not (0 <= self.warmup < self.horizon):
             raise ConfigError(f"warmup must lie in [0, horizon), got {self.warmup}")
-        slot = self.effective_slot
-        n = slot_count(self.horizon, slot)
-        if not n:
-            raise ConfigError(f"slot length {slot} does not tile horizon {self.horizon}")
-        if n > MAX_SLOTS:
-            raise ConfigError(f"{self.horizon / slot:.6g} slots exceed the cap of {MAX_SLOTS}; "
-                              "use a longer slot")
+        slot_grid(self.horizon, self.effective_slot, ConfigError)
+        rho, fcfs = self.spec.rho, self.spec.discipline is Discipline.FCFS_MM1
+        if self.buffer is None and fcfs and rho >= 1.0:
+            raise ConfigError(f"FCFS with an unbounded buffer needs rho < 1, got rho={rho:.6g}")
+        if self.buffer is not None and not fcfs:
+            raise ConfigError("a buffer does not apply to preemptive LCFS, which holds one packet")
         if self.buffer is not None and not (isinstance(self.buffer, (int, np.integer))
                                             and self.buffer >= 1):
             raise ConfigError(f"buffer capacity must be an integer >= 1, got {self.buffer!r}")
@@ -411,6 +412,12 @@ class _SlotSums:
         n = len(times)
         if not n:
             return
+        # Drained work grows the grid up to MAX_SLOTS slots, checked before the
+        # int64 cast; the clamp below puts an event at the horizon in the last slot.
+        last = float(times[-1])         # a float quotient overflows to inf, unwarned
+        if last > self.horizon and not last / self.slot < MAX_SLOTS:
+            raise ConfigError(f"drained work up to {last:.6g} s needs more than {MAX_SLOTS} "
+                              f"slots of {self.slot:.6g} s; use a longer slot")
         # Times are non-negative, so the cast's truncation is the floor.
         idx = np.divide(times, self.slot, out=idx[:n], casting="unsafe")
         if idx[-1] >= self.n_slots:
@@ -444,11 +451,6 @@ def run(config: SimConfig, profile: CiProfile, energy: EnergyModel) -> Simulatio
         raise ConfigError(
             f"profile horizon {profile.horizon} is shorter than the run horizon {config.horizon}"
         )
-    if (spec.discipline is Discipline.FCFS_MM1 and config.buffer is None
-            and spec.rho >= 1.0):
-        raise ConfigError(
-            f"FCFS with an unbounded buffer needs rho < 1, got rho={spec.rho:.6g}"
-        )
     busy = config.cf_mode is CfMode.SERVICE_TIME_CHARGED
     if busy and not math.isfinite(profile.long_term_average):
         raise ConfigError("service-time charging subtracts integrals of the carbon intensity, "
@@ -466,7 +468,7 @@ def run(config: SimConfig, profile: CiProfile, energy: EnergyModel) -> Simulatio
         steps = _fcfs_finite(chunks, rng_service, spec.mu, config.buffer)
 
     slot = config.effective_slot
-    n_slots = slot_count(horizon, slot)
+    n_slots = slot_grid(horizon, slot, ConfigError)
     age = _AgeIntegral(config.effective_warmup, horizon)
     slots = _SlotSums(slot, n_slots, horizon)
     ep_kwh = energy.e_p_kwh()

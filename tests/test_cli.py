@@ -467,7 +467,7 @@ class TestSimulate:
                 "--horizon", "100", "--seed", "1", "--ci-value", "198",
                 "--out", str(tmp_path / "sim.json")]
         assert cli.main([*argv, "--buffer", "5"]) == 2
-        assert "--buffer does not apply to --model mm1star" in capsys.readouterr().err
+        assert "a buffer does not apply to preemptive LCFS" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
         assert cli.main([*argv, "--buffer", "inf"]) == 0
         manifest = tmp_path / "sim.json.manifest.json"
@@ -475,7 +475,7 @@ class TestSimulate:
         body["params"]["buffer"] = 5
         manifest.write_text(json.dumps(body))
         assert cli.main(["replay", str(manifest), "--out-dir", str(tmp_path / "redo")]) == 2
-        assert "--buffer does not apply" in capsys.readouterr().err
+        assert "a buffer does not apply" in capsys.readouterr().err
         assert not any((tmp_path / "redo").iterdir())
 
     def test_oversized_slot_grid_exits_2(self, tmp_path, capsys):
@@ -486,6 +486,44 @@ class TestSimulate:
         assert code == 2
         assert "slots exceed the cap" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        # LCFS at mu = 1e-10 asked numpy for 54.9 GiB: a MemoryError traceback.
+        ["--model", "mm1star", "--lambda", "1.2", "--mu", "1e-10", "--horizon", "100"],
+        # At mu = 1e-300 the int64 cast of the slot index warned, and n_tx
+        # summed to 0 for one completion.
+        ["--model", "mm1star", "--lambda", "1.2", "--mu", "1e-300", "--horizon", "100"],
+        # 3.0e7 slots, three times the cap, at 731 MB peak RSS.
+        ["--model", "mm1", "--lambda", "3", "--mu", "1", "--horizon", "1e5", "--slot", "0.01",
+         "--buffer", "1000000000"],
+    ])
+    def test_drained_work_past_the_slot_cap_exits_2(self, tmp_path, capsys, argv):
+        code = cli.main(["simulate", *argv, "--drain", "--ci-value", "198",
+                         "--out", str(tmp_path / "sim.json"),
+                         "--slots-out", str(tmp_path / "slots.csv")])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: drained work up to ") and err.count("\n") == 1, err
+        assert "needs more than 10000000 slots" in err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("out,slots_out", [("a/s.out", "b/s.out"),
+                                               ("same.csv", "same.csv")])
+    def test_outputs_sharing_a_file_name_exit_2(self, tmp_path, capsys, out, slots_out):
+        # Both exited 0: the first one's replay wrote both outputs to
+        # <out-dir>/s.out, and the second left only the CSV.
+        for d in ("a", "b"):
+            (tmp_path / d).mkdir()
+        code = cli.main(["simulate", "--model", "mm1", "--lambda", "0.5", "--mu", "1",
+                         "--horizon", "100", "--ci-value", "198",
+                         "--out", str(tmp_path / out), "--slots-out", str(tmp_path / slots_out)])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: each output needs its own file name") \
+            and err.count("\n") == 1
+        assert not any(p.is_file() for p in tmp_path.rglob("*"))
 
     @pytest.mark.parametrize("slot", ["0", "nan", "1e-320"])
     def test_slot_without_a_count_exits_2(self, tmp_path, capsys, slot):
@@ -782,6 +820,10 @@ class TestReplayChecks:
         "grid-over-cap": ("analyze", {"grid": [float(i) for i in range(10**5 + 1)]}),
         "grid-decreasing": ("sweep_k", {"k_grid": [8e-4, 4e-4, 5e-4]}),
         "grid-uneven": ("analyze", {"grid": [0.1, 0.2, 0.9]}),
+        "grid-ints": ("analyze", {"grid": [1, 2, 3]}),
+        "mu-int": ("simulate", {"mu": 1}),
+        "drain-int": ("simulate", {"drain": 1}),
+        "out-nan-token": ("simulate", {"out": math.nan}),     # json writes NaN
         "ci-constant-for-analyze": ("analyze", {"ci": {"kind": "constant", "value": 50.0}}),
         "ci-unknown-kind": ("analyze", {"ci": {"kind": "url", "path": "https://x"}}),
     }

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from caoi import dessim
-from caoi.carbon import J_PER_KWH, CarbonLedger, CiProfile, EnergyModel
+from caoi.carbon import J_PER_KWH, MAX_SLOTS, CarbonLedger, CiProfile, EnergyModel
 from caoi.dessim import (
     CfMode,
     SimConfig,
@@ -164,9 +164,8 @@ class TestConfigValidation:
         assert c.effective_slot == 1.0
 
     def test_unstable_fcfs_rejected(self):
-        c = cfg(Discipline.FCFS_MM1, 2.0, 1.0, 1000.0, 0)
-        with pytest.raises(ConfigError):
-            run(c, FLAT, ENERGY)
+        with pytest.raises(ConfigError, match="needs rho < 1"):
+            cfg(Discipline.FCFS_MM1, 2.0, 1.0, 1000.0, 0)
 
     def test_short_profile_rejected(self):
         c = cfg(Discipline.FCFS_MM1, 0.5, 1.0, 1000.0, 0)
@@ -815,6 +814,18 @@ class TestChunkSeams:
                     keep_events=True)
             trace = assert_matches_reference(c)
             assert len(trace.n_tx_per_slot) > 10000
+
+    def test_work_in_service_at_the_horizon_fits_a_grid_at_the_cap(self):
+        # 10**7 one-second slots, the cap exactly.  At seed 0 a packet is in
+        # service at the horizon and charged up to it: a cap check on the last
+        # time alone refused the run, though the clamp puts that charge in the
+        # last slot.
+        c = cfg(Discipline.LCFS_PREEMPTIVE, 1e-3, 1e-3, 1e7, 0, slot_length=1.0,
+                cf_mode=CfMode.SERVICE_TIME_CHARGED)
+        trace = run(c, CiProfile.constant(198.0, 1e7), ENERGY)
+        assert len(trace.n_tx_per_slot) == len(trace.ledger.grams) == MAX_SLOTS
+        assert trace.n_tx_per_slot.sum() == trace.completions
+        assert trace.ledger.grams[-1] > 0
 
     @pytest.mark.parametrize("drain", [False, True])
     @pytest.mark.parametrize("mode", list(CfMode))
