@@ -6,7 +6,11 @@ JSON), sweep (month-by-grid surfaces to CSV), and replay (re-run a
 manifest).  Every file the tool writes is accompanied by a
 ``<name>.manifest.json`` recording the fully resolved parameters, seeds,
 version, and input digests; replaying a manifest reproduces the outputs
-byte for byte.  A replay takes the path of a fresh command: each value
+byte for byte.  plan_outputs names every output before a command runs (a
+replay's --out-dir takes each by file name) and refuses two of one file
+name, an output named as another's manifest, and an output or manifest
+at the --ci input's path.  The manifests come after every output, so a
+command that fails writes none.  A replay takes the path of a fresh command: each value
 of its manifest is parsed from its text by its flag's own type and
 choices, and refused unless the parse gives it back, and the same run_*
 checks and runs both.  Every CSV row is formatted by one %
@@ -178,20 +182,9 @@ def _disciplines(model: str):
     return BOTH_DISCIPLINES if model == "both" else (Discipline(model),)
 
 
-def _redirect(path, out_dir):
-    if path is None or out_dir is None:
-        return path
-    return str(Path(out_dir) / Path(path).name)
-
-
 def write_manifest(command: str, params: dict, outputs: list) -> None:
-    body = {
-        "tool": "caoi",
-        "version": __version__,
-        "command": command,
-        "params": params,
-        "outputs": [str(Path(p).name) for p in outputs],
-    }
+    body = {"tool": "caoi", "version": __version__, "command": command, "params": params,
+            "outputs": [Path(p).name for p in outputs]}
     for out in outputs:
         write_json(str(out) + ".manifest.json", body)
 
@@ -282,12 +275,11 @@ class _AnalyzeGrid(argparse.Action):
         namespace.grid = values
 
 
-def run_analyze(params: dict, out_dir=None) -> None:
+def run_analyze(params: dict, out: str) -> None:
     if params["grid_kind"] not in ("lambda", "k") or params["grid"] is None:
         raise ValidationError("analyze needs exactly one of --lambda-grid or --k-grid")
-    if params["mode"] is None:
-        params = dict(params, mode="exact" if params["grid_kind"] == "lambda" else "paper")
-    out_path = _redirect(params["out"], out_dir)
+    if params["mode"] is None:      # the manifest records the mode that ran
+        params["mode"] = "exact" if params["grid_kind"] == "lambda" else "paper"
     profile = load_ci(params["ci"])
     energy = EnergyModel()
     eps = SaturationEpsilon(params["eps"])
@@ -303,13 +295,12 @@ def run_analyze(params: dict, out_dir=None) -> None:
                                 params["a"], per_month=False, eps=eps)
     if table.infeasible.all():
         raise Infeasible("every grid point is infeasible")
-    write_csv(out_path, ANALYZE_HEADER, table_blocks(table, ANALYZE_HEADER))
-    write_manifest("analyze", params, [out_path])
+    write_csv(out, ANALYZE_HEADER, table_blocks(table, ANALYZE_HEADER))
 
 
 # ---------------------------------------------------------------- optimize
 
-def run_optimize(params: dict, out_dir=None) -> int:
+def run_optimize(params: dict, out=None) -> int:
     problem = params["problem"]
     if problem == "power" and params["p_max"] is None:
         raise ValidationError("--problem power needs --p-max")
@@ -328,7 +319,6 @@ def run_optimize(params: dict, out_dir=None) -> int:
     for key, owner in (("p_max", "power"), ("snr_min_db", "qos")):
         if params[key] is not None and problem != owner:
             raise ValidationError(f"--{key.replace('_', '-')} does not apply to --problem {problem}")
-    out_path = _redirect(params["out"], out_dir)
     profile = load_ci(params["ci"])
     energy = EnergyModel()
     eps = SaturationEpsilon(params["eps"])
@@ -377,22 +367,15 @@ def run_optimize(params: dict, out_dir=None) -> int:
             "lambda_bound": res.lambda_bound,
             "binding": res.binding_constraint.value,
         }
-    write_json(out_path, body)
-    if out_path is not None:
-        write_manifest("optimize", params, [out_path])
+    write_json(out, body)
     return code
 
 
 # ---------------------------------------------------------------- simulate
 
-def run_simulate(params: dict, out_dir=None) -> None:
+def run_simulate(params: dict, out=None, slots_out=None, events_out=None) -> None:
     from .dessim import CfMode, SimConfig, replicate     # loaded for simulate alone
 
-    paths = [_redirect(params[key], out_dir) for key in ("out", "slots_out", "events_out")]
-    names = [Path(p).name for p in paths if p is not None]
-    if len(set(names)) < len(names):    # a manifest records, and replays, names alone
-        raise ValidationError(f"each output needs its own file name, got {', '.join(names)}")
-    out_path, slots_path, events_path = paths
     discipline = Discipline(params["model"])
     spec = QueueSpec(discipline, params["lam"], params["mu"])
     config = SimConfig(
@@ -404,7 +387,7 @@ def run_simulate(params: dict, out_dir=None) -> None:
         cf_mode=CfMode(params["cf_mode"]),
         buffer=params["buffer"],
         drain=params["drain"],
-        keep_events=events_path is not None,
+        keep_events=events_out is not None,
     )
     profile = load_ci(params["ci"], horizon=params["horizon"])
     energy = EnergyModel()
@@ -418,7 +401,7 @@ def run_simulate(params: dict, out_dir=None) -> None:
     closed = avg_aoi(discipline, spec.lam, spec.mu) if config.buffer is None else None
     rel_dev = None if closed is None else abs(summary.mean_aoi - closed) / closed
 
-    write_json(out_path, {
+    write_json(out, {
         "model": params["model"],
         "lambda": params["lam"],
         "mu": params["mu"],
@@ -441,24 +424,19 @@ def run_simulate(params: dict, out_dir=None) -> None:
     })
 
     # '%.17g' % x is format(x, ".17g"), fmt_float's rule.
-    outputs = [] if out_path is None else [out_path]
-    if slots_path is not None:
+    if slots_out is not None:
         n_tx, grams, slot = first.n_tx_per_slot, first.ledger.grams, first.slot_length
-        write_csv(slots_path, SLOTS_HEADER, template_blocks("%.17g,%d,%.17g\n", len(n_tx), (
+        write_csv(slots_out, SLOTS_HEADER, template_blocks("%.17g,%d,%.17g\n", len(n_tx), (
             lambda cells: (np.arange(cells.start, cells.stop) * slot, n_tx[cells], grams[cells]))))
-        outputs.append(slots_path)
-    if events_path is not None:
+    if events_out is not None:
         t, u = first.delivery_times, first.delivery_gen_times
-        write_csv(events_path, EVENTS_HEADER, template_blocks("%.17g,%.17g,%.17g\n", len(t), (
+        write_csv(events_out, EVENTS_HEADER, template_blocks("%.17g,%.17g,%.17g\n", len(t), (
             lambda cells: (t[cells], u[cells], t[cells] - u[cells]))))
-        outputs.append(events_path)
-    if outputs:
-        write_manifest("simulate", params, outputs)
 
 
 # ---------------------------------------------------------------- sweep
 
-def run_sweep(params: dict, out_dir=None) -> None:
+def run_sweep(params: dict, out: str) -> None:
     surface = params["surface"]
     if surface == "k" and params["k_grid"] is None:
         raise ValidationError("--surface k needs --k-grid")
@@ -480,7 +458,6 @@ def run_sweep(params: dict, out_dir=None) -> None:
     for key in ("snr_grid_db", "budget_k") if surface == "k" else ("k_grid",):
         if params[key] is not None:
             raise ValidationError(f"--{key.replace('_', '-')} does not apply to --surface {surface}")
-    out_path = _redirect(params["out"], out_dir)
     profile = load_ci(params["ci"])
     tn, a = params["tn"], params["a"]
     if surface == "k":
@@ -498,27 +475,44 @@ def run_sweep(params: dict, out_dir=None) -> None:
                           SaturationEpsilon(params["eps"]))
     if table.infeasible.all():
         raise Infeasible("every grid cell is infeasible")
-    write_csv(out_path, SWEEP_HEADER, table_blocks(table, SWEEP_HEADER))
-    write_manifest("sweep", params, [out_path])
+    write_csv(out, SWEEP_HEADER, table_blocks(table, SWEEP_HEADER))
 
 
 # ---------------------------------------------------------------- params
 
-# subcommand -> (its manifest keys in manifest order, run from params); run
-# returns the exit code, or None for success.  Each key is the dest of the
-# flag that sets it, except ci (the record resolve_ci_spec writes) and
-# analyze's grid_kind (set by _AnalyzeGrid, checked by run_analyze).
+# subcommand -> (its manifest keys in manifest order, its output keys, run
+# from params and the planned path of each output key given); run returns
+# the exit code, or None for success.  Each key is the dest of the flag that sets it,
+# except ci (resolve_ci_spec's record) and analyze's grid_kind (_AnalyzeGrid's).
 _COMMANDS = {
     "analyze": (("model", "mu", "grid_kind", "grid", "mode", "tn", "a", "eps", "ci", "out"),
-                run_analyze),
+                ("out",), run_analyze),
     "optimize": (("problem", "model", "mode", "budget_k", "tn", "mu", "mu_rule", "eps", "a",
-                  "month", "p_max", "snr_min_db", "ci", "out"), run_optimize),
+                  "month", "p_max", "snr_min_db", "ci", "out"), ("out",), run_optimize),
     "simulate": (("model", "lam", "mu", "horizon", "seed", "reps", "warmup", "slot",
                   "cf_mode", "buffer", "drain", "ci", "out", "slots_out", "events_out"),
-                 run_simulate),
+                 ("out", "slots_out", "events_out"), run_simulate),
     "sweep": (("surface", "model", "mode", "k_grid", "snr_grid_db", "budget_k", "p_max",
-               "mu", "tn", "eps", "a", "ci", "out"), run_sweep),
+               "mu", "tn", "eps", "a", "ci", "out"), ("out",), run_sweep),
 }
+
+
+def plan_outputs(command: str, params: dict, out_dir=None) -> dict:
+    """Each output path params gives, moved into out_dir by file name; see the module docstring."""
+    paths = {key: params[key] if out_dir is None else str(Path(out_dir) / Path(params[key]).name)
+             for key in _COMMANDS[command][1] if params[key] is not None}
+    flags = {Path(path).name: f"--{key.replace('_', '-')} {path}" for key, path in paths.items()}
+    if len(flags) < len(paths):
+        raise ValidationError("each output needs its own file name, got "
+                              + ", ".join(Path(path).name for path in paths.values()))
+    ci = params["ci"].get("path")
+    for path in paths.values():
+        manifest, flag = path + ".manifest.json", flags[Path(path).name]
+        if Path(manifest).name in flags:
+            raise ValidationError(f"{flags[Path(manifest).name]} is the manifest of {flag}")
+        if ci in (str(Path(path).resolve()), str(Path(manifest).resolve())):
+            raise ValidationError(f"{flag} or its manifest would overwrite the --ci input {ci}")
+    return paths
 
 
 def resolve(command: str, args) -> dict:
@@ -666,14 +660,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    out_dir = getattr(args, "out_dir", None)
     try:
         if args.command == "replay":
             command, params = read_manifest(args.manifest, parser)
-            if args.out_dir is not None:
-                Path(args.out_dir).mkdir(parents=True, exist_ok=True)
         else:
             command, params = args.command, resolve(args.command, args)
-        return _COMMANDS[command][1](params, getattr(args, "out_dir", None)) or 0
+        paths = plan_outputs(command, params, out_dir)
+        if out_dir is not None:
+            Path(out_dir).mkdir(parents=True, exist_ok=True)
+        code = _COMMANDS[command][2](params, **paths)
+        # Manifests last, so a command that fails writes none.
+        write_manifest(command, params, list(paths.values()))
+        return code or 0
     except Infeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3

@@ -724,6 +724,72 @@ class TestManifestsAndReplay:
         assert "changed" in res.stderr
 
 
+class TestOutputPlan:
+    """One plan of every command's outputs, checked before anything runs."""
+
+    COMMANDS = {
+        "analyze": ["analyze", "--model", "mm1", "--mu", "1", "--lambda-grid", "0.1:0.9:3"],
+        "optimize": ["optimize", "--problem", "cf", "--model", "mm1", "--mu", "1",
+                     "--budget-k", "0.05"],
+        "simulate": ["simulate", "--model", "mm1", "--lambda", "0.5", "--mu", "1",
+                     "--horizon", "100"],
+        "sweep": ["sweep", "--surface", "k", "--mu", "1", "--k-grid", "0.01:0.1:3"],
+    }
+
+    @staticmethod
+    def refused(tmp_path, capsys, argv, message):
+        """argv exits 2 with one error line and leaves tmp_path as it was."""
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1, err
+        assert err.startswith("error: ") and message in err, err
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_output_over_the_ci_input_exits_2(self, tmp_path, capsys, command):
+        # Each exited 0, and the output overwrote the profile its manifest digests.
+        ci = tmp_path / "prof.csv"
+        ci.write_text(BUILTIN_CSV)
+        self.refused(tmp_path, capsys, [*self.COMMANDS[command], "--ci", str(ci),
+                                        "--out", str(tmp_path / "." / "prof.csv")],
+                     f"would overwrite the --ci input {ci}")
+
+    @pytest.mark.parametrize("flag", ["--out", "--slots-out", "--events-out"])
+    def test_manifest_over_the_ci_input_exits_2(self, tmp_path, capsys, flag):
+        ci = tmp_path / "prof.manifest.json"
+        ci.write_text(BUILTIN_CSV)
+        self.refused(tmp_path, capsys, [*self.COMMANDS["simulate"], "--ci", str(ci),
+                                        flag, str(tmp_path / "prof")],
+                     f"error: {flag} {tmp_path / 'prof'} or its manifest would overwrite")
+
+    def test_output_named_as_a_manifest_exits_2(self, tmp_path, capsys):
+        # Exited 0: the manifest of s.json overwrote the slots CSV.
+        out, slots = str(tmp_path / "s.json"), str(tmp_path / "s.json.manifest.json")
+        self.refused(tmp_path, capsys, [*self.COMMANDS["simulate"], "--ci-value", "198",
+                                        "--out", out, "--slots-out", slots],
+                     f"error: --slots-out {slots} is the manifest of --out {out}\n")
+
+    def test_replay_into_the_input_directory_exits_2(self, tmp_path, capsys):
+        ci = tmp_path / "prof.csv"
+        ci.write_text(BUILTIN_CSV)
+        (tmp_path / "runs").mkdir()
+        assert cli.main([*self.COMMANDS["sweep"], "--ci", str(ci),
+                         "--out", str(tmp_path / "runs" / "prof.csv")]) == 0
+        manifest = tmp_path / "runs" / "prof.csv.manifest.json"
+        self.refused(tmp_path, capsys, ["replay", str(manifest), "--out-dir", str(tmp_path)],
+                     f"error: --out {ci} or its manifest would overwrite the --ci input {ci}\n")
+
+    def test_a_failed_output_leaves_no_manifest(self, tmp_path, capsys):
+        # The JSON is written; the slots CSV's directory does not exist.
+        code = cli.main([*self.COMMANDS["simulate"], "--ci-value", "198",
+                         "--out", str(tmp_path / "ok.json"),
+                         "--slots-out", str(tmp_path / "missing_dir" / "s.csv")])
+        assert code == 4
+        assert capsys.readouterr().err.startswith("i/o error: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["ok.json"]
+
+
 def _refuse_constant(token):
     raise ValueError(f"non-standard JSON token {token}")
 
