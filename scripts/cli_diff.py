@@ -196,8 +196,25 @@ def commands() -> list:
         ("simulate-drain-past-cap", [
             "simulate", "--model", "mm1star", "--lambda", "1.2", "--mu", "1e-300",
             "--horizon", "100", "--drain", "--ci-value", "198", "--out", "sim_past_cap.json"]),
+        # An output named as another output's manifest.
+        ("simulate-output-is-a-manifest", [
+            "simulate", "--model", "mm1", "--lambda", "0.5", "--mu", "1", "--horizon", "100",
+            "--ci-value", "198", "--out", "s.json", "--slots-out", "s.json.manifest.json"]),
     ]
+    # An output over its own --ci input, which run_side writes for it alone:
+    # where it is not refused, the command overwrites that input.
+    for command, argv in CLOBBERS.items():
+        cmds.append((f"{command}-over-its-ci", [
+            command, *argv, "--ci", f"clobber_{command}.csv", "--out", f"clobber_{command}.csv"]))
     return cmds
+
+
+CLOBBERS = {
+    "analyze": ["--model", "mm1", "--mu", "1", "--lambda-grid", "0.1:0.9:3"],
+    "optimize": ["--problem", "cf", "--model", "mm1", "--mu", "1", "--budget-k", "0.05"],
+    "simulate": ["--model", "mm1", "--lambda", "0.5", "--mu", "1", "--horizon", "100"],
+    "sweep": ["--surface", "k", "--mu", "1", "--k-grid", "0.01:0.1:3"],
+}
 
 
 # Manifests no command writes, by output name: a k grid that decreases,
@@ -246,6 +263,8 @@ def run_side(checkout: Path, work: Path, log: Path) -> None:
     (work / "year.csv").write_text(YEAR_CSV)
     (work / "two_years.csv").write_text(TWO_YEAR_CSV)
     (work / "profile_cr.csv").write_bytes(PROFILE_CSV.replace("\n", "\r").encode())
+    for command in CLOBBERS:
+        (work / f"clobber_{command}.csv").write_text(YEAR_CSV)
     for name in REFUSED:
         (work / f"{name}.manifest.json").write_text(refused_manifest(name))
 

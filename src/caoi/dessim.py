@@ -41,8 +41,11 @@ the grams become the CarbonLedger uncopied.
 loop's outputs bit for bit whatever the core count; only its first
 replication keeps the config's slot grid and events.
 
-Randomness: the seed feeds a SeedSequence whose first spawned child
-drives interarrival draws and whose second drives service draws.  The
+Randomness: a run spawns two children of SeedSequence(seed), or of the
+one replicate gives it, and the first drives interarrival draws and the
+second service draws.  Replication r >= 1 takes SeedSequence(seed,
+spawn_key=(3, r)), apart from the keys (0,) and (1,) of a run's children
+and from (2,), so no two seeds' replications share a stream.  The
 service stream is consumed once per admitted packet, in admission order,
 so rejected arrivals do not perturb it.
 
@@ -74,6 +77,7 @@ _MAX_EVENT_ARRIVALS = 10 ** 7   # keep_events cap on expected arrivals, lam * ho
 # about 20 s); at lam = 1e300, gaps of 1e-300 s would need 10**303 draws: no end.
 _MAX_ARRIVALS = 10 ** 10
 _MAX_REPS = 10 ** 4             # replicate's cap on replications; see replicate
+_REPLICATIONS = 3               # spawn_key[0] of replications r >= 1; see Randomness
 _BLOCK = 1 << 12                # arrivals per pass of the finite-buffer admission loop
 
 
@@ -180,7 +184,7 @@ class SimulationTrace:
 
 @dataclass
 class ReplicationSummary:
-    """Aggregate over independent replications (seed, seed+1, ...); only
+    """Aggregate over replications on independent streams; only
     traces[0] has the config's slot grid and events (see replicate).  The
     means and the halfwidth are summed in index order, so they do not
     depend on how many replications ran at once.
@@ -444,8 +448,9 @@ class _SlotSums:
             self.grams[lo + 1:top + 1] += np.bincount(rest, weights=weights[first:n])
 
 
-def run(config: SimConfig, profile: CiProfile, energy: EnergyModel) -> SimulationTrace:
-    """Simulate one seeded sample path and summarize it."""
+def run(config: SimConfig, profile: CiProfile, energy: EnergyModel, *,
+        _seeds=None) -> SimulationTrace:
+    """Simulate one seeded sample path, on _seeds' children if given, and summarize it."""
     spec = config.spec
     if profile.horizon < config.horizon:
         raise ConfigError(
@@ -456,7 +461,7 @@ def run(config: SimConfig, profile: CiProfile, energy: EnergyModel) -> Simulatio
         raise ConfigError("service-time charging subtracts integrals of the carbon intensity, "
                           f"which overflow over the profile horizon {profile.horizon}")
 
-    arr_ss, svc_ss = np.random.SeedSequence(config.seed).spawn(2)
+    arr_ss, svc_ss = (np.random.SeedSequence(config.seed) if _seeds is None else _seeds).spawn(2)
     rng_service = np.random.default_rng(svc_ss)
     horizon = config.horizon
     chunks = _arrival_chunks(np.random.default_rng(arr_ss), spec.lam, horizon)
@@ -570,10 +575,10 @@ def _usable_cores() -> int:
 
 def replicate(config: SimConfig, profile: CiProfile, energy: EnergyModel,
               n_reps: int) -> ReplicationSummary:
-    """Run n_reps >= 1 independent replications seeded seed, seed+1, ...
+    """Run n_reps >= 1 replications on independent streams (see Randomness).
 
     Only the first replication keeps detail: traces[0] runs config as
-    given, and traces[r] for r >= 1 runs it seeded seed + r on the default
+    given, and traces[r] for r >= 1 runs it on its own streams, the default
     slot grid (horizon / 1000) and without events.  The CLI writes the
     first trace's slots and events and reads only scalars of the rest, so
     a further replication holds about 16 kB, not a copy of a fine grid,
@@ -586,12 +591,12 @@ def replicate(config: SimConfig, profile: CiProfile, energy: EnergyModel,
     sequential loop gives, whatever the core count.  numpy releases the
     GIL in the draws, the infinite-buffer kernels and the slot sums.  The
     finite buffer's admission loop (_fcfs_finite) is Python and holds it,
-    so a finite-buffer config gains little from the helpers: at K = 10,
-    rho = 0.5 and 10**6 arrivals, 2 replications take about twice one run
-    with or without them.  Each concurrent replication adds one run's
-    chunk buffers to the peak memory.  If one
-    fails, no further one starts, and the error of the lowest failing
-    index is raised once every started replication has ended.
+    so a finite-buffer config gains nothing from a helper: at K = 10,
+    rho = 0.5 and 10**6 arrivals on 2 cores, 2 replications took 2.1-2.8
+    times one run with it and 1.8-2.2 times without (best of 5, 5 runs).
+    Each concurrent replication adds one run's chunk buffers to the peak
+    memory.  If one fails, no further one starts, and the error of the
+    lowest failing index is raised once every started replication has ended.
 
     The 95% halfwidth is the Student-t interval t(0.975, n-1) * s / sqrt(n),
     and None for one replication, which has no spread to measure.
@@ -613,10 +618,10 @@ def replicate(config: SimConfig, profile: CiProfile, energy: EnergyModel,
                 r = None if errors else next(pending, None)
             if r is None:
                 return
-            rep = config if r == 0 else replace(config, seed=config.seed + r,
-                                                keep_events=False, slot_length=None)
+            rep = config if r == 0 else replace(config, keep_events=False, slot_length=None)
+            seeds = np.random.SeedSequence(config.seed, spawn_key=(_REPLICATIONS, r) if r else ())
             try:
-                traces[r] = run(rep, profile, energy)
+                traces[r] = run(rep, profile, energy, _seeds=seeds)
             except BaseException as exc:
                 with lock:
                     errors[r] = exc

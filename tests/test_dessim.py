@@ -46,6 +46,16 @@ def assert_same_trace(a, b):
             assert x == y, f.name
 
 
+def replication_seeds(seed, r):
+    """The SeedSequence of replication r: the seed's own for r = 0, else
+    spawn key (3, r), apart from run's children (0,) and (1,) and from (2,)."""
+    return np.random.SeedSequence(seed, spawn_key=(3, r) if r else ())
+
+
+def replication_index(seeds):
+    return seeds.spawn_key[1] if seeds.spawn_key else 0
+
+
 def replay_streams(lam, mu, horizon, seed):
     """Re-derive the exact arrival times and service stream of a run."""
     ss = np.random.SeedSequence(seed)
@@ -487,11 +497,32 @@ class TestReplicate:
         assert summary.ci95_halfwidth > 0
         assert 0 < summary.mean_a <= 1
 
-    def test_replications_use_consecutive_seeds(self):
+    def test_replications_use_their_own_spawn_keys(self):
+        # Replication 1 once ran seed 41, so seed 41's run was seed 40's second path.
         c = cfg(Discipline.FCFS_MM1, 0.5, 1.0, 20000.0, 40)
         summary = replicate(c, FLAT, ENERGY, 3)
-        solo = run(cfg(Discipline.FCFS_MM1, 0.5, 1.0, 20000.0, 41), FLAT, ENERGY)
-        assert summary.traces[1].time_avg_aoi == solo.time_avg_aoi
+        for r, trace in enumerate(summary.traces):
+            solo = run(c, FLAT, ENERGY, _seeds=replication_seeds(40, r))
+            assert trace.time_avg_aoi == solo.time_avg_aoi
+        assert summary.traces[0].time_avg_aoi == run(c, FLAT, ENERGY).time_avg_aoi
+        next_seed = run(replace(c, seed=41), FLAT, ENERGY)
+        assert next_seed.time_avg_aoi not in [t.time_avg_aoi for t in summary.traces]
+
+    def test_streams_of_nearby_seeds_are_distinct(self, monkeypatch):
+        # Every stream run draws from, for seeds 0-50 with 20 replications
+        # each, comes from its own (entropy, spawn key) pair.  With seed + r,
+        # seeds 1 and 2 shared 19 of their 20 paths.
+        streams, default_rng = [], np.random.default_rng
+
+        def recording(seeds):
+            streams.append((seeds.entropy, seeds.spawn_key))
+            return default_rng(seeds)
+
+        monkeypatch.setattr(np.random, "default_rng", recording)
+        for seed in range(51):
+            replicate(cfg(Discipline.FCFS_MM1, 0.5, 1.0, 1.0, seed), FLAT, ENERGY, 20)
+        assert len(streams) == 51 * 20 * 2
+        assert len(set(streams)) == len(streams)
 
     def test_every_config_field_reaches_each_replication(self):
         # Every field but the slot and keep_events: only the first
@@ -502,8 +533,8 @@ class TestReplicate:
         summary = replicate(c, FLAT, ENERGY, 3)
         assert_same_trace(summary.traces[0], run(c, FLAT, ENERGY))
         for r, trace in enumerate(summary.traces[1:], start=1):
-            expected = replace(c, seed=50 + r, keep_events=False, slot_length=None)
-            assert_same_trace(trace, run(expected, FLAT, ENERGY))
+            expected = replace(c, keep_events=False, slot_length=None)
+            assert_same_trace(trace, run(expected, FLAT, ENERGY, _seeds=replication_seeds(50, r)))
             assert trace.slot_length == 2.0 and trace.delivery_times is None
 
     def test_events_kept_for_the_first_replication_only(self):
@@ -592,8 +623,8 @@ class TestReplicate:
 
     @staticmethod
     def stub_run(started):
-        def fake(config, profile, energy):
-            started.append(config)
+        def fake(config, profile, energy, _seeds):
+            started.append((replication_index(_seeds), config))
             return SimpleNamespace(time_avg_aoi=1.0, empirical_a=1.0,
                                    ledger=SimpleNamespace(total=0.0))
         return fake
@@ -610,7 +641,7 @@ class TestReplicate:
         assert started == []
         wide = cfg(Discipline.FCFS_MM1, 0.5, 1.0, 6e6, 0, slot_length=1.0)
         assert len(replicate(wide, FLAT, ENERGY, 2).traces) == 2
-        assert sorted((c.seed, c.effective_slot) for c in started) == [(0, 1.0), (1, 6000.0)]
+        assert sorted((r, c.effective_slot) for r, c in started) == [(0, 1.0), (1, 6000.0)]
 
     def test_replications_up_to_the_caps_run(self, monkeypatch):
         started = []
@@ -620,14 +651,14 @@ class TestReplicate:
         assert len(replicate(c, FLAT, ENERGY, 10 ** 4).traces) == 10 ** 4
         wide = cfg(Discipline.FCFS_MM1, 0.5, 1.0, 2.5e6, 0, slot_length=1.0)
         assert len(replicate(wide, FLAT, ENERGY, 4).traces) == 4
-        assert sorted(c.seed for c in started) == sorted([*range(10 ** 4), *range(4)])
+        assert sorted(r for r, _ in started) == sorted([*range(10 ** 4), *range(4)])
 
 
 def sequential(config, profile, n_reps):
     """The replications of `replicate`, run one after another: the first
     as configured, the rest on the default slot grid without events."""
-    return [run(config if r == 0 else replace(config, seed=config.seed + r, keep_events=False,
-                                               slot_length=None), profile, ENERGY)
+    return [run(config if r == 0 else replace(config, keep_events=False, slot_length=None),
+                profile, ENERGY, _seeds=replication_seeds(config.seed, r))
             for r in range(n_reps)]
 
 
@@ -668,10 +699,10 @@ class TestConcurrentReplicate:
         started = []
         lock = threading.Lock()
 
-        def fake(config, profile, energy):
+        def fake(config, profile, energy, _seeds):
             with lock:
-                started.append(config.seed)
-            return SimpleNamespace(time_avg_aoi=float(config.seed), empirical_a=1.0,
+                started.append(replication_index(_seeds))
+            return SimpleNamespace(time_avg_aoi=float(replication_index(_seeds)), empirical_a=1.0,
                                    ledger=SimpleNamespace(total=0.0))
 
         monkeypatch.setattr(dessim, "run", fake)
@@ -687,22 +718,23 @@ class TestConcurrentReplicate:
 
     @staticmethod
     def failing_run(fail, started, delays):
-        """A stand-in for run that records each seed, sleeps delays[seed]
-        seconds, and raises for the seeds in fail."""
+        """A stand-in for run that records each replication r, sleeps
+        delays[r] seconds, and raises for the replications in fail."""
         lock = threading.Lock()
 
-        def fake(config, profile, energy):
+        def fake(config, profile, energy, _seeds):
+            r = replication_index(_seeds)
             with lock:
-                started.append(config.seed)
-            time.sleep(delays.get(config.seed, 0.0))
-            if config.seed in fail:
-                raise ValueError(config.seed)
+                started.append(r)
+            time.sleep(delays.get(r, 0.0))
+            if r in fail:
+                raise ValueError(r)
 
         return fake
 
     @pytest.mark.parametrize("cores", [1, 2, 4])
     def test_raises_the_lowest_failing_index(self, monkeypatch, cores):
-        # Where the replications overlap, seed 3 fails before seed 2; seed 2,
+        # Where the replications overlap, replication 3 fails before 2; 2,
         # which the sequential loop reaches first, is the one raised.
         started = []
         delays = {0: 0.05, 1: 0.05, 2: 0.1, 4: 0.05, 5: 0.05}
@@ -717,7 +749,7 @@ class TestConcurrentReplicate:
         assert {0, 1, 2} <= set(started) <= {0, 1, 2, 3}
 
     def test_no_replication_starts_after_a_failure(self, monkeypatch):
-        # Seed 0 fails at once; the other thread ends the replication it
+        # Replication 0 fails at once; the other thread ends the replication it
         # took and takes no other.
         started = []
         delays = {r: 0.05 for r in range(1, 40)}
