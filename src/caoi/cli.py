@@ -10,11 +10,11 @@ byte for byte.  plan_outputs names every output before a command runs (a
 replay's --out-dir takes each by file name) and refuses two of one file
 name, an output named as another's manifest, and an output or manifest
 at the --ci input's path.  The manifests come after every output, so a
-command that fails writes none.  A replay takes the path of a fresh command: each value
-of its manifest is parsed from its text by its flag's own type and
-choices, and refused unless the parse gives it back, and the same run_*
-checks and runs both.  Every CSV row is formatted by one %
-over a row template (template_blocks), with each float as '%.17g', 17
+command that fails writes no manifest.  A replay takes the path of a
+fresh command: each value of its manifest is parsed from its text by its
+flag's own type and choices, and refused unless the parse gives it back,
+and the same run_* checks and runs both.  Every CSV row is formatted by
+one % over a row template (template_blocks), with each float as '%.17g', 17
 significant digits, so equal results are equal bytes.  A command loads
 only the modules it runs: caoi.dessim, and numpy.random with it, for
 simulate alone, and hashlib for a --ci file's digest alone.
@@ -670,7 +670,7 @@ def main(argv=None) -> int:
         if out_dir is not None:
             Path(out_dir).mkdir(parents=True, exist_ok=True)
         code = _COMMANDS[command][2](params, **paths)
-        # Manifests last, so a command that fails writes none.
+        # Manifests last, so a command that fails writes no manifest.
         write_manifest(command, params, list(paths.values()))
         return code or 0
     except Infeasible as exc:
