@@ -3,7 +3,8 @@
 
     python3 scripts/bench_record.py --pr 6 --parent ../caoi-parent
 
-For each workload this runs `perfbench/run.py --trace 0`, at run.py's
+For each workload BENCHMARK.json declares, or each that --workload
+names, this runs `perfbench/run.py --trace 0`, at run.py's
 own run length, of this checkout (the change) and of another checkout
 (the parent) in alternating pairs: the parent runs first in even pairs
 and second in odd ones.  Both checkouts must be committed, with no
@@ -26,7 +27,6 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("sim_validate", "surfaces", "cli_roundtrip")
 
 
 def run_once(checkout: Path, workload: str, seed: int) -> dict:
@@ -73,6 +73,11 @@ def summarize(runs: list) -> dict:
     }
 
 
+def workloads(path: Path = ROOT / "BENCHMARK.json") -> list:
+    """The names of the workloads BENCHMARK.json declares, in its order."""
+    return [w["name"] for w in json.loads(path.read_text())["workloads"]]
+
+
 def directions(path: Path = ROOT / "BENCHMARK.json") -> dict:
     """Each end-to-end metric's better direction, "higher" or "lower"."""
     return {m["name"]: m["better"] for m in json.loads(path.read_text())["end_to_end"]}
@@ -112,7 +117,8 @@ def main(argv=None) -> int:
                         help="checkout of the parent commit")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--workload", choices=WORKLOADS, nargs="+", default=list(WORKLOADS))
+    names = workloads()
+    parser.add_argument("--workload", choices=names, nargs="+", default=names)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")

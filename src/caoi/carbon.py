@@ -48,30 +48,18 @@ def joules_to_kwh(joules: float) -> float:
 MAX_SLOTS = 10 ** 7
 
 
-def slot_count(horizon: float, slot: float) -> int:
-    """How many slots of length slot tile [0, horizon), or 0 if none do.
-
-    horizon / slot may miss a whole number by 1e-9 of itself.  A slot that is
-    not positive, or a ratio below 1, infinite or NaN, gives 0."""
-    if not slot > 0:
-        return 0
-    n = horizon / slot
-    if not 1 <= n < math.inf:
-        return 0
-    count = round(n)
-    return count if abs(n - count) <= 1e-9 * n else 0
-
-
 def slot_grid(horizon: float, slot: float, error: type[Exception]) -> int:
-    """slot_count(horizon, slot), with error raised if no grid of slot tiles
-    the horizon or if the grid has more than MAX_SLOTS slots."""
-    n = slot_count(horizon, slot)
-    if not n:
+    """How many slots of length slot tile [0, horizon); horizon / slot may
+    miss a whole number by 1e-9 of itself.  error is raised if none do (a
+    slot that is not positive, or a ratio below 1, infinite or NaN) or if
+    the grid has more than MAX_SLOTS slots."""
+    n = horizon / slot if slot > 0 else 0.0
+    count = round(n) if 1 <= n < math.inf else 0
+    if not count or abs(n - count) > 1e-9 * n:
         raise error(f"slot length {slot} does not tile horizon {horizon}")
-    if n > MAX_SLOTS:
-        raise error(f"{horizon / slot:.6g} slots exceed the cap of {MAX_SLOTS}; "
-                    "use a longer slot")
-    return n
+    if count > MAX_SLOTS:
+        raise error(f"{n:.6g} slots exceed the cap of {MAX_SLOTS}; use a longer slot")
+    return count
 
 
 @dataclass(frozen=True, init=False, repr=False)
@@ -271,7 +259,7 @@ class CarbonLedger:
 
 def _power_steps(power) -> np.ndarray:
     """power, a constant or (start_s, watts) steps, as checked (n, 2) float64 steps."""
-    if isinstance(power, (int, float)):
+    if isinstance(power, (int, float, np.integer, np.floating)):
         if not power > 0:
             raise DomainError(f"power must be positive, got {power}")
         power = ((0.0, power),)

@@ -116,15 +116,12 @@ def serialize_ci_csv(profile: CiProfile) -> str:
     if profile.horizon != n * MONTH_SECONDS:
         raise ValidationError(f"only 30-day months can be written: {n} periods need horizon "
                               f"{n * MONTH_SECONDS} s, got {profile.horizon}")
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(HEADER)
-    for i, (start, value) in enumerate(zip(profile.starts, profile.values), start=1):
+    for i, start in enumerate(profile.starts, start=1):
         if start != (i - 1) * MONTH_SECONDS:
             raise ValidationError(f"only 30-day months can be written: period {i} needs start "
                                   f"{(i - 1) * MONTH_SECONDS} s, got {start}")
-        writer.writerow([str(i), format(value, ".17g")])
-    return out.getvalue()
+    rows = (f"{i},{value:.17g}\n" for i, value in enumerate(profile.values, start=1))
+    return ",".join(HEADER) + "\n" + "".join(rows)
 
 
 def builtin_profile_si2024() -> CiProfile:

@@ -119,6 +119,8 @@ def parse_grid(text: str):
     if stop <= start:
         raise argparse.ArgumentTypeError("grid stop must exceed start")
     step = (stop - start) / (count - 1)
+    if not math.isfinite(step):     # an end or the span not finite: -10 + 0 * inf is NaN
+        raise argparse.ArgumentTypeError(f"grid ends and step must be finite, got {text!r}")
     return [start + i * step for i in range(count - 1)] + [stop]
 
 
@@ -132,7 +134,7 @@ def parse_buffer(text: str):
 
 
 def resolve_ci_spec(ci_arg, ci_value) -> dict:
-    """Turn --ci/--ci-value flags into a manifest-ready source record."""
+    """Turn --ci/--ci-value flags into a source record; load_ci adds a file's sha256."""
     if ci_value is not None and ci_arg is not None:
         raise ValidationError("--ci and --ci-value are exclusive: give one CI source")
     if ci_value is not None:
@@ -141,14 +143,11 @@ def resolve_ci_spec(ci_arg, ci_value) -> dict:
         ci_arg = os.environ.get(ENV_DEFAULT_CI) or "builtin"
     if ci_arg == "builtin":
         return {"kind": "builtin"}
-    import hashlib
-    path = Path(ci_arg).resolve()
-    return {"kind": "file", "path": str(path),
-            "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+    return {"kind": "file", "path": str(Path(ci_arg).resolve())}
 
 
 def _is_ci_spec(spec, constant: bool) -> bool:
-    """Whether spec has one of the forms resolve_ci_spec writes, the
+    """Whether spec has one of the forms a manifest records, the
     constant one only if the command has --ci-value."""
     fields = {"builtin": {}, "constant": {"value": float}, "file": {"path": str, "sha256": str}}
     kind = spec.get("kind") if isinstance(spec, dict) else None
@@ -158,8 +157,9 @@ def _is_ci_spec(spec, constant: bool) -> bool:
 
 
 def load_ci(spec: dict, horizon: float = 1.0) -> CiProfile:
-    """The profile of a source record.  A file's bytes are read once: the
-    bytes checked against the recorded digest are the bytes parsed."""
+    """The profile of a source record.  A file is read here alone, once,
+    and its digest is that of the bytes parsed: a fresh command's record
+    takes it as its sha256, and a replay's must already hold it."""
     kind = spec["kind"]
     if kind == "constant":
         return CiProfile.constant(spec["value"], horizon)
@@ -167,10 +167,9 @@ def load_ci(spec: dict, horizon: float = 1.0) -> CiProfile:
         return builtin_profile_si2024()
     import hashlib
     data = Path(spec["path"]).read_bytes()
-    if hashlib.sha256(data).hexdigest() != spec["sha256"]:
-        raise ValidationError(
-            f"input {spec['path']} changed since the manifest was written"
-        )
+    digest = hashlib.sha256(data).hexdigest()
+    if spec.setdefault("sha256", digest) != digest:
+        raise ValidationError(f"input {spec['path']} changed since the manifest was written")
     try:
         text = data.decode("utf-8-sig")     # skips a leading byte-order mark
     except UnicodeDecodeError as exc:

@@ -58,6 +58,7 @@ from .queueing import (
     OPT_RHO_MM1,
     SaturationEpsilon,
     avg_aoi,
+    check_discipline,
     mm1_age,
     mm1_star_age,
 )
@@ -213,6 +214,8 @@ def _free_rho(discipline: Discipline, eps: SaturationEpsilon) -> float:
 def _pick_rate(discipline: Discipline, mu: float, bound: float, mode: str,
                eps: SaturationEpsilon, mu_rule: str):
     """Returns (lambda_star, mu_star, aoi, binding)."""
+    if not isinstance(discipline, Discipline):
+        check_discipline(discipline)        # raises
     if mu_rule == "fixed" and not mu > 0:
         raise DomainError(f"service rate must be positive, got {mu}")
     if math.isnan(bound) or bound <= 0:
@@ -401,7 +404,7 @@ def sweep_lambda(mu: float, lambda_grid, disciplines=BOTH_DISCIPLINES,
     """
     lam = _check_grid(lambda_grid)[:, None]
     _check_mode(mode)
-    disciplines = tuple(disciplines)
+    disciplines = tuple(map(check_discipline, disciplines))
     emission = (profile.long_term_average, energy.e_p_kwh(),
                 constraint.success_prob_a, constraint.horizon_tn)
     # The grid check passes NaN and inf, where no age or cf is defined.
@@ -427,6 +430,7 @@ def _sweep(months, xs, disciplines, mode, eps, cap, mu, emission, label) -> Swee
     def per_discipline(v):
         return np.asarray(v, dtype=float)[..., None]
 
+    disciplines = tuple(map(check_discipline, disciplines))
     mu = per_discipline(mu)
     cap = per_discipline(cap)
     rho = np.array([_free_rho(d, eps) for d in disciplines])
@@ -473,7 +477,7 @@ def sweep_cf_budget(mu: float, k_grid, profile: CiProfile, energy: EnergyModel,
     with np.errstate(over="ignore"):       # inf, silently, as on the scalar path
         cap = kappa_cap(ks, tn, ci, e_kwh, success_prob_a)
     cap = np.broadcast_to(cap, (len(ci), len(ks)))      # a = 0 gives a scalar inf
-    return _sweep(months, ks.tolist(), tuple(disciplines), mode, eps, cap, mu,
+    return _sweep(months, ks.tolist(), disciplines, mode, eps, cap, mu,
                   (ci, e_kwh, success_prob_a, tn), BindingConstraint.CF_BUDGET)
 
 
@@ -513,6 +517,5 @@ def sweep_surface(problem: str, grid, profile: CiProfile, energy: EnergyModel,
     ci = np.array([v for _, v in months])[:, None]
     with np.errstate(over="ignore"):       # inf, silently, as on the scalar path
         cap = energy_cap(budget, ci, e_kwh, tn)
-    return _sweep([m for m, _ in months], [x for x, _ in grid], tuple(disciplines), mode,
-                  eps, cap, np.array([m for _, m in points]), (ci, e_kwh, a, tn),
-                  _MONTH_PROBLEMS[problem])
+    return _sweep([m for m, _ in months], [x for x, _ in grid], disciplines, mode, eps, cap,
+                  np.array([m for _, m in points]), (ci, e_kwh, a, tn), _MONTH_PROBLEMS[problem])

@@ -19,6 +19,14 @@ class Discipline(Enum):
     LCFS_PREEMPTIVE = "mm1star"
 
 
+def check_discipline(discipline) -> Discipline:
+    """discipline, refused unless it is a Discipline: a string such as "mm1"
+    would otherwise take the non-FCFS branch of every dispatch."""
+    if not isinstance(discipline, Discipline):
+        raise DomainError(f"discipline must be a Discipline, got {discipline!r}")
+    return discipline
+
+
 def _check_rates(lam: float, mu: float) -> None:
     """Refuse an arrival or a service rate that is not positive and finite."""
     if not (math.isfinite(lam) and lam > 0):
@@ -41,6 +49,7 @@ class QueueSpec:
     mu: float
 
     def __post_init__(self) -> None:
+        check_discipline(self.discipline)
         _check_rates(self.lam, self.mu)
 
     @property
@@ -91,8 +100,11 @@ def mm1_star_age(lam, mu):
 def avg_aoi(discipline: Discipline, lam: float, mu: float, mode: str = "exact") -> float:
     """Average age of either discipline: the near-saturation 2/lam, unchecked,
     for preemptive LCFS in mode "paper", else the closed form, once the rates
-    pass QueueSpec's checks and, for FCFS, rho < 1."""
+    pass QueueSpec's checks and, for FCFS, rho < 1.  A discipline that is
+    not a Discipline is refused, in either mode."""
     if discipline is not Discipline.FCFS_MM1:
+        if not isinstance(discipline, Discipline):
+            check_discipline(discipline)        # raises
         if mode == "paper":
             return 2.0 / lam
         _check_rates(lam, mu)

@@ -23,7 +23,7 @@ from caoi.carbon import (
     lambda_p_max,
     lambda_qos_max,
     min_rate_for_snr,
-    slot_count,
+    slot_grid,
 )
 from caoi.errors import DomainError, MissingConstraint, ValidationError
 
@@ -113,6 +113,17 @@ class TestCumulativeCf:
     def test_power_scales(self):
         assert cumulative_cf(TWO_STEP, 3.0, 3600.0) == pytest.approx(0.6, rel=1e-12)
 
+    @pytest.mark.parametrize("power", [np.int64(3), np.float32(3.0), np.float64(3.0),
+                                       np.uint8(3), np.float16(3.0)])
+    def test_numpy_scalar_power_is_a_constant(self, power):
+        # Once np.int64 and np.float32 raised TypeError: not iterable.
+        assert cumulative_cf(TWO_STEP, power, 3600.0) == cumulative_cf(TWO_STEP, 3.0, 3600.0)
+
+    @pytest.mark.parametrize("power", [np.int64(0), np.float32(-1.0), np.float64(math.nan)])
+    def test_numpy_scalar_power_must_be_positive(self, power):
+        with pytest.raises(DomainError, match="^power must be positive, got "):
+            cumulative_cf(TWO_STEP, power, 3600.0)
+
     def test_upto_domain(self):
         with pytest.raises(DomainError):
             cumulative_cf(TWO_STEP, 1.0, 0.0)
@@ -146,13 +157,25 @@ class TestEnergyModel:
 
 
 class TestSlotCount:
+    # A count of 0 is a slot that does not tile the horizon.
     @pytest.mark.parametrize("horizon, slot, count", [
         (100.0, 1.0, 100), (0.7, 0.7 / 3, 3), (100.0, 100.0, 1), (1.0, 3e-8, 0),
         (100.0, 7.5, 0), (100.0, math.nextafter(100.0, math.inf), 0), (100.0, 0.0, 0),
         (100.0, -1.0, 0), (100.0, math.nan, 0), (100.0, math.inf, 0), (100.0, 1e-320, 0),
     ])
     def test_count(self, horizon, slot, count):
-        assert slot_count(horizon, slot) == count
+        if count:
+            assert slot_grid(horizon, slot, DomainError) == count
+        else:
+            with pytest.raises(DomainError, match=f"^slot length {slot} does not tile "
+                                                  f"horizon {horizon}$"):
+                slot_grid(horizon, slot, DomainError)
+
+    def test_over_the_cap(self):
+        assert slot_grid(1e7, 1.0, DomainError) == 10**7
+        with pytest.raises(ValidationError, match=r"^1e\+07 slots exceed the cap of 10000000; "
+                                                  "use a longer slot$"):
+            slot_grid(1e7 + 1, 1.0, ValidationError)
 
 
 class TestConstraintSet:

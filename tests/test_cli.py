@@ -987,6 +987,27 @@ class TestGridCap:
         with pytest.raises(argparse.ArgumentTypeError, match="exceeds the cap"):
             cli.parse_grid(f"0:1:{cli.MAX_GRID_POINTS + 1}")
 
+    @pytest.mark.parametrize("text", ["-10:inf:3", "1e-4:inf:3", "-1e308:1e308:3",
+                                      "-inf:inf:2", "nan:1:3"])
+    def test_parse_grid_refuses_a_step_that_is_not_finite(self, text):
+        # Once [nan, inf, inf] for -10:inf:3: -10 + 0 * inf is NaN.
+        with pytest.raises(argparse.ArgumentTypeError,
+                           match=f"^grid ends and step must be finite, got '{text}'$"):
+            cli.parse_grid(text)
+
+    def test_parse_grid_keeps_a_one_point_infinite_grid(self):
+        # A 1-point grid has no step: inf:inf:1 is an infinite budget.
+        assert cli.parse_grid("inf:inf:1") == [math.inf]
+
+    def test_grid_flag_that_is_not_finite_exits_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", "--surface", "snr", "--snr-grid-db=-10:inf:3", "--budget-k",
+                      "60ug", "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert "grid ends and step must be finite, got '-10:inf:3'" in \
+            capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_grid_flag_over_the_cap_exits_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["analyze", "--model", "both", "--mu", "1.0",
@@ -1078,6 +1099,37 @@ class TestCiResolution:
         assert reads == [Path(spec["path"])]
         assert parsed == [BUILTIN_CSV.replace("258", "258.5")]
         assert profile.values[-1] == 258.5
+
+    def test_fresh_command_reads_the_file_once(self, tmp_path, monkeypatch):
+        # The digest the manifest records is that of the one read parsed.
+        ci = tmp_path / "ci.csv"
+        ci.write_bytes(BUILTIN_CSV.encode())
+        reads = []
+        read_bytes = Path.read_bytes
+        monkeypatch.setattr(Path, "read_bytes",
+                            lambda self: reads.append(self) or read_bytes(self))
+        assert cli.main(["analyze", "--model", "both", "--mu", "40", "--k-grid",
+                         "1e-4:1e-3:5", "--ci", str(ci), "--out", str(tmp_path / "a.csv")]) == 0
+        assert reads == [ci.resolve()]
+        manifest = json.loads((tmp_path / "a.csv.manifest.json").read_text())
+        assert manifest["params"]["ci"] == {
+            "kind": "file", "path": str(ci.resolve()),
+            "sha256": hashlib.sha256(BUILTIN_CSV.encode()).hexdigest()}
+
+    def test_resolving_a_file_reads_nothing(self, tmp_path):
+        path = tmp_path / "not_yet.csv"
+        assert cli.resolve_ci_spec(str(path), None) == {"kind": "file", "path": str(path)}
+
+    def test_missing_file_is_reported_after_the_flag_checks(self, tmp_path, capsys):
+        missing = str(tmp_path / "nope.csv")
+        assert cli.main(["sweep", "--surface", "k", "--ci", missing,
+                         "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == "error: --surface k needs --k-grid\n"
+        assert cli.main(["sweep", "--surface", "k", "--k-grid", "1e-4:1e-3:3", "--ci", missing,
+                         "--out", str(tmp_path / "x.csv")]) == 4
+        assert capsys.readouterr().err == \
+            f"i/o error: [Errno 2] No such file or directory: '{missing}'\n"
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv", [
         ["optimize", "--problem", "cf", "--model", "mm1", "--budget-k", "1mg", "--mu", "40"],

@@ -30,6 +30,7 @@ from caoi.queueing import (
     Discipline,
     QueueSpec,
     SaturationEpsilon,
+    avg_aoi,
     avg_aoi_mm1,
     avg_aoi_mm1_star,
     optimal_utilization_mm1,
@@ -374,6 +375,56 @@ class TestInfeasibility:
         with pytest.raises(Infeasible):
             _pick_rate(Discipline.FCFS_MM1, 1.0, math.inf, "exact",
                        DEFAULT_EPS, "track_opt_rho")
+
+
+NOT_A_DISCIPLINE = "^discipline must be a Discipline, got 'mm1'$"
+
+
+class TestDisciplineRefusal:
+    """A string where a Discipline belongs is refused by every layer, not
+    answered as preemptive LCFS (the non-FCFS branch) or as FCFS."""
+
+    @pytest.mark.parametrize("mode", ["paper", "exact"])
+    def test_avg_aoi(self, mode):
+        # Once 3.0 in exact mode, the LCFS age; FCFS gives 3.5.
+        with pytest.raises(DomainError, match=NOT_A_DISCIPLINE):
+            avg_aoi("mm1", 0.5, 1.0, mode)
+
+    @pytest.mark.parametrize("solve", ["cf", "power", "qos"])
+    def test_scalar_solves(self, solve):
+        c = ConstraintSet(budget_k=1e-3, horizon_tn=3600.0, power_cap=1.0, snr_min=10.0)
+        call = {"cf": lambda: solve_cf_constrained(40.0, c, FLAT198, ENERGY, "mm1"),
+                "power": lambda: solve_power_constrained(c, 198.0, ENERGY, "mm1"),
+                "qos": lambda: solve_qos_constrained(c, 198.0, ENERGY, "mm1")}[solve]
+        with pytest.raises(DomainError, match=NOT_A_DISCIPLINE):
+            call()
+
+    def test_scalar_solve_refuses_before_infeasible(self):
+        # An unbounded budget has no optimum under track_opt_rho (Infeasible),
+        # but the discipline is refused first.
+        c = ConstraintSet(budget_k=math.inf, horizon_tn=3600.0, power_cap=1.0)
+        with pytest.raises(DomainError, match=NOT_A_DISCIPLINE):
+            solve_power_constrained(c, 198.0, ENERGY, "mm1", mu_rule="track_opt_rho")
+
+    def test_queue_spec_and_sim_config(self):
+        from caoi.dessim import SimConfig
+        # Once accepted, then run on the FCFS kernel at rho = 2.
+        with pytest.raises(DomainError, match=NOT_A_DISCIPLINE):
+            SimConfig(QueueSpec("mm1", 2.0, 1.0), 100.0, 1)
+        with pytest.raises(DomainError, match=NOT_A_DISCIPLINE):
+            QueueSpec("mm1", 0.5, 1.0)
+
+    @pytest.mark.parametrize("sweep", ["lambda", "cf_budget", "months"])
+    def test_sweeps(self, sweep, builtin):
+        disciplines = (Discipline.FCFS_MM1, "mm1")
+        c = ConstraintSet(budget_k=1e-3, horizon_tn=3600.0, power_cap=1.0)
+        call = {"lambda": lambda: sweep_lambda(1.0, [0.1, 0.2], disciplines, **PRICING),
+                "cf_budget": lambda: sweep_cf_budget(40.0, [1e-4, 1e-3], builtin, ENERGY,
+                                                     3600.0, disciplines),
+                "months": lambda: sweep_months(c, builtin, ENERGY, disciplines)}[sweep]
+        # sweep_lambda once raised AttributeError.
+        with pytest.raises(DomainError, match=NOT_A_DISCIPLINE):
+            call()
 
 
 class TestCapEdges:

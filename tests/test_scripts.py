@@ -1,9 +1,10 @@
 """Both figure scripts at small sizes, make_sweep_datasets.py and
 validate_against_simulation.py, and bench_record.py's summary on
-synthetic runs, loaded by path as CI runs them."""
+synthetic runs and its workload list, loaded by path as CI runs them."""
 
 import csv
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -125,3 +126,20 @@ def test_bench_record_reads_the_directions_without_writing():
     assert better["work_per_ref"] == "higher" and better["op_tail_ref"] == "lower"
     assert set(better.values()) == {"higher", "lower"}
     assert path.read_bytes() == before
+
+
+def test_bench_record_takes_its_workloads_from_benchmark_json(tmp_path, monkeypatch, capsys):
+    script = load("bench_record")
+    declared = [{"name": name, "why": "w"} for name in ("a", "b", "c", "fourth")]
+    path = tmp_path / "BENCHMARK.json"
+    path.write_text(json.dumps({"workloads": declared, "end_to_end": []}))
+    assert script.workloads(path) == ["a", "b", "c", "fourth"]
+    # A workload the file declares is a choice of --workload, with no edit
+    # to the script; the run then stops at the --pairs check.
+    declared_in = script.workloads
+    monkeypatch.setattr(script, "workloads", lambda: declared_in(path))
+    for name, message in (("fourth", "--pairs must be at least 1"), ("fifth", "invalid choice")):
+        with pytest.raises(SystemExit):
+            script.main(["--pr", "0", "--parent", str(tmp_path), "--pairs", "0",
+                         "--workload", name])
+        assert message in capsys.readouterr().err
