@@ -29,12 +29,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 PROFILE_CSV = "period,ci_g_per_kwh\n2024-01,228\n2024-02,150.5\n2024-03,310\n"
-YEAR_CSV = "period,ci_g_per_kwh\n# 12 periods, as a month sweep needs\n" + "".join(
+ONE_ROW_CSV = "period,ci_g_per_kwh\n2024-01,228\n"
+YEAR_CSV = "period,ci_g_per_kwh\n# 12 periods, one year\n" + "".join(
     f"2023-{m:02d},{v}\n" for m, v in enumerate(
         ("231", "219.5", "190", "151", "110", "126", "160", "175.25", "205", "250", "311",
          "262"), start=1))
-# 24 periods: --month takes any row, and a month sweep refuses it.
-TWO_YEAR_CSV = YEAR_CSV.replace("# 12 periods, as a month sweep needs\n", "") + "".join(
+# 24 periods: --month takes any row, and a month sweep runs over every row.
+TWO_YEAR_CSV = YEAR_CSV.replace("# 12 periods, one year\n", "") + "".join(
     f"2024-{m:02d},{100 + 15 * m}\n" for m in range(1, 13))
 
 
@@ -106,7 +107,7 @@ def commands() -> list:
                           "--p-max", "1", "--out", "opt_track_mu.json"]),
         ("sweep-snr-mu", ["sweep", "--surface", "snr", "--snr-grid-db=-10:30:5",
                           "--budget-k", "60ug", "--mu", "40", "--out", "sweep_snr_mu.csv"]),
-        # Month sweeps of a CSV profile: 12 periods, and 3 and 24, which are refused.
+        # Month sweeps of a CSV profile of 12 periods, 3, 24 and 1: one month per row.
         ("sweep-k-csv", ["sweep", "--surface", "k", "--k-grid", "4e-4:8e-4:3", "--mu", "40",
                          "--ci", "year.csv", "--out", "sweep_k_csv.csv"]),
         ("sweep-snr-csv", ["sweep", "--surface", "snr", "--snr-grid-db=-10:30:9",
@@ -116,6 +117,8 @@ def commands() -> list:
                                  "--ci", "profile.csv", "--out", "sweep_three.csv"]),
         ("sweep-two-years", ["sweep", "--surface", "k", "--k-grid", "4e-4:8e-4:3",
                              "--ci", "two_years.csv", "--out", "sweep_two_years.csv"]),
+        ("sweep-one-row", ["sweep", "--surface", "k", "--k-grid", "4e-4:8e-4:3",
+                           "--ci", "one_row.csv", "--out", "sweep_one_row.csv"]),
         # Month 13 of the 24: --month is bounded by the profile's rows.
         ("opt-month-13", ["optimize", "--problem", "cf", "--model", "mm1", "--budget-k", "0.05",
                           "--mu", "1", "--ci", "two_years.csv", "--month", "13",
@@ -262,6 +265,7 @@ def run_side(checkout: Path, work: Path, log: Path) -> None:
     (work / "profile.csv").write_text(PROFILE_CSV)
     (work / "year.csv").write_text(YEAR_CSV)
     (work / "two_years.csv").write_text(TWO_YEAR_CSV)
+    (work / "one_row.csv").write_text(ONE_ROW_CSV)
     (work / "profile_cr.csv").write_bytes(PROFILE_CSV.replace("\n", "\r").encode())
     for command in CLOBBERS:
         (work / f"clobber_{command}.csv").write_text(YEAR_CSV)

@@ -583,7 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # The flags two or more commands share, each declared once.
     ci = argparse.ArgumentParser(add_help=False)
-    ci.add_argument("--ci", help="CI profile CSV path, or 'builtin' (sweep: 12 months)")
+    ci.add_argument("--ci", help="CI profile CSV path, or 'builtin' (sweep: a month per row)")
     ci_value = argparse.ArgumentParser(add_help=False)
     ci_value.add_argument("--ci-value", type=float, help="constant CI, g/kWh")
     tn_a_eps = argparse.ArgumentParser(add_help=False)

@@ -17,7 +17,8 @@ slot emissions before it draws the next.  Each kernel carries its state
 across chunks (the FCFS service sum and Lindley max, the LCFS arrival
 whose successor is not drawn yet, the recent departures of a finite
 buffer), so memory does not grow with the number of arrivals, except
-that `keep_events` keeps every delivery.  The chunk size is part of the
+that `keep_events` keeps every delivery and a finite FCFS buffer at
+rho >= 1 fills (SimConfig caps both).  The chunk size is part of the
 seeded sample-path contract: arrival, service, delivery and slot
 outputs do not depend on it, but the age integral is summed chunk by
 chunk, so another size changes the last digits of the mean age.
@@ -72,7 +73,7 @@ from .errors import ConfigError, DomainError
 from .queueing import Discipline, QueueSpec
 
 _CHUNK = 1 << 16                # arrivals per chunk; see the module docstring
-_MAX_EVENT_ARRIVALS = 10 ** 7   # keep_events cap on expected arrivals, lam * horizon
+_MAX_EVENT_ARRIVALS = 10 ** 7   # cap on kept events and on packets a buffer holds
 # Cap on any run's expected arrivals, above the README's runs of 10**8 (10**9 take
 # about 20 s); at lam = 1e300, gaps of 1e-300 s would need 10**303 draws: no end.
 _MAX_ARRIVALS = 10 ** 10
@@ -110,12 +111,13 @@ class SimConfig:
     horizon] but the slot counts and grams include the drained work, on
     one slot grid extended past the horizon.
 
-    Memory grows with the run only through the slot grid and keep_events,
-    which keeps every delivery and its origin but not the arrivals, so both
-    are capped: at most 10**7 slots, refused before anything is allocated
-    or, for drained work, before the grid grows, and with keep_events at
-    most 10**7 expected arrivals (lam * horizon).  Time grows with the
-    arrivals, so any run is capped at 10**10 of them.
+    Memory grows with the run only through the slot grid, keep_events,
+    which keeps every delivery and its origin but not the arrivals, and
+    an FCFS buffer at rho >= 1, which fills, so each is capped at 10**7:
+    slots, refused before anything is allocated or, for drained work,
+    before the grid grows; expected arrivals (lam * horizon) with
+    keep_events; and at rho >= 1 packets held, min(buffer, lam * horizon).
+    Time grows with the arrivals, so any run is capped at 10**10 of them.
     """
 
     spec: QueueSpec
@@ -145,6 +147,9 @@ class SimConfig:
                                             and self.buffer >= 1):
             raise ConfigError(f"buffer capacity must be an integer >= 1, got {self.buffer!r}")
         expected = self.spec.lam * self.horizon
+        if fcfs and rho >= 1.0 and min(self.buffer, expected) > _MAX_EVENT_ARRIVALS:
+            raise ConfigError(f"a buffer of {self.buffer} at rho={rho:.6g} can hold over "
+                              f"{_MAX_EVENT_ARRIVALS} packets; shrink it or shorten the horizon")
         if self.keep_events and expected > _MAX_EVENT_ARRIVALS:
             raise ConfigError(
                 f"keeping events of {expected:.6g} expected arrivals exceeds the cap "

@@ -270,6 +270,8 @@ def _month_point(problem: str, constraint: ConstraintSet, energy: EnergyModel,
         e_kwh = joules_to_kwh(constraint.power_cap * energy.t_p)
         mu = (1.0 / energy.t_p) if mu is None else mu
     else:
+        if mu is not None:
+            raise DomainError("mu does not apply to qos: the SNR floor sets the service rate")
         if constraint.snr_min is None:
             raise MissingConstraint("solve_qos_constrained needs constraint.snr_min")
         link = min_rate_for_snr(energy, constraint.snr_min)
@@ -440,14 +442,6 @@ def _sweep(months, xs, disciplines, mode, eps, cap, mu, emission, label) -> Swee
                       binding, label)
 
 
-def _months(profile: CiProfile) -> list:
-    if len(profile.values) != 12:
-        raise DomainError(
-            f"month sweeps need a 12-step profile, got {len(profile.values)} steps"
-        )
-    return list(enumerate(profile.values, start=1))
-
-
 def sweep_cf_budget(mu: float, k_grid, profile: CiProfile, energy: EnergyModel,
                     tn: float, disciplines=BOTH_DISCIPLINES, mode: str = "exact",
                     success_prob_a: float = 1.0, per_month: bool = False,
@@ -485,7 +479,7 @@ def sweep_months(constraint: ConstraintSet, profile: CiProfile, energy: EnergyMo
                  disciplines=BOTH_DISCIPLINES, mode: str = "exact",
                  problem: str = "power", mu: float | None = None,
                  eps: SaturationEpsilon = DEFAULT_EPS) -> SweepTable:
-    """Solve one constrained problem per calendar month of a 12-step profile.
+    """Solve one constrained problem per month, that is per row, of the profile.
 
     The one-point surface of sweep_surface, whose x is None.
     """
@@ -501,21 +495,19 @@ def sweep_surface(problem: str, grid, profile: CiProfile, energy: EnergyModel,
 
     grid holds (x, ConstraintSet) pairs: x is only the row label (a budget
     in grams, an SNR floor in dB), the constraint is what gets solved.
-    Rows run month by month, then along the grid, then over disciplines.
+    Month m is row m of the profile; rows run month by month, then along the
+    grid, then over disciplines, and equal a loop of month solves (qos refuses mu).
     """
-    months = _months(profile)
     if problem not in _MONTH_PROBLEMS:
         raise DomainError(f"problem must be 'power' or 'qos', got {problem!r}")
-    grid = list(grid)
-    if not grid:
+    cells = [(x, *_month_point(problem, c, energy, mu, mode), c.budget_k, c.success_prob_a,
+              c.horizon_tn) for x, c in grid]
+    if not cells:
         raise DomainError("grid must not be empty")
-    constraints = [c for _, c in grid]
-    points = [_month_point(problem, c, energy, mu, mode) for c in constraints]
-    e_kwh = np.array([e for e, _ in points])
-    budget, a, tn = (np.array([getattr(c, name) for c in constraints])
-                     for name in ("budget_k", "success_prob_a", "horizon_tn"))
-    ci = np.array([v for _, v in months])[:, None]
+    xs, *columns = zip(*cells)
+    e_kwh, mus, budget, a, tn = map(np.array, columns)
+    ci = np.array(profile.values)[:, None]
     with np.errstate(over="ignore"):       # inf, silently, as on the scalar path
         cap = energy_cap(budget, ci, e_kwh, tn)
-    return _sweep([m for m, _ in months], [x for x, _ in grid], disciplines, mode, eps, cap,
-                  np.array([m for _, m in points]), (ci, e_kwh, a, tn), _MONTH_PROBLEMS[problem])
+    return _sweep(range(1, len(ci) + 1), xs, disciplines, mode, eps, cap, mus,
+                  (ci, e_kwh, a, tn), _MONTH_PROBLEMS[problem])

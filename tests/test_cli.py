@@ -650,16 +650,18 @@ class TestSweep:
         assert message in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
-    def test_profile_of_three_periods_exits_2(self, tmp_path, capsys):
-        # The 12-step rule is the month sweep's own, as for a caller in Python.
-        ci = tmp_path / "ci.csv"
-        ci.write_text("period,ci_g_per_kwh\n2024-01,228\n2024-02,150.5\n2024-03,310\n")
-        code = cli.main(["sweep", "--surface", "k", "--k-grid", "4e-4:8e-4:3", "--ci", str(ci),
-                         "--out", str(tmp_path / "x.csv")])
-        assert code == 2
-        assert capsys.readouterr() == ("", "error: month sweeps need a 12-step profile, "
-                                           "got 3 steps\n")
-        assert [p.name for p in tmp_path.iterdir()] == ["ci.csv"]
+    def test_profile_of_three_periods_sweeps_three_months(self, tmp_path, monkeypatch):
+        # A month sweep runs over every row of the profile, as --month 1..n does.
+        monkeypatch.chdir(tmp_path)
+        Path("ci.csv").write_text("period,ci_g_per_kwh\n2024-01,228\n2024-02,150.5\n"
+                                  "2024-03,310\n")
+        assert cli.main(["sweep", "--surface", "k", "--k-grid", "4e-4:8e-4:3",
+                         "--ci", "ci.csv", "--out", "x.csv"]) == 0
+        rows = read_rows(tmp_path / "x.csv")
+        assert [r[0] for r in rows[1:]] == [m for m in "123" for _ in range(3 * 2)]
+        assert cli.main(["replay", "x.csv.manifest.json", "--out-dir", "redo"]) == 0
+        for name in ("x.csv", "x.csv.manifest.json"):
+            assert (tmp_path / "redo" / name).read_bytes() == (tmp_path / name).read_bytes()
 
     def test_snr_surface_needs_budget(self, tmp_path):
         res = caoi("sweep", "--surface", "snr", "--snr-grid-db=-10:30:41",

@@ -343,15 +343,52 @@ class TestSweeps:
             with pytest.raises(DomainError, match="^grid must not be empty$"):
                 sweep()
 
-    def test_month_sweep_needs_full_year(self):
+    def test_month_sweep_of_one_row(self):
+        # A one-row profile is one month, as optimize --month 1 reads it.
         c = ConstraintSet(budget_k=5e-4, horizon_tn=3600.0, power_cap=1.0)
-        with pytest.raises(DomainError):
-            sweep_months(c, FLAT198, ENERGY, problem="power")
+        rows = sweep_months(c, FLAT198, ENERGY, problem="power")
+        assert_rows_equal(rows, per_cell([(1, None, 198.0, c)], lambda c, ci, disc:
+                                         solve_power_constrained(c, ci, ENERGY, disc)))
+
+    @pytest.mark.parametrize("n", [1, 3, 24])
+    @pytest.mark.parametrize("problem", ["power", "qos"])
+    def test_month_sweeps_run_over_every_row(self, n, problem):
+        # Month m is row m, whatever the number of rows: the sweeps equal a
+        # loop of month solves at profile.values[m - 1].
+        month = 30 * 86400.0
+        values = np.random.default_rng(n).uniform(10.0, 1000.0, n)
+        profile = CiProfile([(i * month, v) for i, v in enumerate(values)], n * month)
+        extra = {"power_cap": 0.5} if problem == "power" else {"snr_min": 10.0}
+        grid = [(k, ConstraintSet(budget_k=k, horizon_tn=tn, **extra))
+                for k, tn in ((5e-324, 1e12), (1e-6, 3600.0), (5e-4, 3600.0), (1.0, 3600.0))]
+        solver = solve_power_constrained if problem == "power" else solve_qos_constrained
+
+        def solve(c, ci, disc):
+            return solver(c, ci, ENERGY, disc)
+
+        rows = sweep_surface(problem, grid, profile, ENERGY)
+        assert rows.months == tuple(range(1, n + 1))
+        cells = [(m, k, ci, c) for m, ci in enumerate(profile.values, start=1) for k, c in grid]
+        assert_rows_equal(rows, per_cell(cells, solve))
+        for k, c in grid:
+            cells = [(m, None, ci, c) for m, ci in enumerate(profile.values, start=1)]
+            assert_rows_equal(sweep_months(c, profile, ENERGY, problem=problem),
+                              per_cell(cells, solve))
+
+    def test_qos_sweeps_refuse_mu(self, builtin):
+        # The SNR floor sets each cell's service rate, so a mu is refused, not ignored.
+        c = ConstraintSet(budget_k=5e-4, horizon_tn=3600.0, snr_min=10.0)
+        with pytest.raises(DomainError, match="the SNR floor sets the service rate"):
+            sweep_surface("qos", [(10.0, c)], builtin, ENERGY, mu=40.0)
+        with pytest.raises(DomainError, match="the SNR floor sets the service rate"):
+            sweep_months(c, builtin, ENERGY, problem="qos", mu=40.0)
 
     def test_month_sweep_rejects_unknown_problem(self, builtin):
         c = ConstraintSet(budget_k=5e-4, horizon_tn=3600.0, power_cap=1.0)
-        with pytest.raises(DomainError):
-            sweep_months(c, builtin, ENERGY, problem="cf")
+        three = CiProfile([(0.0, 228.0), (1.0, 150.5), (2.0, 310.0)], 3.0)
+        for profile in (builtin, three):
+            with pytest.raises(DomainError, match="^problem must be 'power' or 'qos', got 'cf'$"):
+                sweep_months(c, profile, ENERGY, problem="cf")
 
 
 class TestInfeasibility:
@@ -627,15 +664,16 @@ EPS = st.sampled_from([SaturationEpsilon(), SaturationEpsilon(0.05)])
 
 @st.composite
 def profiles(draw):
-    """The built-in year, or twelve random monthly steps over a random horizon.
+    """The built-in year, or 1 to 24 random monthly steps over a random horizon.
 
     A month's mean intensity (v * h) / h need not round back to v.
     """
     if draw(st.booleans()):
         return BUILTIN
-    values = draw(st.lists(st.floats(10.0, 1000.0), min_size=12, max_size=12))
+    values = draw(st.lists(st.floats(10.0, 1000.0), min_size=1, max_size=24))
     horizon = draw(st.floats(1e6, 1e9))
-    return CiProfile(tuple((i * horizon / 12, v) for i, v in enumerate(values)), horizon)
+    return CiProfile(tuple((i * horizon / len(values), v) for i, v in enumerate(values)),
+                     horizon)
 
 
 class TestArrayEngine:
@@ -696,10 +734,11 @@ class TestArrayEngine:
 
     @pytest.mark.parametrize("problem", ["power", "qos"])
     @settings(max_examples=40, deadline=None)
-    @given(data=st.data(), disciplines=ORDERS, mode=MODES, eps=EPS,
-           mu=st.one_of(st.none(), st.floats(0.5, 1e5)), profile=profiles())
-    def test_sweep_surface_and_months(self, problem, data, disciplines, mode, eps, mu,
-                                      profile):
+    @given(data=st.data(), disciplines=ORDERS, mode=MODES, eps=EPS, profile=profiles())
+    def test_sweep_surface_and_months(self, problem, data, disciplines, mode, eps, profile):
+        # qos refuses a mu: the SNR floor sets the service rate.
+        mu = data.draw(st.none() if problem == "qos" else
+                       st.one_of(st.none(), st.floats(0.5, 1e5)))
         constraints = data.draw(st.lists(self.constraints(problem), min_size=1, max_size=6))
         grid = list(enumerate(constraints))
         solve = self.month_solver(problem, mode, mu, eps)
