@@ -59,8 +59,9 @@ from .queueing import (
 ENV_DEFAULT_CI = "CAOI_DEFAULT_CI"
 
 # Points in one grid, from a flag or a replayed manifest; a longer grid is
-# refused before any list is built.  A 10^5-point sweep --surface k, 2.4M
-# cells, peaks at about 210 MB, most of it in the solve's float64 arrays.
+# refused before any list is built.  A 10^5-point sweep --surface k of a
+# 12-row profile, 2.4M cells, peaks at about 210 MB, most of it in the
+# solve's float64 arrays; optimizer.MAX_SWEEP_CELLS caps longer profiles at that.
 MAX_GRID_POINTS = 10**5
 
 ANALYZE_HEADER = ("x", "model", "aoi_s", "cf_g", "lambda_bound", "binding")
@@ -444,7 +445,7 @@ def run_sweep(params: dict, out: str) -> None:
             raise ValidationError("--surface snr needs --snr-grid-db")
         if params["budget_k"] is None:
             raise ValidationError("--surface snr needs --budget-k")
-        if params["mu"] is not None:
+        if params["mu"] is not None:    # ahead of optimizer._month_point's refusal
             raise ValidationError("--mu does not apply to --surface snr: "
                                   "the SNR floor sets the service rate")
     # --p-max is checked under either surface, though --surface snr does not

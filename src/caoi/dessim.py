@@ -116,7 +116,9 @@ class SimConfig:
     an FCFS buffer at rho >= 1, which fills, so each is capped at 10**7:
     slots, refused before anything is allocated or, for drained work,
     before the grid grows; expected arrivals (lam * horizon) with
-    keep_events; and at rho >= 1 packets held, min(buffer, lam * horizon).
+    keep_events; and at rho >= 1 packets held, min(buffer, (lam - mu) *
+    horizon + 10 * sqrt((lam + mu) * horizon)): the drift of arrivals less
+    services plus ten standard deviations, under 1.5e6 at rho = 1.
     Time grows with the arrivals, so any run is capped at 10**10 of them.
     """
 
@@ -146,8 +148,9 @@ class SimConfig:
         if self.buffer is not None and not (isinstance(self.buffer, (int, np.integer))
                                             and self.buffer >= 1):
             raise ConfigError(f"buffer capacity must be an integer >= 1, got {self.buffer!r}")
-        expected = self.spec.lam * self.horizon
-        if fcfs and rho >= 1.0 and min(self.buffer, expected) > _MAX_EVENT_ARRIVALS:
+        lam, mu, expected = self.spec.lam, self.spec.mu, self.spec.lam * self.horizon
+        held = (lam - mu) * self.horizon + 10 * math.sqrt((lam + mu) * self.horizon)
+        if fcfs and rho >= 1.0 and min(self.buffer, held) > _MAX_EVENT_ARRIVALS:
             raise ConfigError(f"a buffer of {self.buffer} at rho={rho:.6g} can hold over "
                               f"{_MAX_EVENT_ARRIVALS} packets; shrink it or shorten the horizon")
         if self.keep_events and expected > _MAX_EVENT_ARRIVALS:

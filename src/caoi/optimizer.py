@@ -252,6 +252,8 @@ def solve_cf_constrained(mu: float, constraint: ConstraintSet, profile: CiProfil
 
 
 _MONTH_PROBLEMS = {"power": BindingConstraint.POWER, "qos": BindingConstraint.QOS}
+# (month, grid point) cells in one sweep_surface: 12 months x cli.MAX_GRID_POINTS.
+MAX_SWEEP_CELLS = 12 * 10**5
 
 
 def _month_point(problem: str, constraint: ConstraintSet, energy: EnergyModel,
@@ -497,15 +499,21 @@ def sweep_surface(problem: str, grid, profile: CiProfile, energy: EnergyModel,
     in grams, an SNR floor in dB), the constraint is what gets solved.
     Month m is row m of the profile; rows run month by month, then along the
     grid, then over disciplines, and equal a loop of month solves (qos refuses mu).
+    More than MAX_SWEEP_CELLS months x grid points raise DomainError.
     """
     if problem not in _MONTH_PROBLEMS:
         raise DomainError(f"problem must be 'power' or 'qos', got {problem!r}")
-    cells = [(x, *_month_point(problem, c, energy, mu, mode), c.budget_k, c.success_prob_a,
-              c.horizon_tn) for x, c in grid]
-    if not cells:
+    grid = list(grid)
+    points = [_month_point(problem, c, energy, mu, mode) for _, c in grid]
+    if not points:
         raise DomainError("grid must not be empty")
-    xs, *columns = zip(*cells)
-    e_kwh, mus, budget, a, tn = map(np.array, columns)
+    if len(profile.values) * len(grid) > MAX_SWEEP_CELLS:
+        raise DomainError(f"{len(profile.values)} months x {len(grid)} grid points exceed "
+                          f"the cap of {MAX_SWEEP_CELLS} cells")
+    xs, constraints = zip(*grid)
+    e_kwh, mus = map(np.array, zip(*points))
+    budget, a, tn = (np.array([getattr(c, name) for c in constraints])
+                     for name in ("budget_k", "success_prob_a", "horizon_tn"))
     ci = np.array(profile.values)[:, None]
     with np.errstate(over="ignore"):       # inf, silently, as on the scalar path
         cap = energy_cap(budget, ci, e_kwh, tn)

@@ -663,6 +663,19 @@ class TestSweep:
         for name in ("x.csv", "x.csv.manifest.json"):
             assert (tmp_path / "redo" / name).read_bytes() == (tmp_path / name).read_bytes()
 
+    def test_month_sweep_cells_are_capped(self, tmp_path, capsys):
+        # The grid cap was sized for 12 months: 24 rows x 50001 budgets,
+        # 1200024 cells, are refused before any is solved.
+        ci = tmp_path / "ci.csv"
+        ci.write_text("period,ci_g_per_kwh\n" + "".join(
+            f"{2024 + i // 12}-{i % 12 + 1:02d},228\n" for i in range(24)))
+        code = cli.main(["sweep", "--surface", "k", "--k-grid", "1e-6:1e-1:50001",
+                         "--ci", str(ci), "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert capsys.readouterr() == ("", "error: 24 months x 50001 grid points exceed "
+                                           "the cap of 1200000 cells\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["ci.csv"]
+
     def test_snr_surface_needs_budget(self, tmp_path):
         res = caoi("sweep", "--surface", "snr", "--snr-grid-db=-10:30:41",
                    "--out", str(tmp_path / "x.csv"))

@@ -147,19 +147,25 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="integer"):
             cfg(Discipline.FCFS_MM1, 0.5, 1.0, 100.0, 0, buffer=buffer)
 
-    @pytest.mark.parametrize("lam,buffer", [(2.0, 10**30), (1.0, 10**7 + 1),
-                                            (2.0, np.int64(10**7 + 1))])
-    def test_buffer_that_fills_past_the_cap_is_refused(self, lam, buffer):
+    @pytest.mark.parametrize("lam,horizon,buffer", [
+        (2.0, 1e9, 10**30),
+        (2.0, 1e9, np.int64(10**7 + 1)),
+        (1.01, 1e9, 10**30),        # a drift of 10**7 packets
+        (2.0, 1e7, 10**30),         # a drift of 10**7 plus the spread
+    ])
+    def test_buffer_that_fills_past_the_cap_is_refused(self, lam, horizon, buffer):
         # At rho >= 1 the buffer fills, and the kernel keeps one float per
         # packet held: 10**30 over 2e9 expected arrivals grew toward 32 GB.
         # Only the config is built here, never the run.
         with pytest.raises(ConfigError, match="can hold over 10000000 packets"):
-            SimConfig(QueueSpec(Discipline.FCFS_MM1, lam, 1.0), 1e9, 1, buffer=buffer)
+            SimConfig(QueueSpec(Discipline.FCFS_MM1, lam, 1.0), horizon, 1, buffer=buffer)
 
     @pytest.mark.parametrize("lam,horizon,buffer", [
         (2.0, 1e9, 10**7),          # a buffer at the cap
         (2.0, 3000.0, 10**30),      # 6000 expected arrivals
-        (2.0, 5e6, 10**30),         # 10**7 expected arrivals, at the cap
+        (2.0, 9.9e6, 10**30),       # a drift of 9.9e6 plus 10 spreads of 5450
+        (1.0, 1e8, 10**8),          # rho = 1 holds about sqrt(2e8) packets, not the buffer
+        (1.0, 1e10, 10**30),        # rho = 1 at the cap on arrivals: 10 spreads are 1.4e6
         (0.5, 1e9, 10**30),         # rho < 1: the queue does not fill
     ])
     def test_buffer_cap_edges_pass(self, lam, horizon, buffer):

@@ -383,6 +383,29 @@ class TestSweeps:
         with pytest.raises(DomainError, match="the SNR floor sets the service rate"):
             sweep_months(c, builtin, ENERGY, problem="qos", mu=40.0)
 
+    def test_month_sweep_cells_are_capped_before_solving(self, monkeypatch):
+        # Months x grid points, not grid points alone: a year of hourly rows
+        # times 137 budgets is 1200120 cells, refused before any is solved.
+        def no_solve(*args):
+            raise AssertionError("solved past the cap")
+
+        monkeypatch.setattr(optimizer, "_sweep", no_solve)
+        hourly = CiProfile([(3600.0 * i, 198.0) for i in range(8760)], 8760 * 3600.0)
+        grid = [(k, ConstraintSet(budget_k=k, horizon_tn=3600.0, power_cap=1.0))
+                for k in np.linspace(1e-6, 1e-1, 137)]
+        with pytest.raises(DomainError, match="^8760 months x 137 grid points exceed the cap "
+                                              "of 1200000 cells$"):
+            sweep_surface("power", grid, hourly, ENERGY)
+
+    def test_month_sweep_cell_cap_edge(self, monkeypatch):
+        monkeypatch.setattr(optimizer, "MAX_SWEEP_CELLS", 6)
+        three = CiProfile([(0.0, 228.0), (1.0, 150.5), (2.0, 310.0)], 3.0)
+        grid = [(k, ConstraintSet(budget_k=k, horizon_tn=3600.0, power_cap=1.0))
+                for k in (1e-4, 5e-4, 1e-3)]
+        assert len(sweep_surface("power", grid[:2], three, ENERGY)) == 3 * 2 * 2
+        with pytest.raises(DomainError, match="3 months x 3 grid points exceed the cap of 6"):
+            sweep_surface("power", grid, three, ENERGY)
+
     def test_month_sweep_rejects_unknown_problem(self, builtin):
         c = ConstraintSet(budget_k=5e-4, horizon_tn=3600.0, power_cap=1.0)
         three = CiProfile([(0.0, 228.0), (1.0, 150.5), (2.0, 310.0)], 3.0)
